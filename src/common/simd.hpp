@@ -171,6 +171,16 @@ FOCV_SIMD_INLINE DVec select(MVec c, DVec a, DVec b) {
   return out;
 }
 
+/// std::abs per lane: clears the sign bit, exactly like fabs.
+FOCV_SIMD_INLINE DVec abs(DVec x) {
+  detail::mnative bits;
+  std::memcpy(&bits, &x.v, sizeof(bits));
+  bits = bits & (detail::mnative{} + INT64_MAX);
+  DVec out;
+  std::memcpy(&out.v, &bits, sizeof(out.v));
+  return out;
+}
+
 /// any/all reduce by shuffle-folding halves — a handful of vector ops
 /// and one lane read instead of kLanes sequential extractions. Control
 /// flow only; never on the arithmetic state path.
@@ -339,6 +349,12 @@ FOCV_SIMD_INLINE DVec select(MVec c, DVec a, DVec b) {
     const std::int64_t bits = (ab & c.m[l]) | (bb & ~c.m[l]);
     std::memcpy(&r.v[l], &bits, 8);
   }
+  return r;
+}
+
+FOCV_SIMD_INLINE DVec abs(DVec x) {
+  DVec r;
+  for (int l = 0; l < kLanes; ++l) r.v[l] = std::fabs(x.v[l]);
   return r;
 }
 

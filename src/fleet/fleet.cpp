@@ -251,61 +251,125 @@ LoadConcurrency analyze_load_concurrency(const FleetSpec& spec, double window_s)
   require(spec.node_count > 0, "fleet: node_count must be > 0");
   const power::WsnLoad::Params& load = spec.base.load;
   const std::vector<PolicyAxis> policies = effective_policies(spec);
+  const double burst_energy =
+      load.sense_power * load.sense_duration + load.tx_power * load.tx_duration;
 
+  // Only each node's load period, phase and next burst index are kept.
+  struct NodeBursts {
+    double period;
+    double phase;
+    long k;  ///< next burst; -1 catches a burst straddling t = 0
+  };
   LoadConcurrency out;
   double max_period = 0.0;
-  std::vector<NodeDraw> draws;
-  draws.reserve(spec.node_count);
+  double burst_rate = 0.0;  // fleet bursts per second
+  std::vector<NodeBursts> nodes(spec.node_count);
   for (std::size_t i = 0; i < spec.node_count; ++i) {
-    draws.push_back(detail::draw_node_prevalidated(spec, policies, i));
-    max_period = std::max(max_period, draws.back().report_period);
-    const double burst_energy =
-        load.sense_power * load.sense_duration + load.tx_power * load.tx_duration;
-    out.average_load_w += load.sleep_power + burst_energy / draws.back().report_period;
+    const NodeDraw d = detail::draw_node_prevalidated(spec, policies, i);
+    nodes[i] = {d.report_period, d.burst_phase, -1};
+    max_period = std::max(max_period, d.report_period);
+    burst_rate += 1.0 / d.report_period;
+    out.average_load_w += load.sleep_power + burst_energy / d.report_period;
   }
   out.window_s = window_s > 0.0 ? window_s : 4.0 * max_period;
 
   // Event sweep over [0, window): +/- power and tx-count deltas at each
-  // burst edge, ends applied before starts at equal timestamps.
+  // burst edge, in the total order (time, d_power, d_tx) — ends before
+  // starts at equal timestamps. The window is cut into time slabs of
+  // about max(node_count, kMinSlabEdges) expected edges each; a slab's
+  // edges are counting-sorted into about one time bucket per edge and
+  // each bucket is sorted on its own. Slab and bucket indices are
+  // monotone in time, so the sweep visits exactly the globally sorted
+  // sequence while memory stays at one slab's edges.
   struct Edge {
     double time;
     double d_power;
     int d_tx;
+    std::uint32_t bucket;
   };
-  std::vector<Edge> edges;
-  edges.reserve(8 * spec.node_count);
-  const auto add_interval = [&](double start, double end, double watts, bool is_tx) {
-    const double a = std::max(0.0, start);
-    const double b = std::min(out.window_s, end);
-    if (a >= b) return;
-    edges.push_back({a, watts, is_tx ? 1 : 0});
-    edges.push_back({b, -watts, is_tx ? -1 : 0});
-  };
-  for (const NodeDraw& d : draws) {
-    // k = -1 catches a burst straddling t = 0.
-    for (long k = -1; static_cast<double>(k) * d.report_period + d.burst_phase < out.window_s;
-         ++k) {
-      const double s = static_cast<double>(k) * d.report_period + d.burst_phase;
-      add_interval(s, s + load.sense_duration, load.sense_power, /*is_tx=*/false);
-      add_interval(s + load.sense_duration, s + load.sense_duration + load.tx_duration,
-                   load.tx_power, /*is_tx=*/true);
-    }
-  }
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+  const auto edge_less = [](const Edge& a, const Edge& b) {
     if (a.time != b.time) return a.time < b.time;
-    return a.d_power < b.d_power;
-  });
+    if (a.d_power != b.d_power) return a.d_power < b.d_power;
+    return a.d_tx < b.d_tx;
+  };
+  constexpr double kMinSlabEdges = 4096.0;
+  const double expected_edges = 4.0 * out.window_s * burst_rate;
+  const auto slabs = static_cast<std::size_t>(std::clamp(
+      std::ceil(expected_edges / std::max(static_cast<double>(spec.node_count), kMinSlabEdges)),
+      1.0, 1e9));
+  const double slab_scale = static_cast<double>(slabs) / out.window_s;
+  const auto slab_of = [&](double t) {
+    return std::min(slabs - 1, static_cast<std::size_t>(t * slab_scale));
+  };
 
+  std::vector<Edge> slab_edges;
+  std::vector<Edge> later;  // edges generated ahead of their slab
+  std::vector<Edge> sorted;
+  std::vector<std::size_t> bucket_end;
   const double sleep_w = static_cast<double>(spec.node_count) * load.sleep_power;
   double burst_w = 0.0;
   long tx = 0;
   out.peak_load_w = sleep_w;
-  for (const Edge& e : edges) {
-    burst_w += e.d_power;
-    tx += e.d_tx;
-    out.peak_load_w = std::max(out.peak_load_w, sleep_w + burst_w);
-    out.peak_concurrent_tx =
-        std::max(out.peak_concurrent_tx, static_cast<std::uint64_t>(std::max(0l, tx)));
+  for (std::size_t j = 0; j < slabs; ++j) {
+    slab_edges.clear();
+    std::size_t kept = 0;
+    for (const Edge& e : later) {
+      if (slab_of(e.time) == j) {
+        slab_edges.push_back(e);
+      } else {
+        later[kept++] = e;
+      }
+    }
+    later.resize(kept);
+    const auto place = [&](const Edge& e) {
+      (slab_of(e.time) == j ? slab_edges : later).push_back(e);
+    };
+    const auto add_interval = [&](double start, double end, double watts, bool is_tx) {
+      const double a = std::max(0.0, start);
+      const double b = std::min(out.window_s, end);
+      if (a >= b) return;
+      place({a, watts, is_tx ? 1 : 0, 0});
+      place({b, -watts, is_tx ? -1 : 0, 0});
+    };
+    // Every burst starting in this slab; a burst's edges never precede
+    // its start, so none belongs to an earlier slab.
+    for (NodeBursts& nb : nodes) {
+      for (;; ++nb.k) {
+        const double s = static_cast<double>(nb.k) * nb.period + nb.phase;
+        if (!(s < out.window_s) || slab_of(std::max(0.0, s)) > j) break;
+        add_interval(s, s + load.sense_duration, load.sense_power, /*is_tx=*/false);
+        add_interval(s + load.sense_duration, s + load.sense_duration + load.tx_duration,
+                     load.tx_power, /*is_tx=*/true);
+      }
+    }
+
+    const std::size_t n = slab_edges.size();
+    if (n == 0) continue;
+    const double slab_lo = static_cast<double>(j);
+    const double buckets = static_cast<double>(n);
+    bucket_end.assign(n + 1, 0);
+    for (Edge& e : slab_edges) {
+      e.bucket = static_cast<std::uint32_t>(
+          std::min(n - 1, static_cast<std::size_t>((e.time * slab_scale - slab_lo) * buckets)));
+      ++bucket_end[e.bucket + 1];
+    }
+    for (std::size_t b = 1; b <= n; ++b) bucket_end[b] += bucket_end[b - 1];
+    sorted.resize(n);
+    for (const Edge& e : slab_edges) sorted[bucket_end[e.bucket]++] = e;
+    // bucket_end[b] now ends bucket b, which begins where b - 1 ends.
+    for (std::size_t b = 0, lo = 0; b < n; lo = bucket_end[b++]) {
+      if (bucket_end[b] - lo > 1) {
+        std::sort(sorted.begin() + static_cast<std::ptrdiff_t>(lo),
+                  sorted.begin() + static_cast<std::ptrdiff_t>(bucket_end[b]), edge_less);
+      }
+    }
+    for (const Edge& e : sorted) {
+      burst_w += e.d_power;
+      tx += e.d_tx;
+      out.peak_load_w = std::max(out.peak_load_w, sleep_w + burst_w);
+      out.peak_concurrent_tx =
+          std::max(out.peak_concurrent_tx, static_cast<std::uint64_t>(std::max(0l, tx)));
+    }
   }
   return out;
 }

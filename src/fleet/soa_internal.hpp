@@ -232,10 +232,34 @@ struct SlowRefs {
   std::uint32_t& slow;
 };
 
-/// The rare case: the store crosses usable() inside the interval, so
+/// Relative width of the band around e_use inside which the closed-form
+/// test defers to advance_slow. It is orders of magnitude above the
+/// rounding of advance_slow's log, exp and t[p] + flip_dt, so the two
+/// paths can never disagree about whether usable() flips.
+constexpr double kCrossingGuard = 1e-9;
+
+/// True when the one-piece closed-form advance is exact: the end energy
+/// z = e_inf + (e - e_inf) * dec stays on e's side of e_use by more
+/// than the guard band. The store decays monotonically toward e_inf, so
+/// it then cannot reach e_use anywhere in the interval, and
+/// advance_slow would run the same expressions in one piece with no
+/// flip (dec_full, len = span, q - p = nsteps). e == e_use, NaNs and
+/// ends inside the band all return false and take advance_slow.
+///
+/// One body for both kernels: V is double (scalar kernel, result
+/// converts to bool) or simd::DVec (lane kernel, result is the
+/// per-lane mask); `guard` is kCrossingGuard in V.
+template <class V>
+inline auto closed_form_ok(V e, V e_inf, V z, V e_use, V guard) {
+  using std::abs;
+  const V band = guard * (abs(e - e_inf) + abs(e_inf));
+  return ((e > e_use) & ((z - e_use) > band)) | ((e < e_use) & ((e_use - z) > band));
+}
+
+/// The rare case: the store may cross usable() inside the interval, so
 /// the advance splits at step boundaries exactly as
 /// MacroStepper::advance_store_span does. Kept out of the kernels' fast
-/// paths — they handle virtually every interval with one decay multiply.
+/// paths — closed_form_ok() sends them virtually every interval.
 inline void advance_slow(const EnvContext& cx, const sched::BatchInterval& iv, double load_w,
                          double delivered, double oh_drain, double dec_full, SlowRefs s) {
   ++s.slow;

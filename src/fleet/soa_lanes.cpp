@@ -36,10 +36,11 @@
 //     same for every lane, so they remain ordinary branches taken
 //     identically to the scalar kernel.
 //  4. Rare per-node work falls back to the shared scalar routine. A
-//     lane whose store crosses usable() inside an interval keeps its
-//     pre-interval state (the selects preserve it), then
-//     internal::advance_slow — the same function the scalar kernel
-//     calls — replays that one node's interval in lane order.
+//     lane that closed_form_ok() cannot clear (its store may cross
+//     usable() inside the interval) keeps its pre-interval state (the
+//     selects preserve it), then internal::advance_slow — the same
+//     function the scalar kernel calls — replays that one node's
+//     interval in lane order.
 //  5. Fixed-order merges. Per-node accumulators live in per-node array
 //     slots; nothing is summed across lanes. Reports are written per
 //     member index exactly as the scalar kernel writes them.
@@ -295,6 +296,7 @@ KernelTotals run_axis_lanes(const EnvContext& cx, const AxisPlan& ax,
   const DVec tau_v = simd::broadcast(cx.tau);
   const DVec emax_v = simd::broadcast(cx.e_max);
   const DVec euse_v = simd::broadcast(cx.e_use);
+  const DVec guard_v = simd::broadcast(kCrossingGuard);
   const DVec minlux_v = simd::broadcast(min_lux);
   // Sample-and-hold axis constants (unused lanes of the affine path).
   const DVec inoff_v = simd::broadcast(ax.in_off);
@@ -343,18 +345,17 @@ KernelTotals run_axis_lanes(const EnvContext& cx, const AxisPlan& ax,
       const MVec usable = e_v >= euse_v;
       const DVec net = (delivered - oh_drain) - simd::select(usable, loadw_v, zero);
       const DVec e_inf = (half * net) * tau_v;
-      const MVec fast = (e_v != euse_v) & (((e_v - euse_v) * (e_inf - euse_v)) >= zero);
+      const DVec z = e_inf + (e_v - e_inf) * simd::broadcast(dec_arr[ii]);
+      const MVec fast = closed_form_ok(e_v, e_inf, z, euse_v, guard_v);
       const MVec healthy = fast & usable;
       const DVec len = simd::broadcast(span_arr[ii]);
-      const DVec e_new =
-          simd::clamp(e_inf + (e_v - e_inf) * simd::broadcast(dec_arr[ii]), zero, emax_v);
-      e_v = simd::select(fast, e_new, e_v);
+      e_v = simd::select(fast, simd::clamp(z, zero, emax_v), e_v);
       served_v = served_v + simd::select(healthy, loadw_v * len, zero);
       const MVec brown = fast & ~usable;
       brownt_v = brownt_v + simd::select(brown, len, zero);
       // One reduction gates both rare paths: a lane outside
       // fast & usable is either browned out (bstep counters) or
-      // crossing usable() (scalar step-split fallback).
+      // may cross usable() (scalar step-split fallback).
       if (simd::all(healthy)) return;
       if (simd::any(brown)) {
         for (int l = 0; l < W; ++l) {

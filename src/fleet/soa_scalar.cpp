@@ -40,20 +40,20 @@ KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
   KernelTotals totals;
 
   // Supercapacitor::advance_constant_power across interval `ii`. The
-  // crossing test is the sign form of time_to_energy's r in (0, 1]
-  // (e_use strictly between e0 and the asymptote e_inf, or e0 exactly
-  // at the gate); the crossing-free common case costs one decay
-  // multiply and never touches the trace time array — span[ii] is
-  // bit-identical to the slow path's t[iv.b] - t[iv.a], so the branch
-  // cannot change a single report byte.
+  // common case costs one decay multiply and never touches the trace
+  // time array: closed_form_ok() proves the store stays on its side of
+  // usable() for the whole interval, and span[ii] is bit-identical to
+  // the slow path's t[iv.b] - t[iv.a], so the branch cannot change a
+  // single report byte.
   const auto advance_span = [&](NodeState& st, std::uint32_t ii, double delivered,
                                 double oh_drain) __attribute__((always_inline)) {
     const bool usable = st.e >= e_use;
     const double net = delivered - oh_drain - (usable ? st.load_w : 0.0);
     const double e_inf = 0.5 * net * tau;
-    if (st.e != e_use && (st.e - e_use) * (e_inf - e_use) >= 0.0) {
+    const double z = e_inf + (st.e - e_inf) * dec_arr[ii];
+    if (closed_form_ok(st.e, e_inf, z, e_use, kCrossingGuard)) {
       const double len = span_arr[ii];
-      st.e = std::clamp(e_inf + (st.e - e_inf) * dec_arr[ii], 0.0, e_max);
+      st.e = std::clamp(z, 0.0, e_max);
       if (usable) {
         st.served += st.load_w * len;
       } else {

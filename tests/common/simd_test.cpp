@@ -121,5 +121,12 @@ TEST(Simd, FloorMatchesStdFloor) {
   }
 }
 
+TEST(Simd, AbsMatchesStdFabsBitwise) {
+  const DVec r = abs(awkward());
+  for (int l = 0; l < kLanes; ++l) {
+    EXPECT_TRUE(lane_bits_equal(r[l], std::fabs(kVals[l]))) << l;
+  }
+}
+
 }  // namespace
 }  // namespace focv::simd

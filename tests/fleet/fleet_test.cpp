@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/require.hpp"
 #include "env/profiles.hpp"
+#include "fleet/detail.hpp"
 #include "node/harvester_node.hpp"
 #include "pv/cell_library.hpp"
 
@@ -273,6 +276,105 @@ TEST(Fleet, LoadConcurrencyPhaseJitterBreaksLockstep) {
   EXPECT_LT(spread.peak_load_w, lockstep.peak_load_w);
   EXPECT_NEAR(spread.average_load_w, lockstep.average_load_w,
               1e-6 * lockstep.average_load_w);
+}
+
+/// Reference load-concurrency pass: every burst edge of every node in
+/// one vector and one global sort in the (time, d_power, d_tx) order.
+/// The slab-streamed analyze_load_concurrency must reproduce it field
+/// for field.
+LoadConcurrency load_concurrency_oracle(const FleetSpec& spec, double window_s) {
+  const power::WsnLoad::Params& load = spec.base.load;
+  const std::vector<PolicyAxis> policies = effective_policies(spec);
+  LoadConcurrency out;
+  double max_period = 0.0;
+  std::vector<NodeDraw> draws;
+  for (std::size_t i = 0; i < spec.node_count; ++i) {
+    draws.push_back(detail::draw_node_prevalidated(spec, policies, i));
+    max_period = std::max(max_period, draws.back().report_period);
+    const double burst_energy =
+        load.sense_power * load.sense_duration + load.tx_power * load.tx_duration;
+    out.average_load_w += load.sleep_power + burst_energy / draws.back().report_period;
+  }
+  out.window_s = window_s > 0.0 ? window_s : 4.0 * max_period;
+  struct Edge {
+    double time;
+    double d_power;
+    int d_tx;
+  };
+  std::vector<Edge> edges;
+  const auto add_interval = [&](double start, double end, double watts, bool is_tx) {
+    const double a = std::max(0.0, start);
+    const double b = std::min(out.window_s, end);
+    if (a >= b) return;
+    edges.push_back({a, watts, is_tx ? 1 : 0});
+    edges.push_back({b, -watts, is_tx ? -1 : 0});
+  };
+  for (const NodeDraw& d : draws) {
+    for (long k = -1; static_cast<double>(k) * d.report_period + d.burst_phase < out.window_s;
+         ++k) {
+      const double s = static_cast<double>(k) * d.report_period + d.burst_phase;
+      add_interval(s, s + load.sense_duration, load.sense_power, false);
+      add_interval(s + load.sense_duration, s + load.sense_duration + load.tx_duration,
+                   load.tx_power, true);
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.d_power != b.d_power) return a.d_power < b.d_power;
+    return a.d_tx < b.d_tx;
+  });
+  const double sleep_w = static_cast<double>(spec.node_count) * load.sleep_power;
+  double burst_w = 0.0;
+  long tx = 0;
+  out.peak_load_w = sleep_w;
+  for (const Edge& e : edges) {
+    burst_w += e.d_power;
+    tx += e.d_tx;
+    out.peak_load_w = std::max(out.peak_load_w, sleep_w + burst_w);
+    out.peak_concurrent_tx =
+        std::max(out.peak_concurrent_tx, static_cast<std::uint64_t>(std::max(0l, tx)));
+  }
+  return out;
+}
+
+void expect_load_matches_oracle(const FleetSpec& spec, double window_s = 0.0) {
+  const LoadConcurrency got = analyze_load_concurrency(spec, window_s);
+  const LoadConcurrency want = load_concurrency_oracle(spec, window_s);
+  EXPECT_EQ(got.window_s, want.window_s) << spec.node_count << " nodes";
+  EXPECT_EQ(got.peak_concurrent_tx, want.peak_concurrent_tx) << spec.node_count << " nodes";
+  EXPECT_EQ(got.peak_load_w, want.peak_load_w) << spec.node_count << " nodes";
+  EXPECT_EQ(got.average_load_w, want.average_load_w) << spec.node_count << " nodes";
+}
+
+TEST(Fleet, LoadConcurrencyMatchesGlobalSortOracle) {
+  FleetSpec spec = small_spec(40);
+  spec.heterogeneity.randomize_load_phase = false;
+  spec.heterogeneity.load_period_jitter = 0.0;
+  expect_load_matches_oracle(spec);  // lockstep: every edge in one bucket
+  spec = small_spec(300);
+  expect_load_matches_oracle(spec, 1000.0);   // window shorter than a slab
+  expect_load_matches_oracle(spec, 7200.0);   // many slabs
+  expect_load_matches_oracle(spec, 30.0);     // window inside one burst period
+  for (const std::size_t n : {1, 4095, 4096, 4097}) {
+    expect_load_matches_oracle(small_spec(n));
+  }
+}
+
+TEST(Fleet, LoadConcurrencyMatchesOracleAtFleetScale) {
+  expect_load_matches_oracle(small_spec(100000));
+}
+
+TEST(Fleet, LoadConcurrencyMatchesOracleWhenSenseAndTxPowerTie) {
+  // Equal sense and tx power: sense and tx edges share d_power, so
+  // coincident ones are ordered by the d_tx tie-break alone.
+  FleetSpec spec = small_spec(4097);
+  spec.base.load.sense_power = spec.base.load.tx_power;
+  expect_load_matches_oracle(spec);
+  spec.heterogeneity.randomize_load_phase = false;
+  spec.heterogeneity.load_period_jitter = 0.0;
+  const LoadConcurrency lockstep = analyze_load_concurrency(spec);
+  EXPECT_EQ(lockstep.peak_concurrent_tx, 4097u);
+  expect_load_matches_oracle(spec);
 }
 
 TEST(Fleet, RejectsInvalidSpecs) {
