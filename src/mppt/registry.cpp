@@ -194,8 +194,9 @@ std::unique_ptr<MpptController> Registry::make(const ResolvedSpec& resolved) con
   const Entry& e = entry(resolved.name);
   try {
     auto controller = e.factory(resolved);
-    ensure(controller != nullptr,
-           "mppt registry: factory for \"" + e.name + "\" returned null");
+    if (controller == nullptr) {
+      throw InvariantError("mppt registry: factory for \"" + e.name + "\" returned null");
+    }
     return controller;
   } catch (const SpecError&) {
     throw;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "common/require.hpp"
@@ -91,21 +92,19 @@ void CurveCache::prepare_surrogate(const std::vector<double>& eq_lux) {
   step_slot_.assign(eq_lux.size(), kDarkStep);
   step_frac_.assign(eq_lux.size(), 0.0f);
 
-  // Pass 1: the grid span actually touched by lit steps.
-  long jmin = 0, jmax = -1;
-  bool any_lit = false;
+  // Pass 1: the grid span touched by lit steps, from the lit illuminance
+  // extremes (one log() each, padded by a grid node on each side). The
+  // span only sizes entries_; pass 2 places every step.
+  double lux_lo = std::numeric_limits<double>::infinity();
+  double lux_hi = 0.0;
   for (const double lux : eq_lux) {
     if (lux < kDarkLux) continue;
-    const long j = static_cast<long>(std::floor(kGridNodesPerLogLux * std::log(lux)));
-    if (!any_lit) {
-      any_lit = true;
-      jmin = jmax = j;
-    } else {
-      jmin = std::min(jmin, j);
-      jmax = std::max(jmax, j);
-    }
+    lux_lo = std::min(lux_lo, lux);
+    lux_hi = std::max(lux_hi, lux);
   }
-  if (!any_lit) return;  // all-dark series: entries from earlier runs stay valid
+  if (lux_hi == 0.0) return;  // all-dark series: entries from earlier runs stay valid
+  const long jmin = static_cast<long>(std::floor(kGridNodesPerLogLux * std::log(lux_lo))) - 1;
+  const long jmax = static_cast<long>(std::floor(kGridNodesPerLogLux * std::log(lux_hi))) + 1;
 
   if (entries_.empty()) {
     grid_base_ = jmin;
@@ -177,10 +176,8 @@ double CurveCache::table_power(const Entry& e, double v) const {
 }
 
 std::uint32_t CurveCache::ensure_lux_slot(double equivalent_lux, double& frac) {
-  // Hot path: require() would build its message string per call.
-  if (options_.model != PowerModel::kSurrogate) [[unlikely]] {
-    throw PreconditionError("CurveCache: at_lux/power_at_lux need the surrogate model");
-  }
+  require(options_.model == PowerModel::kSurrogate,
+          "CurveCache: at_lux/power_at_lux need the surrogate model");
   frac = 0.0;
   if (!(equivalent_lux >= kDarkLux)) return kDarkStep;
   const double x = kGridNodesPerLogLux * std::log(equivalent_lux);

@@ -75,8 +75,17 @@ NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
                          CurveCache::Options{config.power_model, config.surrogate_points});
   }
   CurveCache& curves = shared_curves ? *shared_curves : *owned_curves;
-  std::vector<double> eq_lux = trace.equivalent_lux(cell);
-  std::vector<double> total_lux = trace.total_lux();
+  // A caller-owned PreparedTrace (fleet chunks, serve) already holds both
+  // series, computed by the same expressions: copy instead of re-deriving.
+  if (prepared != nullptr) {
+    require(&prepared->trace() == &trace,
+            "simulate_node_events: PreparedTrace was built for a different trace");
+    require(&prepared->cell() == &cell,
+            "simulate_node_events: PreparedTrace was built for a different cell model");
+  }
+  std::vector<double> eq_lux =
+      prepared != nullptr ? prepared->eq_lux() : trace.equivalent_lux(cell);
+  std::vector<double> total_lux = prepared != nullptr ? prepared->total_lux() : trace.total_lux();
   if (config.lux_scale != 1.0) {
     for (double& v : eq_lux) v *= config.lux_scale;
     for (double& v : total_lux) v *= config.lux_scale;
