@@ -1,26 +1,25 @@
 // Fleet-size scaling bench: the struct-of-arrays engine from 10 to
 // 1,000,000 nodes on a 24 h horizon.
 //
-// Each ladder rung runs the SoA engine in both table modes (float and
-// int32-quantized), byte-compares the focv-fleet/v1 JSON of a --jobs 1
-// run against a --jobs N run on each mode (the determinism contract),
-// and up to 10k nodes also times the per-node MacroStepper on the
-// identical roster — the "x per node" column is the SoA speedup the
-// fleet_soa_* micro cases pin at 10k. Peak RSS is sampled per rung: the
+// Each ladder rung runs the SoA engine, byte-compares the focv-fleet/v1
+// JSON of a --jobs 1 run against a --jobs N run (the determinism
+// contract), and up to 10k nodes also times the per-node MacroStepper
+// on the identical roster — the "x per node" column is the SoA speedup
+// the fleet_soa_* micro cases pin at 10k. Peak RSS is sampled per rung: the
 // schedules and curve tables are shared per environment and per-node
 // state is transient, so memory must stay far below the 2 GiB budget
 // all the way to a million nodes.
 //
-// Each rung also times the node-major scalar SoA kernel on the float
+// Each rung also times the node-major scalar SoA kernel on the same
 // roster and byte-compares it against the lane kernel — the "x kern"
 // column is the interval-major lane speedup, and "kern ==" is the
 // kernel byte-identity contract checked at every scale.
 //
 //   ./build/bench/fleet_scale             # full ladder, 10 -> 1M nodes
 //   ./build/bench/fleet_scale --smoke     # CI-sized ladder, 10 -> 200
-//   ./build/bench/fleet_scale --gate100k  # CI gate: 100k nodes, both
-//                                         # table modes byte-identical
-//                                         # across jobs, RSS < 2048 MiB
+//   ./build/bench/fleet_scale --gate100k  # CI gate: 100k nodes
+//                                         # byte-identical across jobs,
+//                                         # RSS < 2048 MiB
 //   ./build/bench/fleet_scale --jobs N    # threaded-leg worker count
 //                                         # (0 = hardware concurrency;
 //                                         # default max(8, hardware))
@@ -71,7 +70,6 @@ struct Environs {
 
 focv::fleet::FleetSpec make_spec(std::size_t nodes, const Environs& env,
                                  focv::fleet::FleetEngine engine,
-                                 focv::fleet::TableMode mode,
                                  focv::fleet::SoaKernel kernel = focv::fleet::SoaKernel::kLanes) {
   using namespace focv;
   fleet::FleetSpec spec;
@@ -91,7 +89,6 @@ focv::fleet::FleetSpec make_spec(std::size_t nodes, const Environs& env,
   spec.base.stepper = node::Stepper::kEvent;
   spec.chunk_size = 4096;  // one SoA sweep per chunk, still >200 parallel grains at 1M
   spec.engine = engine;
-  spec.table_mode = mode;
   spec.soa_kernel = kernel;
   return spec;
 }
@@ -191,29 +188,22 @@ int main(int argc, char** argv) {
   const std::size_t per_node_cap = 10000;
 
   ConsoleTable table({"nodes", "lanes s", "nodes/s", "scalar s", "x kern", "per-node s",
-                      "x per node", "RSS MiB", "neutral %", "float ==", "quant ==",
-                      "kern =="});
+                      "x per node", "RSS MiB", "neutral %", "jobs ==", "kern =="});
   bool all_identical = true;
   for (const std::size_t n : sizes) {
     // Load-concurrency analysis sorts O(nodes * bursts) edges — useful
     // reporting at desk scale, pure accounting noise at fleet scale.
     const bool analyze_load = n < 100000;
 
-    const fleet::FleetSpec spec_f =
-        make_spec(n, environs, fleet::FleetEngine::kSoa, fleet::TableMode::kFloat);
-    const PairResult flt = run_pair(spec_f, jobs, analyze_load);
-    const fleet::FleetSpec spec_q =
-        make_spec(n, environs, fleet::FleetEngine::kSoa, fleet::TableMode::kQuantized);
-    const PairResult qnt = run_pair(spec_q, jobs, analyze_load);
-    all_identical = all_identical && flt.identical && qnt.identical;
+    const PairResult flt =
+        run_pair(make_spec(n, environs, fleet::FleetEngine::kSoa), jobs, analyze_load);
+    all_identical = all_identical && flt.identical;
 
-    // The node-major scalar kernel on the identical float roster: the
-    // "x kern" lane speedup, and the byte-identity contract between the
-    // two kernels checked at every scale (the quantized leg of that
-    // contract is pinned by tests/fleet/soa_lanes_test.cpp).
-    const fleet::FleetSpec spec_s = make_spec(n, environs, fleet::FleetEngine::kSoa,
-                                              fleet::TableMode::kFloat,
-                                              fleet::SoaKernel::kScalar);
+    // The node-major scalar kernel on the identical roster: the "x kern"
+    // lane speedup, and the byte-identity contract between the two
+    // kernels checked at every scale.
+    const fleet::FleetSpec spec_s =
+        make_spec(n, environs, fleet::FleetEngine::kSoa, fleet::SoaKernel::kScalar);
     fleet::FleetOptions scalar_opt;
     scalar_opt.jobs = 1;
     scalar_opt.analyze_load = analyze_load;
@@ -223,8 +213,7 @@ int main(int argc, char** argv) {
 
     double per_node_wall = 0.0;
     if (n <= per_node_cap) {
-      const fleet::FleetSpec ref_spec =
-          make_spec(n, environs, fleet::FleetEngine::kPerNode, fleet::TableMode::kFloat);
+      const fleet::FleetSpec ref_spec = make_spec(n, environs, fleet::FleetEngine::kPerNode);
       fleet::FleetOptions ref_opt;
       ref_opt.jobs = 1;
       ref_opt.analyze_load = analyze_load;
@@ -242,10 +231,9 @@ int main(int argc, char** argv) {
                    per_node_wall > 0.0 ? ConsoleTable::num(per_node_wall / wall, 1) : "-",
                    ConsoleTable::num(peak_rss_mib(), 1),
                    ConsoleTable::num(flt.serial.energy_neutral_fraction() * 100.0, 1),
-                   flt.identical ? "yes" : "NO", qnt.identical ? "yes" : "NO",
-                   kern_identical ? "yes" : "NO"});
-    std::printf("  %zu nodes done (%.3f s lanes, %.3f s scalar, %.3f s quantized, jobs=%d)\n",
-                n, flt.serial.wall_seconds, scalar_wall, qnt.serial.wall_seconds, jobs);
+                   flt.identical ? "yes" : "NO", kern_identical ? "yes" : "NO"});
+    std::printf("  %zu nodes done (%.3f s lanes, %.3f s scalar, jobs=%d)\n", n,
+                flt.serial.wall_seconds, scalar_wall, jobs);
   }
   table.print(std::cout);
 
@@ -254,13 +242,10 @@ int main(int argc, char** argv) {
   // transient ~200 B scalar struct, so RSS is dominated by the shared
   // traces plus draws/reports of the chunks in flight.
   const std::size_t biggest = sizes.back();
-  const std::size_t tb_f = plan_table_bytes(
-      make_spec(biggest, environs, fleet::FleetEngine::kSoa, fleet::TableMode::kFloat));
-  const std::size_t tb_q = plan_table_bytes(
-      make_spec(biggest, environs, fleet::FleetEngine::kSoa, fleet::TableMode::kQuantized));
+  const std::size_t tb =
+      plan_table_bytes(make_spec(biggest, environs, fleet::FleetEngine::kSoa));
   const double rss = peak_rss_mib();
-  std::printf("shared curve tables: %.1f KiB float, %.1f KiB quantized (all envs)\n",
-              static_cast<double>(tb_f) / 1024.0, static_cast<double>(tb_q) / 1024.0);
+  std::printf("shared curve tables: %.1f KiB (all envs)\n", static_cast<double>(tb) / 1024.0);
   std::printf("peak RSS %.1f MiB at %zu nodes (%.1f bytes/node amortised)\n", rss,
               biggest, rss * 1024.0 * 1024.0 / static_cast<double>(biggest));
 
@@ -273,8 +258,8 @@ int main(int argc, char** argv) {
                          "      serial lane reference\n");
     return 1;
   }
-  std::printf("all fleet sizes byte-identical between --jobs 1 and --jobs %d on both\n"
-              "table modes, and between the lane and scalar kernels\n", jobs);
+  std::printf("all fleet sizes byte-identical between --jobs 1 and --jobs %d, and\n"
+              "between the lane and scalar kernels\n", jobs);
   telemetry.finish();
   return 0;
 }

@@ -281,17 +281,17 @@ CaseSpec fleet_step_event_case() {
 }
 
 CaseSpec fleet_soa_case(std::string name, std::string description,
-                        fleet::FleetEngine engine, fleet::TableMode mode,
+                        fleet::FleetEngine engine,
                         fleet::SoaKernel kernel = fleet::SoaKernel::kScalar) {
   CaseSpec spec;
   spec.name = std::move(name);
   spec.description = std::move(description);
-  spec.make = [engine, mode, kernel](bool smoke) {
+  spec.make = [engine, kernel](bool smoke) {
     auto trace = std::make_shared<const env::LightTrace>(
         smoke ? env::constant_light(500.0, 0.0, 600.0)
               : env::office_desk_mixed(env::OfficeDayParams{}));
     const std::size_t nodes = smoke ? 64 : 10000;
-    return [trace = std::move(trace), nodes, engine, mode, kernel]() -> Counters {
+    return [trace = std::move(trace), nodes, engine, kernel]() -> Counters {
       fleet::FleetSpec fs;
       fs.node_count = nodes;
       fs.use_cell(pv::sanyo_am1815());
@@ -306,7 +306,6 @@ CaseSpec fleet_soa_case(std::string name, std::string description,
       fs.base.load.report_period = 120.0;
       fs.base.stepper = node::Stepper::kEvent;
       fs.engine = engine;
-      fs.table_mode = mode;
       fs.soa_kernel = kernel;
       // One SoA sweep per chunk: the default 64-node chunks would call
       // the batch engine ~150x per run and time its setup, not its loop.
@@ -352,7 +351,6 @@ CaseSpec obs_overhead_soa_case(std::string name, std::string description, bool t
       fs.base.load.report_period = 120.0;
       fs.base.stepper = node::Stepper::kEvent;
       fs.engine = fleet::FleetEngine::kSoa;
-      fs.table_mode = fleet::TableMode::kFloat;
       fs.chunk_size = 4096;
       fleet::FleetOptions opt;
       opt.jobs = 1;
@@ -609,31 +607,19 @@ void register_default_cases() {
       "fleet_soa_ref_event",
       "10k-node all-batchable roster on the per-node event stepper — the "
       "reference workload for the SoA speedup ratio",
-      fleet::FleetEngine::kPerNode, fleet::TableMode::kFloat));
+      fleet::FleetEngine::kPerNode));
   r.push_back(fleet_soa_case(
       "fleet_soa_float",
       "identical roster on the struct-of-arrays engine's node-major "
       "scalar kernel, float dense tables; speedup_fleet_soa in `derived` "
       "is the per-node gain",
-      fleet::FleetEngine::kSoa, fleet::TableMode::kFloat));
-  r.push_back(fleet_soa_case(
-      "fleet_soa_quantized",
-      "identical roster on the SoA scalar kernel with int32 uV/nW tables "
-      "(half the table bytes; the million-node memory mode)",
-      fleet::FleetEngine::kSoa, fleet::TableMode::kQuantized));
+      fleet::FleetEngine::kSoa));
   r.push_back(fleet_soa_case(
       "fleet_soa_simd_float",
       "identical roster on the interval-major lane-batched kernel, float "
       "tables; speedup_fleet_simd in `derived` is the lanes-over-scalar "
       "gain (byte-identical reports)",
-      fleet::FleetEngine::kSoa, fleet::TableMode::kFloat,
-      fleet::SoaKernel::kLanes));
-  r.push_back(fleet_soa_case(
-      "fleet_soa_simd_quantized",
-      "identical roster on the lane-batched kernel with int32 uV/nW "
-      "tables",
-      fleet::FleetEngine::kSoa, fleet::TableMode::kQuantized,
-      fleet::SoaKernel::kLanes));
+      fleet::FleetEngine::kSoa, fleet::SoaKernel::kLanes));
   r.push_back(obs_overhead_case(
       "obs_overhead_disabled",
       "office-day 24 h behavioural run with focv::obs telemetry off (the "

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/json_text.hpp"
 #include "common/require.hpp"
 #include "common/table.hpp"
 #include "core/focv_system.hpp"
@@ -39,28 +40,6 @@ using namespace focv;
 
 /// MCU energy per controller arithmetic/ADC operation (complexity axis).
 constexpr double kJoulePerOp = 1e-9;
-
-/// Shortest round-trip double formatting (matches the fleet/sweep
-/// exports) — keeps the JSON byte-stable across runs and thread counts.
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 /// One scenario class of the grid: a trace plus the node configuration
 /// that makes the class what it is (store state, cold-start circuit).
@@ -225,11 +204,11 @@ std::string leaderboard_json(const std::vector<ControllerResult>& results,
   out += "  \"schema\": \"focv-tournament/v1\",\n";
   out += "  \"cell\": \"AM-1815\",\n";
   out += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
-  out += "  \"joule_per_op\": " + fmt(kJoulePerOp) + ",\n";
+  out += "  \"joule_per_op\": " + format_number(kJoulePerOp) + ",\n";
   out += "  \"scenarios\": [\n";
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     out += "    {\"name\": \"" + json_escape(scenarios[i].name) +
-           "\", \"duration_s\": " + fmt(scenarios[i].trace.duration()) + "}";
+           "\", \"duration_s\": " + format_number(scenarios[i].trace.duration()) + "}";
     out += i + 1 < scenarios.size() ? ",\n" : "\n";
   }
   out += "  ],\n";
@@ -239,11 +218,11 @@ std::string leaderboard_json(const std::vector<ControllerResult>& results,
     out += "    {\"rank\": " + std::to_string(i + 1);
     out += ", \"spec\": \"" + json_escape(r.spec) + "\"";
     out += ", \"controller\": \"" + json_escape(r.display_name) + "\"";
-    out += ", \"score\": " + fmt(r.score);
-    out += ", \"overhead_w\": " + fmt(r.overhead_w);
-    out += ", \"compute\": {\"ops_per_decision\": " + fmt(r.ops_per_decision) +
-           ", \"decision_period_s\": " + fmt(r.decision_period_s) +
-           ", \"power_w\": " + fmt(r.compute_w) + "}";
+    out += ", \"score\": " + format_number(r.score);
+    out += ", \"overhead_w\": " + format_number(r.overhead_w);
+    out += ", \"compute\": {\"ops_per_decision\": " + format_number(r.ops_per_decision) +
+           ", \"decision_period_s\": " + format_number(r.decision_period_s) +
+           ", \"power_w\": " + format_number(r.compute_w) + "}";
     out += ",\n     \"scenarios\": [\n";
     for (std::size_t s = 0; s < r.outcomes.size(); ++s) {
       const ScenarioOutcome& o = r.outcomes[s];
@@ -251,15 +230,15 @@ std::string leaderboard_json(const std::vector<ControllerResult>& results,
       if (o.failed) {
         out += ", \"failed\": true, \"error\": \"" + json_escape(o.error) + "\"";
       } else {
-        out += ", \"tracking_efficiency\": " + fmt(o.tracking_efficiency);
-        out += ", \"harvested_j\": " + fmt(o.harvested_j);
-        out += ", \"net_j\": " + fmt(o.net_j);
-        out += ", \"normalized_net\": " + fmt(o.normalized_net);
-        out += ", \"coldstart_s\": " + fmt(o.coldstart_s);
-        out += ", \"downtime_s\": " + fmt(o.downtime_s);
+        out += ", \"tracking_efficiency\": " + format_number(o.tracking_efficiency);
+        out += ", \"harvested_j\": " + format_number(o.harvested_j);
+        out += ", \"net_j\": " + format_number(o.net_j);
+        out += ", \"normalized_net\": " + format_number(o.normalized_net);
+        out += ", \"coldstart_s\": " + format_number(o.coldstart_s);
+        out += ", \"downtime_s\": " + format_number(o.downtime_s);
         out += ", \"steps\": " + std::to_string(o.steps);
         out += ", \"model_evals\": " + std::to_string(o.model_evals);
-        out += ", \"compute_j\": " + fmt(o.compute_j);
+        out += ", \"compute_j\": " + format_number(o.compute_j);
       }
       out += "}";
       out += s + 1 < r.outcomes.size() ? ",\n" : "\n";

@@ -99,25 +99,6 @@ FOCV_SIMD_INLINE IVec broadcast_i(std::int32_t x) { return {x - detail::inative{
 FOCV_SIMD_INLINE IVec operator+(IVec a, IVec b) { return {a.i + b.i}; }
 FOCV_SIMD_INLINE IVec operator*(IVec a, IVec b) { return {a.i * b.i}; }
 
-/// base[idx[l]] per lane. One vgatherdpd/vpgatherdd where the hardware
-/// has it; otherwise register-inserted scalar loads. Either way each
-/// lane is the identical memory read — a gather cannot change a bit.
-#if FOCV_SIMD_X86_GATHER
-FOCV_SIMD_INLINE DVec gather(const double* base, IVec idx) {
-  return {(detail::dnative)_mm256_i32gather_pd(base, (__m128i)idx.i, 8)};
-}
-FOCV_SIMD_INLINE IVec gather(const std::int32_t* base, IVec idx) {
-  return {(detail::inative)_mm_i32gather_epi32(base, (__m128i)idx.i, 4)};
-}
-#else
-FOCV_SIMD_INLINE DVec gather(const double* base, IVec idx);  // defined after from_lanes
-FOCV_SIMD_INLINE IVec gather(const std::int32_t* base, IVec idx) {
-  IVec r{};
-  for (int l = 0; l < kLanes; ++l) r.i[l] = base[idx[l]];
-  return r;
-}
-#endif
-
 /// Build a vector as {f(0), f(1), ..., f(W-1)} — lanes assembled by
 /// register insertion, never through a stack array. Table gathers MUST
 /// use this: a scalar-store/vector-load round-trip defeats store
@@ -137,11 +118,16 @@ FOCV_SIMD_INLINE DVec from_lanes(F&& f) {
   }
 }
 
-#if !FOCV_SIMD_X86_GATHER
+/// base[idx[l]] per lane. One vgatherdpd where the hardware has it;
+/// otherwise register-inserted scalar loads. Either way each lane is
+/// the identical memory read — a gather cannot change a bit.
 FOCV_SIMD_INLINE DVec gather(const double* base, IVec idx) {
+#if FOCV_SIMD_X86_GATHER
+  return {(detail::dnative)_mm256_i32gather_pd(base, (__m128i)idx.i, 8)};
+#else
   return from_lanes([&](int l) { return base[idx[l]]; });
-}
 #endif
+}
 
 FOCV_SIMD_INLINE DVec operator+(DVec a, DVec b) { return {a.v + b.v}; }
 FOCV_SIMD_INLINE DVec operator-(DVec a, DVec b) { return {a.v - b.v}; }
@@ -282,11 +268,6 @@ FOCV_SIMD_INLINE IVec operator*(IVec a, IVec b) {
 FOCV_SIMD_INLINE DVec gather(const double* base, IVec idx) {
   DVec r;
   for (int l = 0; l < kLanes; ++l) r.v[l] = base[idx.i[l]];
-  return r;
-}
-FOCV_SIMD_INLINE IVec gather(const std::int32_t* base, IVec idx) {
-  IVec r;
-  for (int l = 0; l < kLanes; ++l) r.i[l] = base[idx.i[l]];
   return r;
 }
 

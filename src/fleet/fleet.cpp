@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <optional>
@@ -20,30 +19,6 @@
 #include "sched/prepared_trace.hpp"
 
 namespace focv::fleet {
-
-const char* policy_name(MpptPolicy policy) {
-  switch (policy) {
-    case MpptPolicy::kFocvSampleHold: return "focv_sample_hold";
-    case MpptPolicy::kFixedVoltage: return "fixed_voltage";
-    case MpptPolicy::kPilotCellFocv: return "pilot_cell_focv";
-    case MpptPolicy::kHillClimbing: return "hill_climbing";
-    case MpptPolicy::kPeriodicDisconnectFocv: return "periodic_focv";
-    case MpptPolicy::kDirectConnection: return "direct_connection";
-  }
-  return "unknown";
-}
-
-const char* policy_spec(MpptPolicy policy) {
-  switch (policy) {
-    case MpptPolicy::kFocvSampleHold: return "focv";
-    case MpptPolicy::kFixedVoltage: return "fixed";
-    case MpptPolicy::kPilotCellFocv: return "pilot";
-    case MpptPolicy::kHillClimbing: return "pando";
-    case MpptPolicy::kPeriodicDisconnectFocv: return "periodic";
-    case MpptPolicy::kDirectConnection: return "direct";
-  }
-  return "unknown";
-}
 
 void FleetSpec::use_cell(const pv::SingleDiodeModel& cell_ref) {
   cell = std::shared_ptr<const pv::SingleDiodeModel>(
@@ -70,26 +45,12 @@ void FleetSpec::add_environment(std::string name, std::shared_ptr<const env::Lig
 
 namespace {
 
-/// Best-effort reverse mapping for NodeDraw::policy (deprecated field):
-/// registry names the legacy enum can express; anything else reports as
-/// the default kFocvSampleHold (the field is informational only).
-MpptPolicy legacy_policy_for(const std::string& registry_name) {
-  if (registry_name == "fixed") return MpptPolicy::kFixedVoltage;
-  if (registry_name == "pilot") return MpptPolicy::kPilotCellFocv;
-  if (registry_name == "pando") return MpptPolicy::kHillClimbing;
-  if (registry_name == "periodic") return MpptPolicy::kPeriodicDisconnectFocv;
-  if (registry_name == "direct") return MpptPolicy::kDirectConnection;
-  return MpptPolicy::kFocvSampleHold;
-}
-
-/// Axis construction shared by the spec-string API and the enum shim.
 PolicyAxis make_policy_axis(const std::string& spec, double weight) {
   core::register_paper_controller();  // independent of static pull-in order
   PolicyAxis axis;
   axis.resolved = mppt::Registry::instance().resolve(spec);
   axis.label = axis.resolved.spec();
   axis.weight = weight;
-  axis.policy = legacy_policy_for(axis.resolved.name);
   // "focv" nodes are built per node (divider-k tolerance folds into the
   // axis parameters); every other controller is one shared prototype.
   if (axis.resolved.name != "focv") {
@@ -104,25 +65,12 @@ void FleetSpec::add_policy(const std::string& spec, double weight) {
   policies.push_back(make_policy_axis(spec, weight));
 }
 
-void FleetSpec::add_policy(MpptPolicy policy, double weight) {
-  static bool warned = [] {
-    std::fprintf(stderr,
-                 "focv::fleet: add_policy(MpptPolicy) is deprecated; pass a registry "
-                 "spec string instead, e.g. add_policy(\"focv[k=0.6]\", w) — see "
-                 "mppt/registry.hpp for the grammar and catalog.\n");
-    return true;
-  }();
-  (void)warned;
-  PolicyAxis axis = make_policy_axis(policy_spec(policy), weight);
-  axis.label = policy_name(policy);  // legacy report key, byte-compatible
-  axis.policy = policy;
-  policies.push_back(std::move(axis));
-}
-
 std::vector<PolicyAxis> effective_policies(const FleetSpec& spec) {
   if (spec.policies.empty()) {
     PolicyAxis axis = make_policy_axis("focv", 1.0);
-    axis.label = policy_name(MpptPolicy::kFocvSampleHold);  // legacy default label
+    // The pre-registry name of the paper controller: keeps the default
+    // mixture's focv-fleet/v1 report and JSONL bytes stable.
+    axis.label = "focv_sample_hold";
     return {std::move(axis)};
   }
   return spec.policies;
@@ -196,7 +144,6 @@ NodeDraw draw_node_prevalidated(const FleetSpec& spec, const std::vector<PolicyA
                               [&](std::size_t i) { return spec.environments[i].weight; });
   d.policy_index = pick_weighted(u_policy, policies.size(),
                                  [&](std::size_t i) { return policies[i].weight; });
-  d.policy = policies[d.policy_index].policy;
   d.divider_ratio =
       std::max(1e-3, spec.system.divider_ratio * (1.0 + h.divider_spread_sigma * g_divider));
   const power::WsnLoad::Params& load = spec.base.load;

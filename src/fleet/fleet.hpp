@@ -45,31 +45,6 @@
 
 namespace focv::fleet {
 
-/// DEPRECATED MPPT policy enum (the pre-registry API). New code passes
-/// registry spec strings to add_policy(spec, weight) instead — the enum
-/// can only name the six original controllers at default parameters,
-/// while a spec string reaches every registered controller with
-/// arbitrary parameters. Kept as a thin shim: add_policy(MpptPolicy)
-/// forwards to the spec-string path under the legacy snake_case report
-/// label, so existing reports stay byte-identical.
-enum class MpptPolicy {
-  kFocvSampleHold,          ///< the paper's S&H FOCV (per-node divider-k spread)
-  kFixedVoltage,            ///< voltage-reference IC [8]
-  kPilotCellFocv,           ///< pilot-cell FOCV [5]
-  kHillClimbing,            ///< P&O hill climbing [2]
-  kPeriodicDisconnectFocv,  ///< 100 ms periodic FOCV [4]
-  kDirectConnection,        ///< no MPPT, diode-coupled [7]
-};
-
-/// Stable snake_case identifier the deprecated enum shim uses as its
-/// report/JSONL label (spec-string axes are labelled by their canonical
-/// spec instead).
-[[nodiscard]] const char* policy_name(MpptPolicy policy);
-
-/// Registry spec string the deprecated enum maps onto (default
-/// parameters, e.g. kHillClimbing -> "pando").
-[[nodiscard]] const char* policy_spec(MpptPolicy policy);
-
 /// Per-node spread assumptions (drawn per node from its RNG stream).
 struct HeterogeneitySpec {
   /// Placement-derived illuminance attenuation, uniform in [min, max]
@@ -81,7 +56,7 @@ struct HeterogeneitySpec {
   /// which is what keeps the chunk-shared curve cache valid.
   double cell_tolerance_sigma = 0.03;
   /// Fractional 1-sigma spread of the FOCV divider ratio (untrimmed
-  /// production units; only consumed by kFocvSampleHold nodes).
+  /// production units; only consumed by "focv" nodes).
   double divider_spread_sigma = 0.01;
   /// Load report period jitter: uniform fractional spread (+/-).
   double load_period_jitter = 0.05;
@@ -100,8 +75,8 @@ struct EnvironmentAxis {
 /// Axis value: one controller of the deployment mixture, described by a
 /// resolved registry spec with a mixture weight.
 struct PolicyAxis {
-  /// Report / JSONL key of this axis: the canonical spec string for
-  /// spec-string axes, the legacy snake_case name for enum-shim axes.
+  /// Report / JSONL key of this axis: the canonical spec string (the
+  /// default mixture keeps its historical label, see effective_policies).
   std::string label;
   /// Registry resolution backing the axis (name + final parameters).
   mppt::ResolvedSpec resolved;
@@ -110,11 +85,6 @@ struct PolicyAxis {
   /// axes: the paper controller is rebuilt per node so the divider-k
   /// tolerance draw folds into the axis parameters (materialize_node).
   std::shared_ptr<const mppt::MpptController> prototype;
-  /// DEPRECATED: the legacy enum this axis came from when added through
-  /// the shim (best-effort name mapping otherwise; meaningless for
-  /// controllers without an enum equivalent). Only NodeDraw::policy
-  /// reads it.
-  MpptPolicy policy = MpptPolicy::kFocvSampleHold;
 };
 
 /// Declarative fleet description. Expands deterministically into
@@ -133,13 +103,6 @@ enum class FleetEngine {
   kSoa,
 };
 
-/// Numeric representation of the shared surrogate curve tables used by
-/// the SoA engine (ignored by kPerNode).
-enum class TableMode {
-  kFloat,      ///< double copies of the CurveCache entries (default)
-  kQuantized,  ///< int32 fixed point, uV / nW: half the bytes per entry
-};
-
 /// Which sweep kernel the SoA engine advances batched axis runs with
 /// (ignored by kPerNode). Reports are byte-identical across kernels:
 /// every lane of the kLanes kernel executes the same IEEE op sequence
@@ -156,14 +119,14 @@ struct FleetSpec {
   std::uint64_t root_seed = 2024;
   /// Shared light environments; each node draws one by weight.
   std::vector<EnvironmentAxis> environments;
-  /// Policy mixture; empty deploys every node with kFocvSampleHold.
+  /// Policy mixture; empty deploys every node with the paper's "focv".
   std::vector<PolicyAxis> policies;
   /// Cell model shared by all nodes (required; heterogeneity is applied
   /// as a per-node photocurrent factor so the chunk curve cache stays
   /// shareable). Set with use_cell().
   std::shared_ptr<const pv::SingleDiodeModel> cell;
-  /// Component spec for kFocvSampleHold nodes; divider_ratio is the
-  /// pre-spread nominal.
+  /// Component spec for "focv" nodes; divider_ratio is the pre-spread
+  /// nominal.
   core::SystemSpec system;
   /// Template for every node's NodeConfig. The cell, controller,
   /// lux_scale and load phase/period slots are overwritten per node;
@@ -177,8 +140,6 @@ struct FleetSpec {
   /// schedules (million-node scale); kPerNode is the bit-stable
   /// reference. jobs=1 vs jobs=N byte-determinism holds on both.
   FleetEngine engine = FleetEngine::kPerNode;
-  /// Curve-table representation for the SoA engine.
-  TableMode table_mode = TableMode::kFloat;
   /// Sweep kernel for the SoA engine (byte-identical results; kScalar
   /// exists as the reference/bench baseline and for odd build targets).
   SoaKernel soa_kernel = SoaKernel::kLanes;
@@ -197,16 +158,12 @@ struct FleetSpec {
   void add_policy(const char* spec, double weight = 1.0) {
     add_policy(std::string(spec), weight);
   }
-  /// DEPRECATED enum shim: forwards to the spec-string path under the
-  /// legacy snake_case label (byte-identical reports) and prints a
-  /// one-time deprecation note to stderr.
-  void add_policy(MpptPolicy policy, double weight = 1.0);
 };
 
 /// The policy mixture actually deployed: FleetSpec::policies, or a
-/// single default-weight "focv" axis under the legacy label when the
-/// spec lists none. materialize_node, the report skeleton and the JSONL
-/// writer all label nodes through this.
+/// single default-weight "focv" axis labelled "focv_sample_hold" when
+/// the spec lists none. materialize_node, the report skeleton and the
+/// JSONL writer all label nodes through this.
 [[nodiscard]] std::vector<PolicyAxis> effective_policies(const FleetSpec& spec);
 
 /// The heterogeneity draw of one node: a pure function of
@@ -216,9 +173,6 @@ struct NodeDraw {
   std::uint64_t seed = 0;         ///< this node's RNG stream seed
   std::size_t env_index = 0;
   std::size_t policy_index = 0;   ///< into the effective policy list
-  /// DEPRECATED: legacy enum of the drawn axis (see PolicyAxis::policy);
-  /// reports key on the axis label, not on this.
-  MpptPolicy policy = MpptPolicy::kFocvSampleHold;
   double attenuation = 1.0;       ///< placement factor
   double cell_factor = 1.0;       ///< photocurrent tolerance factor
   double divider_ratio = 0.0;     ///< FOCV k*alpha after spread

@@ -1,9 +1,9 @@
 // FleetReport accumulation, merging and the byte-stable focv-fleet/v1
 // JSON / focv-fleet-node/v1 JSONL exports.
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 
+#include "common/json_text.hpp"
 #include "common/require.hpp"
 #include "fleet/fleet.hpp"
 
@@ -11,42 +11,11 @@ namespace focv::fleet {
 
 namespace {
 
-/// Shortest round-trip double formatting shared with the sweep exports,
-/// so fleet files are byte-stable across runs and thread counts.
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string json_array(const std::vector<double>& values) {
   std::string out = "[";
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i > 0) out += ", ";
-    out += fmt(values[i]);
+    out += format_number(values[i]);
   }
   return out + "]";
 }
@@ -149,11 +118,11 @@ std::string node_record_jsonl(const FleetSpec& spec, const NodeDraw& draw,
   require(draw.policy_index < policies.size(),
           "fleet jsonl: draw's policy index does not match this spec's mixture");
   out += ", \"policy\": \"" + json_escape(policies[draw.policy_index].label) + "\"";
-  out += ", \"attenuation\": " + fmt(draw.attenuation);
-  out += ", \"cell_factor\": " + fmt(draw.cell_factor);
-  out += ", \"divider_ratio\": " + fmt(draw.divider_ratio);
-  out += ", \"report_period_s\": " + fmt(draw.report_period);
-  out += ", \"burst_phase_s\": " + fmt(draw.burst_phase);
+  out += ", \"attenuation\": " + format_number(draw.attenuation);
+  out += ", \"cell_factor\": " + format_number(draw.cell_factor);
+  out += ", \"divider_ratio\": " + format_number(draw.divider_ratio);
+  out += ", \"report_period_s\": " + format_number(draw.report_period);
+  out += ", \"burst_phase_s\": " + format_number(draw.burst_phase);
   out += ", \"failed\": ";
   out += failed ? "true" : "false";
   if (failed) {
@@ -161,15 +130,15 @@ std::string node_record_jsonl(const FleetSpec& spec, const NodeDraw& draw,
   } else {
     out += ", \"energy_neutral\": ";
     out += energy_neutral ? "true" : "false";
-    out += ", \"harvested_j\": " + fmt(report.harvested_energy);
-    out += ", \"delivered_j\": " + fmt(report.delivered_energy);
-    out += ", \"overhead_j\": " + fmt(report.overhead_energy);
-    out += ", \"load_served_j\": " + fmt(report.load_energy_served);
-    out += ", \"net_j\": " + fmt(report.net_energy());
-    out += ", \"tracking_efficiency\": " + fmt(report.tracking_efficiency());
-    out += ", \"downtime_s\": " + fmt(downtime_s);
-    out += ", \"final_store_v\": " + fmt(report.final_store_voltage);
-    out += ", \"coldstart_s\": " + fmt(report.coldstart_time);
+    out += ", \"harvested_j\": " + format_number(report.harvested_energy);
+    out += ", \"delivered_j\": " + format_number(report.delivered_energy);
+    out += ", \"overhead_j\": " + format_number(report.overhead_energy);
+    out += ", \"load_served_j\": " + format_number(report.load_energy_served);
+    out += ", \"net_j\": " + format_number(report.net_energy());
+    out += ", \"tracking_efficiency\": " + format_number(report.tracking_efficiency());
+    out += ", \"downtime_s\": " + format_number(downtime_s);
+    out += ", \"final_store_v\": " + format_number(report.final_store_voltage);
+    out += ", \"coldstart_s\": " + format_number(report.coldstart_time);
   }
   out += "}";
   return out;
@@ -302,24 +271,25 @@ std::string FleetReport::to_json(bool include_timing) const {
   out += "  \"fleet\": {\"node_count\": " + std::to_string(node_count) +
          ", \"root_seed\": " + std::to_string(root_seed) +
          ", \"chunk_size\": " + std::to_string(chunk_size) +
-         ", \"duration_s\": " + fmt(duration_s) + "},\n";
+         ", \"duration_s\": " + format_number(duration_s) + "},\n";
   out += "  \"totals\": {\"nodes_ok\": " + std::to_string(nodes_ok) +
          ", \"nodes_failed\": " + std::to_string(nodes_failed) +
          ", \"energy_neutral_nodes\": " + std::to_string(energy_neutral_nodes) +
-         ", \"energy_neutral_fraction\": " + fmt(energy_neutral_fraction()) +
-         ", \"harvested_j\": " + fmt(harvested_j) +
-         ", \"delivered_j\": " + fmt(delivered_j) +
-         ", \"overhead_j\": " + fmt(overhead_j) +
-         ", \"load_served_j\": " + fmt(load_served_j) +
-         ", \"ideal_mpp_j\": " + fmt(ideal_mpp_j) +
-         ", \"net_j\": " + fmt(net_j) +
-         ", \"downtime_s\": " + fmt(downtime_s) +
+         ", \"energy_neutral_fraction\": " + format_number(energy_neutral_fraction()) +
+         ", \"harvested_j\": " + format_number(harvested_j) +
+         ", \"delivered_j\": " + format_number(delivered_j) +
+         ", \"overhead_j\": " + format_number(overhead_j) +
+         ", \"load_served_j\": " + format_number(load_served_j) +
+         ", \"ideal_mpp_j\": " + format_number(ideal_mpp_j) +
+         ", \"net_j\": " + format_number(net_j) +
+         ", \"downtime_s\": " + format_number(downtime_s) +
          ", \"steps\": " + std::to_string(steps) +
          ", \"model_evals\": " + std::to_string(model_evals) +
          ", \"curve_entries\": " + std::to_string(curve_entries) +
          ", \"events\": " + std::to_string(events) + "},\n";
-  out += "  \"tracking_efficiency\": {\"mean\": " + fmt(mean_tracking_efficiency()) +
-         ", \"min\": " + fmt(efficiency_min) + ", \"max\": " + fmt(efficiency_max) +
+  out += "  \"tracking_efficiency\": {\"mean\": " + format_number(mean_tracking_efficiency()) +
+         ", \"min\": " + format_number(efficiency_min) +
+         ", \"max\": " + format_number(efficiency_max) +
          ", \"histogram\": " + histogram_json(efficiency_hist) + "},\n";
   out += "  \"net_energy_j\": {\"histogram\": " + histogram_json(net_energy_hist) + "},\n";
   out += "  \"downtime_s\": {\"histogram\": " + histogram_json(downtime_hist) + "},\n";
@@ -331,13 +301,13 @@ std::string FleetReport::to_json(bool include_timing) const {
            ", \"nodes\": " + std::to_string(p.nodes) +
            ", \"failed\": " + std::to_string(p.failed) +
            ", \"energy_neutral\": " + std::to_string(p.energy_neutral) +
-           ", \"energy_neutral_fraction\": " + fmt(p.energy_neutral_fraction()) +
-           ", \"mean_tracking_efficiency\": " + fmt(p.mean_efficiency()) +
-           ", \"min_tracking_efficiency\": " + fmt(p.efficiency_min) +
-           ", \"max_tracking_efficiency\": " + fmt(p.efficiency_max) +
-           ", \"harvested_j\": " + fmt(p.harvested_j) +
-           ", \"net_j\": " + fmt(p.net_j) +
-           ", \"downtime_s\": " + fmt(p.downtime_s) + "}";
+           ", \"energy_neutral_fraction\": " + format_number(p.energy_neutral_fraction()) +
+           ", \"mean_tracking_efficiency\": " + format_number(p.mean_efficiency()) +
+           ", \"min_tracking_efficiency\": " + format_number(p.efficiency_min) +
+           ", \"max_tracking_efficiency\": " + format_number(p.efficiency_max) +
+           ", \"harvested_j\": " + format_number(p.harvested_j) +
+           ", \"net_j\": " + format_number(p.net_j) +
+           ", \"downtime_s\": " + format_number(p.downtime_s) + "}";
     out += i + 1 < policies.size() ? ",\n" : "\n";
   }
   out += "  ],\n";
@@ -350,12 +320,12 @@ std::string FleetReport::to_json(bool include_timing) const {
   }
   out += "  ],\n";
 
-  out += "  \"load\": {\"window_s\": " + fmt(load.window_s) +
+  out += "  \"load\": {\"window_s\": " + format_number(load.window_s) +
          ", \"peak_concurrent_tx\": " + std::to_string(load.peak_concurrent_tx) +
-         ", \"peak_load_w\": " + fmt(load.peak_load_w) +
-         ", \"average_load_w\": " + fmt(load.average_load_w) + "}";
+         ", \"peak_load_w\": " + format_number(load.peak_load_w) +
+         ", \"average_load_w\": " + format_number(load.average_load_w) + "}";
   if (include_timing) {
-    out += ",\n  \"timing\": {\"wall_seconds\": " + fmt(wall_seconds) +
+    out += ",\n  \"timing\": {\"wall_seconds\": " + format_number(wall_seconds) +
            ", \"jobs_used\": " + std::to_string(jobs_used) + "}";
   }
   out += "\n}\n";

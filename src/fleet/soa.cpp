@@ -37,7 +37,6 @@ bool lanes_supported() {
 
 namespace {
 
-template <bool Q>
 void run_env(const SoaPlan& plan, const EnvPlan& env, const FleetSpec& spec,
              const std::vector<NodeDraw>& draws, const std::vector<std::uint32_t>& mem,
              const std::vector<std::unique_ptr<mppt::MpptController>>& clones,
@@ -143,12 +142,11 @@ void run_env(const SoaPlan& plan, const EnvPlan& env, const FleetSpec& spec,
     const bool use_lanes = lanes_ok && ax.eval != AxisEval::kPrototype;
     internal::KernelTotals totals;
     if (use_lanes) {
-      totals = internal::run_axis_lanes<Q>(cx, ax, ovs, draws, run_members, count, reports);
+      totals = internal::run_axis_lanes(cx, ax, ovs, draws, run_members, count, reports);
     } else {
       mppt::MpptController* proto =
           clones[run.axis] != nullptr ? clones[run.axis].get() : nullptr;
-      totals =
-          internal::run_axis_scalar<Q>(cx, ax, ovs, draws, run_members, count, proto, reports);
+      totals = internal::run_axis_scalar(cx, ax, ovs, draws, run_members, count, proto, reports);
     }
 
     if (obs_on) {
@@ -200,11 +198,7 @@ void run_batch(const SoaPlan& plan, const FleetSpec& spec, const std::vector<Nod
   }
   for (std::size_t e = 0; e < plan.envs.size(); ++e) {
     if (by_env[e].empty()) continue;
-    if (plan.envs[e].tables.quantized) {
-      run_env<true>(plan, plan.envs[e], spec, draws, by_env[e], clones, reports);
-    } else {
-      run_env<false>(plan, plan.envs[e], spec, draws, by_env[e], clones, reports);
-    }
+    run_env(plan, plan.envs[e], spec, draws, by_env[e], clones, reports);
   }
 }
 

@@ -25,7 +25,7 @@
 //
 // Determinism: the plan (schedules, tables, overlays) is immutable and
 // built before any chunk runs; chunks share nothing mutable, so jobs=1
-// and jobs=N produce byte-identical FleetReports in both table modes.
+// and jobs=N produce byte-identical FleetReports.
 #pragma once
 
 #include <cstdint>
@@ -43,34 +43,25 @@ namespace focv::fleet::soa {
 /// Dense surrogate curve tables for one environment: flat copies of the
 /// CurveCache grid entries over the illuminance span any draw of this
 /// fleet can reach (a +-6 sigma margin on the heterogeneity bounds;
-/// lookups clamp at the edges). kFloat stores the entry doubles
-/// verbatim (same interpolation arithmetic as CurveCache::at_lux);
-/// kQuantized stores int32 microvolts / nanowatts — half the bytes per
-/// entry, with sub-nanowatt rounding per lookup.
+/// lookups clamp at the edges). The entry doubles are stored verbatim,
+/// so lookups run the same interpolation arithmetic as
+/// CurveCache::at_lux.
 struct DenseTables {
-  bool quantized = false;
   long grid_lo = 0;  ///< grid index of slot 0
   int slots = 0;
   int points = 0;
   /// Slot-indexed entries stay interleaved: one quadrature point reads
   /// Voc, Pmpp and 1/Voc for slots k and k+1, so packing them per slot
   /// touches one or two cache lines instead of a line per array.
-  /// inv_voc (1 / the mode's own Voc value) turns the row-position
+  /// inv_voc (1 / the slot's Voc) turns the row-position
   /// division in every P(V) lookup into a multiply.
   struct SlotF {
     double voc = 0.0, pmpp = 0.0, inv_voc = 0.0;
   };
-  struct SlotQ {
-    std::int32_t voc = 0, pmpp = 0;  ///< uV / nW
-    double inv_voc = 0.0;
-  };
-  std::vector<SlotF> slot_f;             ///< kFloat [slots]
-  std::vector<SlotQ> slot_q;             ///< kQuantized [slots]
-  std::vector<double> power;             ///< kFloat [slot * points + m]
-  std::vector<std::int32_t> qpower;      ///< kQuantized, nW
+  std::vector<SlotF> slot_f;  ///< [slots]
+  std::vector<double> power;  ///< [slot * points + m]
   [[nodiscard]] std::size_t bytes() const {
-    return sizeof(SlotF) * slot_f.size() + sizeof(SlotQ) * slot_q.size() +
-           sizeof(double) * power.size() + sizeof(std::int32_t) * qpower.size();
+    return sizeof(SlotF) * slot_f.size() + sizeof(double) * power.size();
   }
 };
 

@@ -65,55 +65,13 @@ inline Slot slot_of(const DenseTables& tb, double x) {
   return s;
 }
 
-// Table readers are compiled once per mode (Q = quantized): the hot
-// loops never branch on tb.quantized per access.
-template <bool Q>
-inline double entry_voc(const DenseTables& tb, std::size_t k) {
-  if constexpr (Q) {
-    return 1e-6 * static_cast<double>(tb.slot_q[k].voc);
-  } else {
-    return tb.slot_f[k].voc;
-  }
-}
-
-template <bool Q>
-inline double entry_pmpp(const DenseTables& tb, std::size_t k) {
-  if constexpr (Q) {
-    return 1e-9 * static_cast<double>(tb.slot_q[k].pmpp);
-  } else {
-    return tb.slot_f[k].pmpp;
-  }
-}
-
-template <bool Q>
-inline double entry_inv_voc(const DenseTables& tb, std::size_t k) {
-  if constexpr (Q) {
-    return tb.slot_q[k].inv_voc;
-  } else {
-    return tb.slot_f[k].inv_voc;
-  }
-}
-
-template <bool Q>
-inline double entry_power(const DenseTables& tb, std::size_t k, std::size_t m) {
-  const std::size_t idx = k * static_cast<std::size_t>(tb.points) + m;
-  if constexpr (Q) {
-    return 1e-9 * static_cast<double>(tb.qpower[idx]);
-  } else {
-    return tb.power[idx];
-  }
-}
-
-template <bool Q>
 inline Curve curve_from(const DenseTables& tb, const Slot& s) {
   Curve c;
   if (s.dark) return c;
-  const double voc0 = entry_voc<Q>(tb, s.k);
-  const double voc1 = entry_voc<Q>(tb, s.k + 1);
-  const double pm0 = entry_pmpp<Q>(tb, s.k);
-  const double pm1 = entry_pmpp<Q>(tb, s.k + 1);
-  c.voc = voc0 + s.f * (voc1 - voc0);
-  c.pmpp = pm0 + s.f * (pm1 - pm0);
+  const DenseTables::SlotF& e0 = tb.slot_f[s.k];
+  const DenseTables::SlotF& e1 = tb.slot_f[s.k + 1];
+  c.voc = e0.voc + s.f * (e1.voc - e0.voc);
+  c.pmpp = e0.pmpp + s.f * (e1.pmpp - e0.pmpp);
   return c;
 }
 
@@ -121,27 +79,26 @@ inline Curve curve_from(const DenseTables& tb, const Slot& s) {
 /// the precomputed reciprocal — the only difference from the cache's own
 /// arithmetic is mul-by-reciprocal instead of divide, well inside the
 /// engine's 0.1 % contract.
-template <bool Q>
 inline double row_power(const DenseTables& tb, std::size_t k, double v) {
-  const double rel = v * entry_inv_voc<Q>(tb, k);
+  const double rel = v * tb.slot_f[k].inv_voc;
   if (rel >= 1.0) return 0.0;
   const int n = tb.points;
   const double pos = rel * static_cast<double>(n - 1);
   const int m = std::min(static_cast<int>(pos), n - 2);
   const double t = pos - static_cast<double>(m);
-  const double p0 = entry_power<Q>(tb, k, static_cast<std::size_t>(m));
-  const double p1 = entry_power<Q>(tb, k, static_cast<std::size_t>(m) + 1);
+  const std::size_t idx = k * static_cast<std::size_t>(n) + static_cast<std::size_t>(m);
+  const double p0 = tb.power[idx];
+  const double p1 = tb.power[idx + 1];
   return p0 + t * (p1 - p0);
 }
 
 /// CurveCache::power_at_lux on an already-resolved slot (the engine
 /// resolves each quadrature point's slot once and reuses it for the
 /// Voc/Pmpp read and every P(V) lookup).
-template <bool Q>
 inline double power_at(const DenseTables& tb, const Slot& s, double v) {
   if (v <= 0.0 || s.dark) return 0.0;
-  const double p0 = row_power<Q>(tb, s.k, v);
-  const double p1 = row_power<Q>(tb, s.k + 1, v);
+  const double p0 = row_power(tb, s.k, v);
+  const double p1 = row_power(tb, s.k + 1, v);
   return p0 + s.f * (p1 - p0);
 }
 
@@ -307,7 +264,6 @@ struct KernelTotals {
 /// Node-major scalar sweep over one axis run (members[0..count)):
 /// the PR 7 reference path, handling every AxisEval. `proto` is the
 /// run's cloned controller for kPrototype axes (unused otherwise).
-template <bool Q>
 KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
                              const sched::EdgeOverlay::Interval* ovs,
                              const std::vector<NodeDraw>& draws, const std::uint32_t* members,
@@ -330,7 +286,6 @@ KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
 /// below exchange only scalar/pointer/reference arguments, so the
 /// cross-TU call ABI is ISA-independent, and the dispatcher gates every
 /// call through lanes_supported().
-template <bool Q>
 KernelTotals run_axis_lanes(const EnvContext& cx, const AxisPlan& ax,
                             const sched::EdgeOverlay::Interval* ovs,
                             const std::vector<NodeDraw>& draws, const std::uint32_t* members,

@@ -46,11 +46,11 @@
 //     member index exactly as the scalar kernel writes them.
 //
 // ISA: on x86-64 this TU is compiled with -mavx2 (see
-// src/fleet/CMakeLists.txt) so the table gathers lower to vgatherdpd /
-// vpgatherdd instead of serial insert chains; the dispatcher gates
-// every call through lanes_supported() and falls back to the scalar
-// kernel on pre-AVX2 hardware (same bytes, less throughput). -mavx2
-// does NOT enable FMA, matching -ffp-contract=off. The extern template
+// src/fleet/CMakeLists.txt) so the table gathers lower to vgatherdpd
+// instead of serial insert chains; the dispatcher gates every call
+// through lanes_supported() and falls back to the scalar kernel on
+// pre-AVX2 hardware (same bytes, less throughput). -mavx2 does NOT
+// enable FMA, matching -ffp-contract=off. The extern template
 // declarations below keep this TU from emitting AVX2-compiled COMDAT
 // copies of shared helpers that baseline TUs could link against.
 
@@ -112,35 +112,16 @@ struct CurveLanes {
 
 /// curve_from() on W lanes: gathers of the two bracketing slot entries,
 /// lane-wide interpolation, dark lanes voided to {0, 0}. Slot entries
-/// are gathered as strided scalar fields off the first member — SlotF
-/// is 3 doubles {voc, pmpp, inv_voc}, SlotQ is 4 int32-sized fields
-/// {voc, pmpp, inv_voc as double} — reproducing entry_voc / entry_pmpp
-/// of soa_internal.hpp load for load (and for the quantized mode,
-/// multiply for multiply: 1e-6 * double(voc), 1e-9 * double(pmpp)).
-template <bool Q>
-FOCV_LANES_INLINE CurveLanes curve_lanes(const DenseTables& tb,
-                                                        const SlotLanes& s) {
-  DVec voc0;
-  DVec voc1;
-  DVec pm0;
-  DVec pm1;
-  if constexpr (Q) {
-    const std::int32_t* qb = &tb.slot_q[0].voc;
-    const IVec j = s.k * simd::broadcast_i(4);
-    const DVec sv = simd::broadcast(1e-6);
-    const DVec sp = simd::broadcast(1e-9);
-    voc0 = sv * simd::to_double(simd::gather(qb, j));
-    voc1 = sv * simd::to_double(simd::gather(qb, j + simd::broadcast_i(4)));
-    pm0 = sp * simd::to_double(simd::gather(qb, j + simd::broadcast_i(1)));
-    pm1 = sp * simd::to_double(simd::gather(qb, j + simd::broadcast_i(5)));
-  } else {
-    const double* fb = &tb.slot_f[0].voc;
-    const IVec j = s.k * simd::broadcast_i(3);
-    voc0 = simd::gather(fb, j);
-    voc1 = simd::gather(fb, j + simd::broadcast_i(3));
-    pm0 = simd::gather(fb, j + simd::broadcast_i(1));
-    pm1 = simd::gather(fb, j + simd::broadcast_i(4));
-  }
+/// are gathered as strided scalar fields off the first member (SlotF is
+/// 3 doubles {voc, pmpp, inv_voc}), reproducing curve_from's reads of
+/// soa_internal.hpp load for load.
+FOCV_LANES_INLINE CurveLanes curve_lanes(const DenseTables& tb, const SlotLanes& s) {
+  const double* fb = &tb.slot_f[0].voc;
+  const IVec j = s.k * simd::broadcast_i(3);
+  const DVec voc0 = simd::gather(fb, j);
+  const DVec voc1 = simd::gather(fb, j + simd::broadcast_i(3));
+  const DVec pm0 = simd::gather(fb, j + simd::broadcast_i(1));
+  const DVec pm1 = simd::gather(fb, j + simd::broadcast_i(4));
   const DVec zero = simd::broadcast(0.0);
   CurveLanes c;
   c.voc = simd::select(s.lit, voc0 + s.f * (voc1 - voc0), zero);
@@ -152,9 +133,7 @@ FOCV_LANES_INLINE CurveLanes curve_lanes(const DenseTables& tb,
 /// with the scalar guards (v <= 0, dark, rel >= 1) as selects. Row
 /// positions of guarded-off lanes are routed to 0 before the int cast
 /// so the gather indices are always in range.
-template <bool Q>
-FOCV_LANES_INLINE DVec power_lanes(const DenseTables& tb, const SlotLanes& s,
-                                                  DVec v) {
+FOCV_LANES_INLINE DVec power_lanes(const DenseTables& tb, const SlotLanes& s, DVec v) {
   const DVec zero = simd::broadcast(0.0);
   const DVec one = simd::broadcast(1.0);
   const MVec valid = s.lit & (v > zero);
@@ -169,14 +148,9 @@ FOCV_LANES_INLINE DVec power_lanes(const DenseTables& tb, const SlotLanes& s,
   DVec row1;
   for (int off = 0; off < 2; ++off) {
     const IVec ko = s.k + simd::broadcast_i(off);
-    // entry_inv_voc: a plain double in both table modes — SlotF stride
-    // 3 doubles at field offset 2, SlotQ stride 2 doubles at offset 1.
-    DVec inv;
-    if constexpr (Q) {
-      inv = simd::gather(&tb.slot_q[0].inv_voc, ko * simd::broadcast_i(2));
-    } else {
-      inv = simd::gather(&tb.slot_f[0].voc, ko * simd::broadcast_i(3) + simd::broadcast_i(2));
-    }
+    // SlotF::inv_voc: stride 3 doubles at field offset 2.
+    const DVec inv =
+        simd::gather(&tb.slot_f[0].voc, ko * simd::broadcast_i(3) + simd::broadcast_i(2));
     const DVec rel = v * inv;
     const MVec ok = rel < one;
     const DVec pos = rel * nscale;
@@ -192,16 +166,8 @@ FOCV_LANES_INLINE DVec power_lanes(const DenseTables& tb, const SlotLanes& s,
     // big enough to overflow int32 lane indices would be >16 GiB, far
     // past what build_tables can produce.
     const IVec pidx = ko * simd::broadcast_i(n) + simd::to_int(mdv);
-    DVec pav;
-    DVec pbv;
-    if constexpr (Q) {
-      const DVec sq = simd::broadcast(1e-9);
-      pav = sq * simd::to_double(simd::gather(tb.qpower.data(), pidx));
-      pbv = sq * simd::to_double(simd::gather(tb.qpower.data(), pidx + simd::broadcast_i(1)));
-    } else {
-      pav = simd::gather(tb.power.data(), pidx);
-      pbv = simd::gather(tb.power.data(), pidx + simd::broadcast_i(1));
-    }
+    const DVec pav = simd::gather(tb.power.data(), pidx);
+    const DVec pbv = simd::gather(tb.power.data(), pidx + simd::broadcast_i(1));
     const DVec t = pos_s - mdv;
     const DVec interp = pav + t * (pbv - pav);
     const DVec r = simd::select(ok, interp, zero);
@@ -232,12 +198,10 @@ FOCV_LANES_INLINE DVec conv_lanes(const power::BuckBoostConverter::Params& cp,
 
 }  // namespace
 
-template <bool Q>
 KernelTotals run_axis_lanes(const EnvContext& cx, const AxisPlan& ax,
-                                           const sched::EdgeOverlay::Interval* ovs,
-                                           const std::vector<NodeDraw>& draws,
-                                           const std::uint32_t* members, std::size_t count,
-                                           std::vector<node::NodeReport>& reports) {
+                            const sched::EdgeOverlay::Interval* ovs,
+                            const std::vector<NodeDraw>& draws, const std::uint32_t* members,
+                            std::size_t count, std::vector<node::NodeReport>& reports) {
   const DenseTables& tb = *cx.tb;
   const power::BuckBoostConverter::Params& cp = cx.conv->params();
   const std::size_t blocks = (count + static_cast<std::size_t>(W) - 1) / static_cast<std::size_t>(W);
@@ -387,12 +351,12 @@ KernelTotals run_axis_lanes(const EnvContext& cx, const AxisPlan& ax,
       const DVec w = simd::broadcast(width_arr[ii]);
       const bool two_pt = xlo[ii] != xhi[ii];
       const SlotLanes s_lo = slot_lanes(tb, xoff_v + simd::broadcast(xlo[ii]));
-      const CurveLanes c_lo = curve_lanes<Q>(tb, s_lo);
+      const CurveLanes c_lo = curve_lanes(tb, s_lo);
       SlotLanes s_hi = s_lo;
       CurveLanes c_hi = c_lo;
       if (two_pt) {
         s_hi = slot_lanes(tb, xoff_v + simd::broadcast(xhi[ii]));
-        c_hi = curve_lanes<Q>(tb, s_hi);
+        c_hi = curve_lanes(tb, s_hi);
       }
       ideal_v = ideal_v + (half * (c_lo.pmpp + c_hi.pmpp)) * w;
       const MVec running =
@@ -446,7 +410,7 @@ KernelTotals run_axis_lanes(const EnvContext& cx, const AxisPlan& ax,
           }
           const DVec v = (value0 - droop_v * lag) * invalpha_v;
           const DVec act = ab * frac;
-          const DVec p_full = power_lanes<Q>(tb, s, v) * hs;
+          const DVec p_full = power_lanes(tb, s, v) * hs;
           *p_out = simd::select(live, p_full * act, zero);
           *d_out = simd::select(live, conv_lanes(cp, p_full, v) * act, zero);
         };
@@ -461,7 +425,7 @@ KernelTotals run_axis_lanes(const EnvContext& cx, const AxisPlan& ax,
                               DVec* d_out) __attribute__((always_inline)) {
           const DVec v =
               ax.aff_const ? affv_v : affk_v * ((c.voc * affs1_v) * affs2_v);
-          const DVec p = power_lanes<Q>(tb, s, v) * affact_v;
+          const DVec p = power_lanes(tb, s, v) * affact_v;
           *p_out = p;
           *d_out = conv_lanes(cp, p, v);
         };
@@ -509,14 +473,5 @@ KernelTotals run_axis_lanes(const EnvContext& cx, const AxisPlan& ax,
   }
   return totals;
 }
-
-template KernelTotals run_axis_lanes<false>(const EnvContext&, const AxisPlan&,
-                                            const sched::EdgeOverlay::Interval*,
-                                            const std::vector<NodeDraw>&, const std::uint32_t*,
-                                            std::size_t, std::vector<node::NodeReport>&);
-template KernelTotals run_axis_lanes<true>(const EnvContext&, const AxisPlan&,
-                                           const sched::EdgeOverlay::Interval*,
-                                           const std::vector<NodeDraw>&, const std::uint32_t*,
-                                           std::size_t, std::vector<node::NodeReport>&);
 
 }  // namespace focv::fleet::soa::internal

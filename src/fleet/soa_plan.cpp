@@ -29,35 +29,19 @@ namespace {
 using internal::kGrid;
 using internal::kInf;
 
-DenseTables export_tables(node::CurveCache& cache, double lux_min, double lux_max,
-                          TableMode mode) {
+DenseTables export_tables(node::CurveCache& cache, double lux_min, double lux_max) {
   node::CurveCache::DenseExport e = cache.export_range(lux_min, lux_max);
   DenseTables tb;
   tb.grid_lo = e.grid_lo;
   tb.points = e.points;
   tb.slots = static_cast<int>(e.voc.size());
-  if (mode == TableMode::kQuantized) {
-    tb.quantized = true;
-    tb.slot_q.resize(e.voc.size());
-    tb.qpower.resize(e.power.size());
-    for (std::size_t i = 0; i < e.voc.size(); ++i) {
-      tb.slot_q[i].voc = static_cast<std::int32_t>(std::lround(e.voc[i] * 1e6));
-      tb.slot_q[i].pmpp = static_cast<std::int32_t>(std::lround(e.pmpp[i] * 1e9));
-      const double voc = 1e-6 * static_cast<double>(tb.slot_q[i].voc);
-      tb.slot_q[i].inv_voc = voc > 0.0 ? 1.0 / voc : kInf;
-    }
-    for (std::size_t i = 0; i < e.power.size(); ++i) {
-      tb.qpower[i] = static_cast<std::int32_t>(std::lround(e.power[i] * 1e9));
-    }
-  } else {
-    tb.slot_f.resize(e.voc.size());
-    for (std::size_t i = 0; i < e.voc.size(); ++i) {
-      tb.slot_f[i].voc = e.voc[i];
-      tb.slot_f[i].pmpp = e.pmpp[i];
-      tb.slot_f[i].inv_voc = e.voc[i] > 0.0 ? 1.0 / e.voc[i] : kInf;
-    }
-    tb.power = std::move(e.power);
+  tb.slot_f.resize(e.voc.size());
+  for (std::size_t i = 0; i < e.voc.size(); ++i) {
+    tb.slot_f[i].voc = e.voc[i];
+    tb.slot_f[i].pmpp = e.pmpp[i];
+    tb.slot_f[i].inv_voc = e.voc[i] > 0.0 ? 1.0 / e.voc[i] : kInf;
   }
+  tb.power = std::move(e.power);
   return tb;
 }
 
@@ -210,7 +194,7 @@ std::unique_ptr<const SoaPlan> build_plan(
       hi_u = std::max(hi_u, seg.max_u);
     }
     if (hi_u > 0.0) {
-      ep.tables = export_tables(cache, lo_u * s_lo, hi_u * s_hi, spec.table_mode);
+      ep.tables = export_tables(cache, lo_u * s_lo, hi_u * s_hi);
     }
   }
 

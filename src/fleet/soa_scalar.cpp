@@ -14,7 +14,6 @@
 
 namespace focv::fleet::soa::internal {
 
-template <bool Q>
 KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
                              const sched::EdgeOverlay::Interval* ovs,
                              const std::vector<NodeDraw>& draws, const std::uint32_t* members,
@@ -101,12 +100,12 @@ KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
       // is exactly x, so the single-eval path is byte-identical.
       const bool two_pt = xlo[ii] != xhi[ii];
       const Slot s_lo = slot_of(tb, st.xoff + xlo[ii]);
-      const Curve c_lo = curve_from<Q>(tb, s_lo);
+      const Curve c_lo = curve_from(tb, s_lo);
       Slot s_hi = s_lo;
       Curve c_hi = c_lo;
       if (two_pt) {
         s_hi = slot_of(tb, st.xoff + xhi[ii]);
-        c_hi = curve_from<Q>(tb, s_hi);
+        c_hi = curve_from(tb, s_hi);
       }
       st.ideal += 0.5 * (c_lo.pmpp + c_hi.pmpp) * w;
       const bool running = min_lux <= 0.0 || st.scale * mean_arr[ii] >= min_lux;
@@ -151,7 +150,7 @@ KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
         }
         o.v = (value0 - ax.droop * lag) * inv_alpha;
         const double act = act_base * frac;
-        const double p_full = power_at<Q>(tb, s, o.v) * harvest_scale;
+        const double p_full = power_at(tb, s, o.v) * harvest_scale;
         o.p = p_full * act;
         o.d = conv.output_power(p_full, o.v) * act;
         return o;
@@ -178,12 +177,12 @@ KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
       const double w = width_arr[ii];
       const bool two_pt = xlo[ii] != xhi[ii];
       const Slot s_lo = slot_of(tb, st.xoff + xlo[ii]);
-      const Curve c_lo = curve_from<Q>(tb, s_lo);
+      const Curve c_lo = curve_from(tb, s_lo);
       Slot s_hi = s_lo;
       Curve c_hi = c_lo;
       if (two_pt) {
         s_hi = slot_of(tb, st.xoff + xhi[ii]);
-        c_hi = curve_from<Q>(tb, s_hi);
+        c_hi = curve_from(tb, s_hi);
       }
       st.ideal += 0.5 * (c_lo.pmpp + c_hi.pmpp) * w;
       const bool running = min_lux <= 0.0 || st.scale * mean_arr[ii] >= min_lux;
@@ -196,7 +195,7 @@ KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
       if (st.cold_t < 0.0) st.cold_t = ivs[ii].t0;
       const auto eval = [&](const Curve& c, const Slot& s) __attribute__((always_inline)) {
         const double v = ax.aff_const ? ax.aff_v : ax.aff_k * ((c.voc * ax.aff_s1) * ax.aff_s2);
-        const double p = power_at<Q>(tb, s, v) * ax.aff_act;
+        const double p = power_at(tb, s, v) * ax.aff_act;
         return std::pair<double, double>{p, v};
       };
       const auto [pl, vl] = eval(c_lo, s_lo);
@@ -224,12 +223,12 @@ KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
       const double w = width_arr[ii];
       const bool two_pt = xlo[ii] != xhi[ii];
       const Slot s_lo = slot_of(tb, st.xoff + xlo[ii]);
-      const Curve c_lo = curve_from<Q>(tb, s_lo);
+      const Curve c_lo = curve_from(tb, s_lo);
       Slot s_hi = s_lo;
       Curve c_hi = c_lo;
       if (two_pt) {
         s_hi = slot_of(tb, st.xoff + xhi[ii]);
-        c_hi = curve_from<Q>(tb, s_hi);
+        c_hi = curve_from(tb, s_hi);
       }
       st.ideal += 0.5 * (c_lo.pmpp + c_hi.pmpp) * w;
       const bool running = min_lux <= 0.0 || st.scale * mean_arr[ii] >= min_lux;
@@ -252,7 +251,7 @@ KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
         sensed.voc = c.voc;
         sensed.pilot_voc = c.voc;
         const mppt::ControlOutput out = ctl.step(sensed);
-        const double p = power_at<Q>(tb, s, out.pv_voltage) *
+        const double p = power_at(tb, s, out.pv_voltage) *
                          (1.0 - std::min(1.0, out.disconnect_fraction));
         return std::pair<double, double>{p, out.pv_voltage};
       };
@@ -274,16 +273,5 @@ KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
 
   return totals;
 }
-
-template KernelTotals run_axis_scalar<false>(const EnvContext&, const AxisPlan&,
-                                             const sched::EdgeOverlay::Interval*,
-                                             const std::vector<NodeDraw>&, const std::uint32_t*,
-                                             std::size_t, mppt::MpptController*,
-                                             std::vector<node::NodeReport>&);
-template KernelTotals run_axis_scalar<true>(const EnvContext&, const AxisPlan&,
-                                            const sched::EdgeOverlay::Interval*,
-                                            const std::vector<NodeDraw>&, const std::uint32_t*,
-                                            std::size_t, mppt::MpptController*,
-                                            std::vector<node::NodeReport>&);
 
 }  // namespace focv::fleet::soa::internal

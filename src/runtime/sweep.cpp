@@ -2,11 +2,11 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <optional>
 
+#include "common/json_text.hpp"
 #include "common/require.hpp"
 #include "obs/obs.hpp"
 #include "runtime/thread_pool.hpp"
@@ -15,14 +15,6 @@ namespace focv::runtime {
 
 namespace {
 
-/// Shortest round-trip double formatting shared by the CSV and JSON
-/// writers, so exports are byte-stable across runs and thread counts.
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 /// Flatten a free-text field (scenario names, exception messages) into
 /// one CSV cell: the separators become ';'.
 std::string csv_safe(std::string s) {
@@ -30,29 +22,6 @@ std::string csv_safe(std::string s) {
     if (c == ',' || c == '\n' || c == '\r') c = ';';
   }
   return s;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 SweepStats stats_over(const std::vector<double>& values) {
@@ -183,15 +152,17 @@ std::string SweepResult::to_csv(bool include_timing) const {
   for (const SweepRecord& r : records_) {
     const node::NodeReport& rep = r.report;
     out += std::to_string(r.job) + ',' + csv_safe(r.cell) + ',' + csv_safe(r.controller) +
-           ',' + csv_safe(r.scenario) + ',' + csv_safe(r.grid) + ',' + fmt(rep.duration) +
-           ',' + fmt(rep.harvested_energy) + ',' + fmt(rep.delivered_energy) + ',' +
-           fmt(rep.overhead_energy) + ',' + fmt(rep.load_energy_served) + ',' +
-           fmt(rep.ideal_mpp_energy) + ',' + fmt(rep.net_energy()) + ',' +
-           fmt(rep.tracking_efficiency()) + ',' + fmt(rep.coldstart_time) + ',' +
-           std::to_string(rep.brownout_steps) + ',' + fmt(rep.final_store_voltage) + ',' +
-           (r.failed ? '1' : '0') + ',' + csv_safe(r.error);
+           ',' + csv_safe(r.scenario) + ',' + csv_safe(r.grid) + ',' +
+           format_number(rep.duration) + ',' + format_number(rep.harvested_energy) + ',' +
+           format_number(rep.delivered_energy) + ',' + format_number(rep.overhead_energy) + ',' +
+           format_number(rep.load_energy_served) + ',' + format_number(rep.ideal_mpp_energy) +
+           ',' + format_number(rep.net_energy()) + ',' +
+           format_number(rep.tracking_efficiency()) + ',' +
+           format_number(rep.coldstart_time) + ',' + std::to_string(rep.brownout_steps) + ',' +
+           format_number(rep.final_store_voltage) + ',' + (r.failed ? '1' : '0') + ',' +
+           csv_safe(r.error);
     if (include_timing) {
-      out += ',' + fmt(r.wall_seconds) + ',' + std::to_string(r.steps) + ',' +
+      out += ',' + format_number(r.wall_seconds) + ',' + std::to_string(r.steps) + ',' +
              std::to_string(r.model_evals) + ',' + std::to_string(r.curve_entries);
     }
     out += '\n';
@@ -209,21 +180,21 @@ std::string SweepResult::to_json(bool include_timing) const {
            "\", \"controller\": \"" + json_escape(r.controller) +
            "\", \"scenario\": \"" + json_escape(r.scenario) +
            "\", \"grid\": \"" + json_escape(r.grid) +
-           "\", \"duration_s\": " + fmt(rep.duration) +
-           ", \"harvested_j\": " + fmt(rep.harvested_energy) +
-           ", \"delivered_j\": " + fmt(rep.delivered_energy) +
-           ", \"overhead_j\": " + fmt(rep.overhead_energy) +
-           ", \"load_served_j\": " + fmt(rep.load_energy_served) +
-           ", \"ideal_mpp_j\": " + fmt(rep.ideal_mpp_energy) +
-           ", \"net_j\": " + fmt(rep.net_energy()) +
-           ", \"tracking_eff\": " + fmt(rep.tracking_efficiency()) +
-           ", \"coldstart_s\": " + fmt(rep.coldstart_time) +
+           "\", \"duration_s\": " + format_number(rep.duration) +
+           ", \"harvested_j\": " + format_number(rep.harvested_energy) +
+           ", \"delivered_j\": " + format_number(rep.delivered_energy) +
+           ", \"overhead_j\": " + format_number(rep.overhead_energy) +
+           ", \"load_served_j\": " + format_number(rep.load_energy_served) +
+           ", \"ideal_mpp_j\": " + format_number(rep.ideal_mpp_energy) +
+           ", \"net_j\": " + format_number(rep.net_energy()) +
+           ", \"tracking_eff\": " + format_number(rep.tracking_efficiency()) +
+           ", \"coldstart_s\": " + format_number(rep.coldstart_time) +
            ", \"brownout_steps\": " + std::to_string(rep.brownout_steps) +
-           ", \"final_store_v\": " + fmt(rep.final_store_voltage) +
+           ", \"final_store_v\": " + format_number(rep.final_store_voltage) +
            ", \"failed\": " + (r.failed ? "true" : "false") +
            ", \"error\": \"" + json_escape(r.error) + "\"";
     if (include_timing) {
-      out += ", \"wall_s\": " + fmt(r.wall_seconds) +
+      out += ", \"wall_s\": " + format_number(r.wall_seconds) +
              ", \"steps\": " + std::to_string(r.steps) +
              ", \"model_evals\": " + std::to_string(r.model_evals) +
              ", \"curve_entries\": " + std::to_string(r.curve_entries);

@@ -1,8 +1,9 @@
 #include "serve/json.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
+
+#include "common/json_text.hpp"
 
 namespace focv::serve {
 
@@ -78,35 +79,6 @@ void Json::set(std::string key, Json v) {
   object_.emplace_back(std::move(key), std::move(v));
 }
 
-std::string Json::format_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string Json::escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void Json::dump_to(std::string& out) const {
   switch (type_) {
     case Type::kNull: out += "null"; return;
@@ -114,7 +86,7 @@ void Json::dump_to(std::string& out) const {
     case Type::kNumber: out += format_number(number_); return;
     case Type::kString:
       out += '"';
-      out += escape(string_);
+      out += json_escape(string_);
       out += '"';
       return;
     case Type::kRaw: out += string_; return;
@@ -132,7 +104,7 @@ void Json::dump_to(std::string& out) const {
       for (std::size_t i = 0; i < object_.size(); ++i) {
         if (i > 0) out += ',';
         out += '"';
-        out += escape(object_[i].first);
+        out += json_escape(object_[i].first);
         out += "\":";
         object_[i].second.dump_to(out);
       }

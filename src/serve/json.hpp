@@ -7,7 +7,8 @@
 // response JSON no matter how the server scheduled or batched the work.
 // So the writer has no configuration: object keys keep insertion order,
 // doubles print with the same %.17g round-trip format the fleet/sweep
-// exports use, and there is exactly one spacing convention.
+// exports use (common/json_text.hpp), and there is exactly one spacing
+// convention.
 //
 // kRaw lets a response embed an already-rendered byte-stable JSON
 // document (e.g. FleetReport::to_json()) without a parse/re-print trip
@@ -72,13 +73,6 @@ class Json {
   /// Parse `text`. Returns false (and fills *error, when given) on
   /// malformed input or trailing garbage.
   static bool parse(const std::string& text, Json& out, std::string* error = nullptr);
-
-  /// The %.17g round-trip double rendering every byte-stable exporter in
-  /// this repo shares (fleet/sweep reports); exposed for response code
-  /// that formats numbers outside a Json tree.
-  [[nodiscard]] static std::string format_number(double v);
-  /// JSON string escaping (quotes not included).
-  [[nodiscard]] static std::string escape(const std::string& s);
 
  private:
   Type type_ = Type::kNull;

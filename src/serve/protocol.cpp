@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include "common/json_text.hpp"
 #include "mppt/registry.hpp"
 
 namespace focv::serve {
@@ -60,16 +61,16 @@ std::string error_response(const std::string& id_json, const char* code,
   out += ",\"ok\":false,\"error\":{\"code\":\"";
   out += code;
   out += "\",\"message\":\"";
-  out += Json::escape(message);
+  out += json_escape(message);
   out += '"';
   if (!token.empty()) {
     out += ",\"token\":\"";
-    out += Json::escape(token);
+    out += json_escape(token);
     out += '"';
   }
   if (!hint.empty()) {
     out += ",\"hint\":\"";
-    out += Json::escape(hint);
+    out += json_escape(hint);
     out += '"';
   }
   out += "}}";

@@ -153,8 +153,9 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
     }
     if (request.op == "shutdown") {
       if (options_.allow_shutdown_op) {
-        respond(*conn, ok_response(request.id_json, "{\"stopping\":true}"));
+        // Flag first: a client that reads the ack must see stop_requested().
         request_stop();
+        respond(*conn, ok_response(request.id_json, "{\"stopping\":true}"));
       } else {
         respond(*conn, error_response(request.id_json, errc::kBadRequest,
                                       "the shutdown op is disabled"));

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/json_text.hpp"
 #include "common/require.hpp"
 #include "core/focv_system.hpp"
 #include "env/profiles.hpp"
@@ -51,7 +52,7 @@ void append_number_field(std::string& key, const char* name, double value) {
   key += '|';
   key += name;
   key += '=';
-  key += Json::format_number(value);
+  key += format_number(value);
 }
 
 }  // namespace
@@ -454,14 +455,14 @@ bool SessionState::canonicalize(const Request& request, CanonicalRequest& out,
       if (i > 0) out.key += ',';
       out.key += params.environments[i].first->name;
       out.key += ':';
-      out.key += Json::format_number(params.environments[i].second);
+      out.key += format_number(params.environments[i].second);
     }
     out.key += "|policies=";
     for (std::size_t i = 0; i < params.policies.size(); ++i) {
       if (i > 0) out.key += ',';
       out.key += params.policies[i].first;
       out.key += ':';
-      out.key += Json::format_number(params.policies[i].second);
+      out.key += format_number(params.policies[i].second);
     }
     out.batch_group = "fleet";
     return true;

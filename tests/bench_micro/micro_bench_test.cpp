@@ -76,7 +76,7 @@ TEST(MicroBenchHarness, SmokeRunCompletesAndWritesSchemaValidJson) {
         "simulate_node_24h_indoor_event", "simulate_node_24h_outdoor_event",
         "sweep_jobs1", "sweep_jobsN", "circuit_transient_window",
         "cell_model_solves", "fleet_step", "fleet_step_event",
-        "fleet_soa_ref_event", "fleet_soa_float", "fleet_soa_quantized",
+        "fleet_soa_ref_event", "fleet_soa_float",
         "obs_overhead_disabled", "obs_overhead_enabled",
         "speedup_simulate_node_24h_indoor",
         "speedup_simulate_node_24h_outdoor", "overhead_obs_overhead",

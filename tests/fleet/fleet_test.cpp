@@ -40,9 +40,9 @@ FleetSpec small_spec(std::size_t nodes) {
   spec.use_cell(pv::sanyo_am1815());
   spec.add_environment("bright", env::constant_light(1200.0, 0.0, 3600.0), 0.6);
   spec.add_environment("dim", env::constant_light(180.0, 0.0, 3600.0), 0.4);
-  spec.add_policy(MpptPolicy::kFocvSampleHold, 0.7);
-  spec.add_policy(MpptPolicy::kPilotCellFocv, 0.15);
-  spec.add_policy(MpptPolicy::kDirectConnection, 0.15);
+  spec.add_policy("focv", 0.7);
+  spec.add_policy("pilot", 0.15);
+  spec.add_policy("direct", 0.15);
   spec.base.storage.initial_voltage = 2.5;
   spec.base.load.report_period = 120.0;
   return spec;
@@ -142,35 +142,31 @@ TEST(Fleet, MaterializeAppliesTheDraw) {
   ASSERT_NE(config.controller_prototype, nullptr);
 }
 
-TEST(Fleet, SpecStringPoliciesMatchEnumShimByteForByte) {
-  // Same mixture, once through the registry spec strings and once
-  // through the deprecated enum shim. Only the axis labels may differ
-  // (canonical spec vs legacy snake_case); every simulated byte must
-  // be identical once the labels are normalised.
-  FleetSpec via_spec = small_spec(24);
-  via_spec.policies.clear();
-  via_spec.add_policy("focv", 0.7);
-  via_spec.add_policy("pilot", 0.15);
-  via_spec.add_policy("direct", 0.15);
+TEST(Fleet, DefaultMixtureKeepsItsHistoricalLabel) {
+  // A spec with no add_policy call deploys "focv" everywhere under the
+  // pre-registry label "focv_sample_hold" — part of the focv-fleet/v1
+  // bytes, in the report and in every JSONL record, on both engines.
+  const std::string label = "\"policy\": \"focv_sample_hold\"";
+  for (const FleetEngine engine : {FleetEngine::kPerNode, FleetEngine::kSoa}) {
+    FleetSpec spec = small_spec(10);
+    spec.policies.clear();
+    spec.engine = engine;
+    FleetOptions opt = serial_options();
+    opt.jsonl_path = ::testing::TempDir() + "/fleet_default_mixture.jsonl";
+    const FleetReport report = run_fleet(spec, opt);
+    const char* engine_name = engine == FleetEngine::kSoa ? "soa" : "per-node";
 
-  const FleetSpec via_enum = small_spec(24);  // enum mixture, same weights
+    ASSERT_EQ(report.policies.size(), 1u) << engine_name;
+    EXPECT_EQ(report.policies[0].policy, "focv_sample_hold") << engine_name;
+    EXPECT_NE(report.to_json().find(label), std::string::npos) << engine_name;
 
-  const FleetReport a = run_fleet(via_spec, serial_options());
-  const FleetReport b = run_fleet(via_enum, serial_options());
-
-  const auto replace_all = [](std::string s, const std::string& from,
-                              const std::string& to) {
-    for (std::size_t pos = s.find(from); pos != std::string::npos;
-         pos = s.find(from, pos + to.size())) {
-      s.replace(pos, from.size(), to);
+    std::istringstream lines(slurp(opt.jsonl_path));
+    std::size_t records = 0;
+    for (std::string line; std::getline(lines, line); ++records) {
+      EXPECT_NE(line.find(label), std::string::npos) << engine_name << ": " << line;
     }
-    return s;
-  };
-  std::string legacy_json = b.to_json();
-  legacy_json = replace_all(legacy_json, "focv_sample_hold", "focv");
-  legacy_json = replace_all(legacy_json, "pilot_cell_focv", "pilot");
-  legacy_json = replace_all(legacy_json, "direct_connection", "direct");
-  EXPECT_EQ(a.to_json(), legacy_json);
+    EXPECT_EQ(records, spec.node_count) << engine_name;
+  }
 }
 
 TEST(Fleet, SpecStringPolicyFailsFastOnBadSpec) {

@@ -2,7 +2,7 @@
 // interval-major lane-batched sweep (fleet/soa_lanes.cpp) must produce
 // EXACTLY the bytes of the node-major scalar sweep (soa_scalar.cpp) —
 // same IEEE op sequence per lane, selects in place of branches, shared
-// slow-path routine — in both table modes, at any worker count, and at
+// slow-path routine — at any worker count, and at
 // every lane-tail / fallback edge the blocking can hit.
 #include <gtest/gtest.h>
 
@@ -18,12 +18,11 @@ namespace {
 /// All-batchable roster over the paper's two measured day shapes: every
 /// axis is a closed form the lane kernel runs (focv sample/hold, pilot
 /// and fixed affine laws).
-FleetSpec lanes_spec(std::size_t nodes, TableMode mode) {
+FleetSpec lanes_spec(std::size_t nodes) {
   FleetSpec spec;
   spec.node_count = nodes;
   spec.root_seed = 2026;
   spec.chunk_size = 64;
-  spec.table_mode = mode;
   spec.engine = FleetEngine::kSoa;
   spec.use_cell(pv::sanyo_am1815());
   spec.base.stepper = node::Stepper::kEvent;
@@ -55,12 +54,8 @@ void expect_kernels_identical(const FleetSpec& spec, const std::string& label) {
   EXPECT_EQ(ref, run_kernel(spec, SoaKernel::kScalar, 4)) << label << " scalar jobs=4";
 }
 
-TEST(FleetSoaLanes, ByteIdenticalToScalarBothTableModes) {
-  for (const TableMode mode : {TableMode::kFloat, TableMode::kQuantized}) {
-    const FleetSpec spec = lanes_spec(1000, mode);
-    expect_kernels_identical(spec,
-                             mode == TableMode::kQuantized ? "quantized" : "float");
-  }
+TEST(FleetSoaLanes, ByteIdenticalToScalar) {
+  expect_kernels_identical(lanes_spec(1000), "nodes=1000");
 }
 
 TEST(FleetSoaLanes, LaneTailSizesByteIdentical) {
@@ -69,7 +64,7 @@ TEST(FleetSoaLanes, LaneTailSizesByteIdentical) {
   // runs that fill whole blocks exactly. Tail blocks pad with replicas
   // of the last real node; any padding leak would corrupt these bytes.
   for (const std::size_t nodes : {1u, 3u, 7u, 8u, 9u, 63u, 64u, 65u, 130u}) {
-    FleetSpec spec = lanes_spec(nodes, TableMode::kFloat);
+    FleetSpec spec = lanes_spec(nodes);
     spec.chunk_size = 32;
     expect_kernels_identical(spec, "nodes=" + std::to_string(nodes));
   }
@@ -81,12 +76,10 @@ TEST(FleetSoaLanes, SlowPathCrossingsinsideLanesByteIdentical) {
   // brownout/recovery churn afterwards keeps mixing slow and fast lanes
   // within single blocks. This pins the spill -> shared advance_slow ->
   // reload path, where a lane kernel would most plausibly diverge.
-  for (const TableMode mode : {TableMode::kFloat, TableMode::kQuantized}) {
-    FleetSpec spec = lanes_spec(200, mode);
-    spec.base.storage.initial_voltage = spec.base.storage.min_useful_voltage;
-    spec.base.load.report_period = 30.0;  // heavier load: more crossings
-    expect_kernels_identical(spec, mode == TableMode::kQuantized ? "quantized" : "float");
-  }
+  FleetSpec spec = lanes_spec(200);
+  spec.base.storage.initial_voltage = spec.base.storage.min_useful_voltage;
+  spec.base.load.report_period = 30.0;  // heavier load: more crossings
+  expect_kernels_identical(spec, "slow-path crossings");
 }
 
 TEST(FleetSoaLanes, LanesKernelIsTheDefault) {

@@ -121,9 +121,9 @@ fleet::FleetSpec fleet_spec(node::Stepper stepper) {
   fs.node_count = 16;
   fs.use_cell(pv::sanyo_am1815());
   fs.add_environment("office", trace);
-  fs.add_policy(fleet::MpptPolicy::kFocvSampleHold, 0.5);
-  fs.add_policy(fleet::MpptPolicy::kFixedVoltage, 0.25);
-  fs.add_policy(fleet::MpptPolicy::kDirectConnection, 0.25);
+  fs.add_policy("focv", 0.5);
+  fs.add_policy("fixed", 0.25);
+  fs.add_policy("direct", 0.25);
   fs.base.storage.initial_voltage = 3.0;
   fs.base.load.report_period = 120.0;
   fs.base.stepper = stepper;
