@@ -73,11 +73,12 @@ CaseSpec simulate_node_case(std::string name, std::string description, bool indo
   return spec;
 }
 
-CaseSpec simulate_node_event_case(std::string name, std::string description, bool indoor) {
+CaseSpec simulate_node_event_case(std::string name, std::string description, bool indoor,
+                                  std::string controller) {
   CaseSpec spec;
   spec.name = std::move(name);
   spec.description = std::move(description);
-  spec.make = [indoor](bool smoke) {
+  spec.make = [indoor, controller = std::move(controller)](bool smoke) {
     // shared_ptr (not a by-value capture): the PreparedTrace holds the
     // trace by reference, so its address must survive the closure copy.
     auto trace = std::make_shared<const env::LightTrace>(
@@ -85,6 +86,7 @@ CaseSpec simulate_node_event_case(std::string name, std::string description, boo
               : (indoor ? env::office_desk_mixed(env::OfficeDayParams{})
                         : env::outdoor_day({})));
     node::NodeConfig cfg = node_config(node::PowerModel::kSurrogate);
+    cfg.use_controller(controller);
     cfg.stepper = node::Stepper::kEvent;
     // The event stepper's deployment mode (fleet chunks, sweeps) shares
     // one PreparedTrace per environment and a warm CurveCache across
@@ -586,12 +588,23 @@ void register_default_cases() {
       "simulate_node_24h_indoor_event",
       "office-day 24 h run on the event-driven macro-stepper, shared "
       "PreparedTrace + warm CurveCache (the fleet/sweep deployment mode)",
-      /*indoor=*/true));
+      /*indoor=*/true, "focv"));
   r.push_back(simulate_node_event_case(
       "simulate_node_24h_outdoor_event",
       "outdoor 24 h run on the event-driven macro-stepper, shared "
       "PreparedTrace + warm CurveCache",
-      /*indoor=*/false));
+      /*indoor=*/false, "focv"));
+  r.push_back(simulate_node_event_case(
+      "simulate_node_24h_indoor_pando_event",
+      "office-day 24 h P&O run on the event-driven macro-stepper: the "
+      "1500 lux supply floor gates the whole day, so it is all store "
+      "intervals",
+      /*indoor=*/true, "pando"));
+  r.push_back(simulate_node_event_case(
+      "simulate_node_24h_outdoor_graddesc_event",
+      "outdoor 24 h gradient-descent run on the event-driven "
+      "macro-stepper: night gated in closed form, daylight ticked per step",
+      /*indoor=*/false, "graddesc"));
   r.push_back(sweep_case("sweep_jobs1",
                          "2 cells x 3 controllers x 3 scenarios, single-threaded",
                          /*jobs=*/1));

@@ -31,10 +31,14 @@ struct ControlOutput {
 /// How a controller's command evolves between simulation steps — the
 /// contract the event-driven macro-stepper (focv::sched) relies on to
 /// skip dead time. Conservative by default: a law the engine cannot
-/// classify is stepped tick by tick.
+/// classify is stepped tick by tick wherever it runs.
 enum class MacroLaw {
   /// Mutable state updated every step (P&O, incremental conductance):
-  /// only the fixed reference path is exact.
+  /// the engine makes the fixed path's step() calls with the fixed
+  /// path's inputs, and advances spans under minimum_operating_lux()
+  /// (where neither path calls step()) as store intervals. Those
+  /// reproduce store_voltage to rounding only, which is all a law that
+  /// reads it can differ by.
   kPerStepOnly,
   /// step() is a pure function of the sensed inputs (fixed voltage,
   /// pilot cell, photodetector): the engine may evaluate it at arbitrary

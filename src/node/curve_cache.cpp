@@ -28,7 +28,7 @@ void CurveCache::prepare(const std::vector<double>& eq_lux) {
     // each bucket *of the previous series*; reusing them would change
     // the trajectory, so re-preparation starts from a fresh table.
     entries_.clear();
-    step_slot_.clear();
+    step_keys_.clear();
     prepare_exact(eq_lux);
   } else {
     prepare_surrogate(eq_lux);
@@ -55,7 +55,7 @@ void CurveCache::prepare_exact(const std::vector<double>& eq_lux) {
   // what makes this mode reproduce the pre-surrogate trajectory bit for
   // bit.
   eq_lux_ = &eq_lux;
-  step_slot_.resize(eq_lux.size());
+  step_keys_.resize(eq_lux.size());
   std::unordered_map<long, std::uint32_t> slot_of_key;
   for (std::size_t i = 0; i < eq_lux.size(); ++i) {
     const double lux = eq_lux[i];
@@ -66,7 +66,7 @@ void CurveCache::prepare_exact(const std::vector<double>& eq_lux) {
       entries_.emplace_back();
       build_exact_entry(entries_.back(), lux);
     }
-    step_slot_[i] = it->second;
+    step_keys_[i] = StepKey{it->second, 0.0f};
   }
 }
 
@@ -89,12 +89,13 @@ void CurveCache::build_surrogate_entry(Entry& e, long grid_index) {
 }
 
 void CurveCache::prepare_surrogate(const std::vector<double>& eq_lux) {
-  step_slot_.assign(eq_lux.size(), kDarkStep);
-  step_frac_.assign(eq_lux.size(), 0.0f);
+  step_keys_.assign(eq_lux.size(), StepKey{});
 
   // Pass 1: the grid span touched by lit steps, from the lit illuminance
   // extremes (one log() each, padded by a grid node on each side). The
-  // span only sizes entries_; pass 2 places every step.
+  // span only sizes entries_ up front; pass 2 places every step. Entries
+  // built for earlier series sit at fixed grid nodes, so re-preparation
+  // keeps them (their values depend only on the grid index).
   double lux_lo = std::numeric_limits<double>::infinity();
   double lux_hi = 0.0;
   for (const double lux : eq_lux) {
@@ -105,64 +106,61 @@ void CurveCache::prepare_surrogate(const std::vector<double>& eq_lux) {
   if (lux_hi == 0.0) return;  // all-dark series: entries from earlier runs stay valid
   const long jmin = static_cast<long>(std::floor(kGridNodesPerLogLux * std::log(lux_lo))) - 1;
   const long jmax = static_cast<long>(std::floor(kGridNodesPerLogLux * std::log(lux_hi))) + 1;
+  cover(jmin, jmax + 1);  // +1 for the j+1 neighbour
 
-  if (entries_.empty()) {
-    grid_base_ = jmin;
-    entries_.resize(static_cast<std::size_t>(jmax - jmin + 2));  // +1 for the j+1 neighbour
-  } else {
-    // Re-preparation: entries built for earlier series sit at fixed grid
-    // nodes, so they stay valid — grow the dense table to the union span
-    // and keep them (their values depend only on the grid index).
-    const long old_lo = grid_base_;
-    const long old_hi = grid_base_ + static_cast<long>(entries_.size()) - 1;
-    const long new_lo = std::min(old_lo, jmin);
-    const long new_hi = std::max(old_hi, jmax + 1);
-    if (new_lo != old_lo || new_hi != old_hi) {
-      std::vector<Entry> grown(static_cast<std::size_t>(new_hi - new_lo + 1));
-      for (std::size_t s = 0; s < entries_.size(); ++s) {
-        grown[static_cast<std::size_t>(old_lo - new_lo) + s] = std::move(entries_[s]);
-      }
-      entries_ = std::move(grown);
-      grid_base_ = new_lo;
-    }
-  }
-
-  // Pass 2: per-step slots and weights; entries built on first touch.
-  for (std::size_t i = 0; i < eq_lux.size(); ++i) {
-    const double lux = eq_lux[i];
-    if (lux < kDarkLux) {
-      step_slot_[i] = kDarkStep;
-      step_frac_[i] = 0.0f;
-      continue;
-    }
-    const double x = kGridNodesPerLogLux * std::log(lux);
-    const long j = static_cast<long>(std::floor(x));
-    const std::size_t slot = static_cast<std::size_t>(j - grid_base_);
-    step_slot_[i] = static_cast<std::uint32_t>(slot);
-    step_frac_[i] = static_cast<float>(x - static_cast<double>(j));
-    if (!entries_[slot].built) build_surrogate_entry(entries_[slot], j);
-    if (!entries_[slot + 1].built) build_surrogate_entry(entries_[slot + 1], j + 1);
-  }
+  // Pass 2: per-step keys; entries built on first touch.
+  for (std::size_t i = 0; i < eq_lux.size(); ++i) step_keys_[i] = key_of(eq_lux[i]);
 }
 
 CurveCache::StepCurve CurveCache::at_step(std::size_t i) const {
+  if (options_.model == PowerModel::kSurrogate) return at_key(step_keys_[i]);
   ++queries_;
-  const std::uint32_t slot = step_slot_[i];
+  const Entry& e = entries_[step_keys_[i].slot];
+  return StepCurve{e.voc, e.pmpp, e.vmpp};
+}
+
+double CurveCache::power_at_step(std::size_t i, double v) {
+  if (options_.model == PowerModel::kSurrogate) return power_at_key(step_keys_[i], v);
+  ++queries_;
+  if (v <= 0.0) return 0.0;
+  const double lux = (*eq_lux_)[i];
+  if (lux < kDarkLux) return 0.0;
+  ++model_evals_;
+  return cell_.power_at(v, conditions_at(lux));
+}
+
+CurveCache::StepKey CurveCache::step_key(double equivalent_lux) {
+  require(options_.model == PowerModel::kSurrogate,
+          "CurveCache: step_key needs the surrogate model");
+  return key_of(equivalent_lux);
+}
+
+CurveCache::StepKey CurveCache::key_of(double equivalent_lux) {
+  if (!(equivalent_lux >= kDarkLux)) return StepKey{};
+  const double x = kGridNodesPerLogLux * std::log(equivalent_lux);
+  const long j = static_cast<long>(std::floor(x));
+  return StepKey{ensure_slot(j), static_cast<float>(x - static_cast<double>(j))};
+}
+
+CurveCache::StepCurve CurveCache::at_key(StepKey key) const {
+  ++queries_;
   StepCurve out;
-  if (slot == kDarkStep) return out;
-  const Entry& e0 = entries_[slot];
-  if (options_.model == PowerModel::kExact) {
-    out.voc = e0.voc;
-    out.pmpp = e0.pmpp;
-    out.vmpp = e0.vmpp;
-    return out;
-  }
-  const Entry& e1 = entries_[slot + 1];
-  const double f = static_cast<double>(step_frac_[i]);
+  if (key.slot == kDarkStep) return out;
+  const Entry& e0 = entries_[key.slot];
+  const Entry& e1 = entries_[key.slot + 1];
+  const double f = static_cast<double>(key.frac);
   out.voc = e0.voc + f * (e1.voc - e0.voc);
   out.pmpp = e0.pmpp + f * (e1.pmpp - e0.pmpp);
   out.vmpp = e0.vmpp + f * (e1.vmpp - e0.vmpp);
   return out;
+}
+
+double CurveCache::power_at_key(StepKey key, double v) const {
+  ++queries_;
+  if (v <= 0.0 || key.slot == kDarkStep) return 0.0;
+  const double p0 = table_power(entries_[key.slot], v);
+  const double p1 = table_power(entries_[key.slot + 1], v);
+  return p0 + static_cast<double>(key.frac) * (p1 - p0);
 }
 
 double CurveCache::table_power(const Entry& e, double v) const {
@@ -175,6 +173,33 @@ double CurveCache::table_power(const Entry& e, double v) const {
   return e.power[idx] + t * (e.power[idx + 1] - e.power[idx]);
 }
 
+void CurveCache::cover(long lo, long hi) {
+  const long old_lo = grid_base_;
+  const long old_hi = grid_base_ + static_cast<long>(entries_.size()) - 1;
+  if (lo >= old_lo && hi <= old_hi) return;
+  if (entries_.empty()) {
+    grid_base_ = lo;
+    entries_.resize(static_cast<std::size_t>(hi - lo + 1));
+    return;
+  }
+  const long new_lo = std::min(old_lo, lo);
+  const long new_hi = std::max(old_hi, hi);
+  std::vector<Entry> grown(static_cast<std::size_t>(new_hi - new_lo + 1));
+  for (std::size_t s = 0; s < entries_.size(); ++s) {
+    grown[static_cast<std::size_t>(old_lo - new_lo) + s] = std::move(entries_[s]);
+  }
+  entries_ = std::move(grown);
+  grid_base_ = new_lo;
+}
+
+std::uint32_t CurveCache::ensure_slot(long j) {
+  if (j < grid_base_ || j + 1 >= grid_base_ + static_cast<long>(entries_.size())) cover(j, j + 1);
+  const std::size_t slot = static_cast<std::size_t>(j - grid_base_);
+  if (!entries_[slot].built) build_surrogate_entry(entries_[slot], j);
+  if (!entries_[slot + 1].built) build_surrogate_entry(entries_[slot + 1], j + 1);
+  return static_cast<std::uint32_t>(slot);
+}
+
 std::uint32_t CurveCache::ensure_lux_slot(double equivalent_lux, double& frac) {
   require(options_.model == PowerModel::kSurrogate,
           "CurveCache: at_lux/power_at_lux need the surrogate model");
@@ -182,28 +207,8 @@ std::uint32_t CurveCache::ensure_lux_slot(double equivalent_lux, double& frac) {
   if (!(equivalent_lux >= kDarkLux)) return kDarkStep;
   const double x = kGridNodesPerLogLux * std::log(equivalent_lux);
   const long j = static_cast<long>(std::floor(x));
-  if (entries_.empty()) {
-    grid_base_ = j;
-    entries_.resize(2);
-  } else {
-    const long old_lo = grid_base_;
-    const long old_hi = grid_base_ + static_cast<long>(entries_.size()) - 1;
-    const long new_lo = std::min(old_lo, j);
-    const long new_hi = std::max(old_hi, j + 1);
-    if (new_lo != old_lo || new_hi != old_hi) {
-      std::vector<Entry> grown(static_cast<std::size_t>(new_hi - new_lo + 1));
-      for (std::size_t s = 0; s < entries_.size(); ++s) {
-        grown[static_cast<std::size_t>(old_lo - new_lo) + s] = std::move(entries_[s]);
-      }
-      entries_ = std::move(grown);
-      grid_base_ = new_lo;
-    }
-  }
-  const std::size_t slot = static_cast<std::size_t>(j - grid_base_);
-  if (!entries_[slot].built) build_surrogate_entry(entries_[slot], j);
-  if (!entries_[slot + 1].built) build_surrogate_entry(entries_[slot + 1], j + 1);
   frac = x - static_cast<double>(j);
-  return static_cast<std::uint32_t>(slot);
+  return ensure_slot(j);
 }
 
 void CurveCache::warm_range(double lux_min, double lux_max) {
@@ -261,26 +266,8 @@ void CurveCache::seed_entries(const CurveCache& other) {
               other.options_.surrogate_points == options_.surrogate_points,
           "CurveCache::seed_entries: cache identity mismatch");
   if (other.entries_.empty()) return;
-  // Grow the dense table to the union span (same scheme as re-prepare).
   const long src_lo = other.grid_base_;
-  const long src_hi = other.grid_base_ + static_cast<long>(other.entries_.size()) - 1;
-  if (entries_.empty()) {
-    grid_base_ = src_lo;
-    entries_.resize(other.entries_.size());
-  } else {
-    const long old_lo = grid_base_;
-    const long old_hi = grid_base_ + static_cast<long>(entries_.size()) - 1;
-    const long new_lo = std::min(old_lo, src_lo);
-    const long new_hi = std::max(old_hi, src_hi);
-    if (new_lo != old_lo || new_hi != old_hi) {
-      std::vector<Entry> grown(static_cast<std::size_t>(new_hi - new_lo + 1));
-      for (std::size_t s = 0; s < entries_.size(); ++s) {
-        grown[static_cast<std::size_t>(old_lo - new_lo) + s] = std::move(entries_[s]);
-      }
-      entries_ = std::move(grown);
-      grid_base_ = new_lo;
-    }
-  }
+  cover(src_lo, src_lo + static_cast<long>(other.entries_.size()) - 1);
   for (std::size_t s = 0; s < other.entries_.size(); ++s) {
     const Entry& src = other.entries_[s];
     if (!src.built) continue;
@@ -312,22 +299,6 @@ double CurveCache::power_at_lux(double equivalent_lux, double v) {
   const double p0 = table_power(entries_[slot], v);
   const double p1 = table_power(entries_[slot + 1], v);
   return p0 + f * (p1 - p0);
-}
-
-double CurveCache::power_at_step(std::size_t i, double v) {
-  ++queries_;
-  if (v <= 0.0) return 0.0;
-  if (options_.model == PowerModel::kExact) {
-    const double lux = (*eq_lux_)[i];
-    if (lux < kDarkLux) return 0.0;
-    ++model_evals_;
-    return cell_.power_at(v, conditions_at(lux));
-  }
-  const std::uint32_t slot = step_slot_[i];
-  if (slot == kDarkStep) return 0.0;
-  const double p0 = table_power(entries_[slot], v);
-  const double p1 = table_power(entries_[slot + 1], v);
-  return p0 + static_cast<double>(step_frac_[i]) * (p1 - p0);
 }
 
 }  // namespace focv::node

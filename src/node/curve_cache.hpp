@@ -85,6 +85,27 @@ class CurveCache {
   /// Cell power when held at voltage v during step i [W].
   [[nodiscard]] double power_at_step(std::size_t i, double v);
 
+  /// Surrogate lookup key of one illuminance: the dense slot of the grid
+  /// node below it and the log-illuminance interpolation weight, rounded
+  /// through float. prepare() stores one key per step and at_step /
+  /// power_at_step read through it, so a caller that resolves its own
+  /// keys with step_key() and queries at_key() / power_at_key() runs the
+  /// fixed loop's arithmetic bit for bit without an O(trace) prepare()
+  /// pass (the event stepper does this for per-step-only controllers).
+  /// A key is valid until the next call that may build entries.
+  static constexpr std::uint32_t kDarkStep = 0xffffffffu;
+  struct StepKey {
+    std::uint32_t slot = kDarkStep;  ///< dense entry index, or kDarkStep below kDarkLux
+    float frac = 0.0f;               ///< weight towards entry slot + 1
+  };
+  /// Key for `equivalent_lux`, building its two grid entries on first
+  /// touch. Surrogate mode only.
+  [[nodiscard]] StepKey step_key(double equivalent_lux);
+  /// Curve summary at a key.
+  [[nodiscard]] StepCurve at_key(StepKey key) const;
+  /// Cell power at voltage v at a key [W].
+  [[nodiscard]] double power_at_key(StepKey key, double v) const;
+
   /// On-demand surrogate queries at an arbitrary equivalent illuminance,
   /// usable without (or alongside) a prepare() pass. The event-driven
   /// macro-stepper visits a few thousand quadrature points per simulated
@@ -142,7 +163,7 @@ class CurveCache {
   [[nodiscard]] std::uint64_t model_evals() const { return model_evals_; }
   /// Unique illuminance buckets / grid nodes solved so far.
   [[nodiscard]] std::uint64_t entries_built() const { return entries_built_; }
-  /// Per-step lookups served (at_step + power_at_step calls). Together
+  /// Curve lookups served (every at_* and power_at_* call). Together
   /// with model_evals() this yields the cache hit ratio:
   /// hits = queries - model_evals issued after prepare().
   [[nodiscard]] std::uint64_t queries() const { return queries_; }
@@ -173,19 +194,25 @@ class CurveCache {
   void build_exact_entry(Entry& e, double lux);
   void build_surrogate_entry(Entry& e, long grid_index);
   [[nodiscard]] double table_power(const Entry& e, double v) const;
+  /// Grow the dense table (keeping built entries) to cover grid nodes
+  /// [lo, hi].
+  void cover(long lo, long hi);
   /// Grow/build so entries for grid nodes j and j+1 exist; returns the
-  /// dense slot of j and writes the interpolation weight. kDarkStep when
-  /// the illuminance is below kDarkLux.
+  /// dense slot of j.
+  inline std::uint32_t ensure_slot(long j);
+  /// step_key() without the mode check. It and ensure_slot() are inline
+  /// because prepare() runs them once per trace step.
+  inline StepKey key_of(double equivalent_lux);
+  /// ensure_slot() for the node below `equivalent_lux`, writing the
+  /// double interpolation weight. kDarkStep below kDarkLux.
   std::uint32_t ensure_lux_slot(double equivalent_lux, double& frac);
 
   const pv::SingleDiodeModel& cell_;
   pv::Conditions conditions_;
   Options options_;
 
-  // Per-step lookup arrays (filled by prepare).
-  static constexpr std::uint32_t kDarkStep = 0xffffffffu;
-  std::vector<std::uint32_t> step_slot_;  ///< dense entry index, or kDarkStep
-  std::vector<float> step_frac_;          ///< surrogate log-lux interpolation weight
+  // Per-step lookup keys (filled by prepare; exact mode leaves frac 0).
+  std::vector<StepKey> step_keys_;
   std::vector<Entry> entries_;
   long grid_base_ = 0;                    ///< surrogate: grid index of entries_[0]
   const std::vector<double>* eq_lux_ = nullptr;  ///< exact mode: per-step lux

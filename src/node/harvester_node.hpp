@@ -38,9 +38,12 @@ enum class Stepper {
   /// threshold crossings, report points — integrating analytically in
   /// between. Energy/efficiency outputs agree with kFixed to within
   /// 0.1 % (enforced by tests/sched/) at 1-2 orders of magnitude fewer
-  /// steps. Configurations the engine cannot macro-step (exact power
-  /// model, per-step-only controllers such as P&O, the
-  /// obs_compare_exact shadow) transparently run the fixed path.
+  /// steps. Per-step-only controllers such as P&O run here too: spans
+  /// under their supply floor advance in closed form, and lit spans
+  /// tick step by step with the fixed path's own arithmetic (harvest
+  /// and brown-out steps bit-identical). Configurations the engine
+  /// cannot handle (exact power model, the obs_compare_exact shadow)
+  /// transparently run the fixed path.
   kEvent,
 };
 

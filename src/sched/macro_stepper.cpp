@@ -23,13 +23,12 @@ constexpr std::uint64_t kObsFlushEvery = 64;
 bool event_supported(const node::NodeConfig& config) {
   if (config.power_model != node::PowerModel::kSurrogate) return false;
   if (config.obs_compare_exact) return false;
-  if (config.controller_prototype == nullptr) return false;
-  return config.controller_prototype->macro_law() != mppt::MacroLaw::kPerStepOnly;
+  return config.controller_prototype != nullptr;
 }
 
 // The structure mirrors node/harvester_node.cpp's fixed loop on purpose:
-// fallback_step() below IS that loop body (via the lazy at_lux queries),
-// and every macro interval must account energy into the same NodeReport
+// fallback_step() below IS that loop body (via lazy curve queries), and
+// every macro interval must account energy into the same NodeReport
 // fields the fixed path uses. Read the two side by side.
 node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::NodeConfig& config,
                                       node::CurveCache* shared_curves,
@@ -96,6 +95,7 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
   CurveCache& curves = shared_curves != nullptr ? *shared_curves : *owned_curves;
   const std::uint64_t evals_before = curves.model_evals();
   const std::uint64_t entries_before = curves.entries_built();
+  const std::uint64_t queries_before = curves.queries();
 
   const std::vector<double>& t = trace.time();
   const std::vector<double>& eq = prep.eq_lux();
@@ -253,13 +253,19 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
 
   // --- fallback step ---------------------------------------------------
   // One tick of the fixed reference loop (node/harvester_node.cpp),
-  // answered through the lazy at_lux queries so no O(trace) prepare()
-  // pass is needed. `advance_cs` is false only inside segments whose
-  // cold-start supervisor is certified-and-frozen (see below).
+  // answered through lazy curve queries so no O(trace) prepare() pass is
+  // needed. kPerStepOnly laws tick every lit step, so they resolve one
+  // step key (float weight, the fixed loop's own at_step arithmetic)
+  // and replay that loop bit for bit; other laws only tick isolated
+  // steps and keep the double-weight at_lux queries. `advance_cs` is
+  // false only inside segments whose cold-start supervisor is
+  // certified-and-frozen (see below).
+  const bool replay_steps = law == mppt::MacroLaw::kPerStepOnly;
   const auto fallback_step = [&](std::size_t i, bool advance_cs) {
     const double dt = t[i + 1] - t[i];
     const double lux = s * eq[i];
-    const CurveCache::StepCurve curve = curves.at_lux(lux);
+    const CurveCache::StepKey key = replay_steps ? curves.step_key(lux) : CurveCache::StepKey{};
+    const CurveCache::StepCurve curve = replay_steps ? curves.at_key(key) : curves.at_lux(lux);
     report.ideal_mpp_energy += curve.pmpp * dt;
 
     bool running = true;
@@ -285,7 +291,8 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
       sensed.store_voltage = store_voltage();
       const mppt::ControlOutput out = controller.step(sensed);
       pv_voltage = out.pv_voltage;
-      pv_power = curves.power_at_lux(lux, out.pv_voltage) *
+      pv_power = (replay_steps ? curves.power_at_key(key, out.pv_voltage)
+                               : curves.power_at_lux(lux, out.pv_voltage)) *
                  (1.0 - std::min(1.0, out.disconnect_fraction));
       report.overhead_energy += overhead_power * dt;
       if (obs_on && curve.pmpp > 0.0) {
@@ -426,7 +433,7 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
         break;
       }
       case mppt::MacroLaw::kPerStepOnly:
-        break;  // unreachable: event_supported() rejects it
+        break;  // unreachable: only gated spans (running = false, above) come here
     }
     const double p_bar = 0.5 * (p_lo + p_hi);
     const double d_bar = 0.5 * (d_lo + d_hi);
@@ -497,6 +504,13 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
       // the surrogate's dark cutoff: no band bound for the quadrature.
       per_step = true;
     }
+    if (!per_step && law == mppt::MacroLaw::kPerStepOnly && !(seg_max < min_operating_lux)) {
+      // A lit hill-climber span: its state changes every step. Gated
+      // spans (wholly under the supply floor) fall through to a store
+      // interval: the fixed loop makes no step() call there either, so
+      // the controller sees the same calls with the same inputs.
+      per_step = true;
+    }
     if (!per_step && coldstart) {
       if (coldstart_certified(seg_min)) {
         frozen_cs = true;
@@ -560,11 +574,19 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
     obs::metrics().flush(step_eff_id, eff_batch);
     static const obs::CounterId steps_id = obs::metrics().counter("node.steps");
     static const obs::CounterId evals_id = obs::metrics().counter("node.model_evals");
+    static const obs::CounterId hits_id = obs::metrics().counter("node.curve.hits");
+    static const obs::CounterId misses_id = obs::metrics().counter("node.curve.misses");
     static const obs::CounterId events_id = obs::metrics().counter("sched.events");
     static const obs::CounterId intervals_id = obs::metrics().counter("sched.intervals");
     static const obs::CounterId fallback_id = obs::metrics().counter("sched.fallback_steps");
+    // Hit/miss as on the fixed path: a lookup that needed no exact
+    // solve is a hit.
+    const std::uint64_t queries = curves.queries() - queries_before;
+    const std::uint64_t misses = std::min(queries, report.model_evals);
     obs::metrics().add(steps_id, static_cast<double>(report.steps));
     obs::metrics().add(evals_id, static_cast<double>(report.model_evals));
+    obs::metrics().add(hits_id, static_cast<double>(queries - misses));
+    obs::metrics().add(misses_id, static_cast<double>(misses));
     obs::metrics().add(events_id, static_cast<double>(report.events));
     obs::metrics().add(intervals_id, static_cast<double>(intervals));
     obs::metrics().add(fallback_id, static_cast<double>(fallback_steps));

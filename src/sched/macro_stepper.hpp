@@ -12,6 +12,11 @@
 //     env/segments.hpp via PreparedTrace; any segment straddling a
 //     controller's minimum operating illuminance (running would flip
 //     mid-segment) is stepped tick by tick instead.
+//   - Per-step-only controllers (P&O, inccond, gradient descent): a
+//     segment wholly under the supply floor is a store interval like any
+//     other gated span; every other segment is ticked step by step with
+//     the fixed path's curve arithmetic, so harvest, delivery, overhead
+//     and brown-out steps equal the fixed path's bit for bit.
 //   - Storage threshold crossings: usable/brown-out flips found by the
 //     closed-form root solve in power/storage.cpp (linear solve for the
 //     battery), snapped to the step boundary the fixed path would flip
@@ -36,9 +41,10 @@
 namespace focv::sched {
 
 /// True when `config` can run on the event engine: surrogate power
-/// model, no exact-shadow telemetry, and a controller whose macro law
-/// the engine understands. simulate_node silently takes the fixed
-/// reference path otherwise.
+/// model, no exact-shadow telemetry, and a controller. Every macro law
+/// qualifies (kPerStepOnly laws skip their gated spans and tick their
+/// lit ones). simulate_node silently takes the fixed reference path
+/// otherwise.
 [[nodiscard]] bool event_supported(const node::NodeConfig& config);
 
 /// Event-driven counterpart of node::simulate_node. `config` must pass

@@ -4,9 +4,13 @@
 // within 0.1 % while taking at least an order of magnitude fewer steps.
 // The fixed path is the ground truth; these tests are what licenses the
 // fleet/sweep tiers to run on events by default-compatible opt-in.
+// Per-step-only hill-climbers are held to more: their lit steps replay
+// the fixed loop bit for bit, so harvest and brown-out counts are exact.
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +19,7 @@
 #include "fleet/fleet.hpp"
 #include "mppt/baselines.hpp"
 #include "node/harvester_node.hpp"
+#include "obs/obs.hpp"
 #include "pv/cell_library.hpp"
 
 namespace focv {
@@ -114,6 +119,94 @@ TEST(SchedEquivalence, BaselineControllersStayInContract) {
   expect_equivalent(run_both(trace, direct), 10.0);
 }
 
+// --- Per-step-only hill-climbers (MacroLaw::kPerStepOnly) -------------
+// A span wholly under the controller's supply floor runs as one store
+// interval (the fixed loop makes no step() call there); every other step
+// is replayed with the fixed loop's own curve arithmetic. Harvest,
+// delivery, overhead and brown-out steps therefore match kFixed exactly;
+// only the gated spans' ideal MPP (quadrature) and store drift (closed
+// form) are approximations, held to the 0.1 % contract.
+
+const env::LightTrace& office_trace() {
+  static const env::LightTrace trace = env::office_desk_mixed(env::OfficeDayParams{});
+  return trace;
+}
+
+const env::LightTrace& outdoor_trace() {
+  static const env::LightTrace trace = env::outdoor_day({});
+  return trace;
+}
+
+struct HillScene {
+  std::string name;
+  const env::LightTrace* trace;
+  double lux_scale;
+  bool heavy_load;  ///< tiny store + 10 s reports: browns out inside gated spans
+};
+
+std::vector<HillScene> hill_scenes() {
+  return {{"office", &office_trace(), 1.0, false},
+          {"corridor", &office_trace(), 0.65, false},
+          // Lifts the office day across the 1500 lux P&O/inccond floor
+          // mid-segment.
+          {"office_x1.31", &office_trace(), 1.31, false},
+          {"outdoor", &outdoor_trace(), 1.0, false},
+          {"office_heavy_load", &office_trace(), 1.0, true},
+          {"outdoor_heavy_load", &outdoor_trace(), 1.0, true}};
+}
+
+node::NodeConfig hill_config(const std::string& spec, const HillScene& scene) {
+  node::NodeConfig cfg = base_config();
+  cfg.use_controller(spec);
+  cfg.lux_scale = scene.lux_scale;
+  if (scene.heavy_load) {
+    cfg.storage.capacitance = 0.05;
+    cfg.load.report_period = 10.0;
+  }
+  return cfg;
+}
+
+TEST(SchedEquivalence, HillClimbersReplayFixedStepExactly) {
+  for (const char* spec : {"pando", "inccond", "periodic", "graddesc"}) {
+    for (const HillScene& scene : hill_scenes()) {
+      SCOPED_TRACE(std::string(spec) + " / " + scene.name);
+      const Pair p = run_both(*scene.trace, hill_config(spec, scene));
+      EXPECT_EQ(p.fixed.harvested_energy, p.event.harvested_energy);
+      EXPECT_EQ(p.fixed.delivered_energy, p.event.delivered_energy);
+      EXPECT_EQ(p.fixed.overhead_energy, p.event.overhead_energy);
+      EXPECT_EQ(p.fixed.brownout_steps, p.event.brownout_steps);
+      EXPECT_LE(rel(p.fixed.ideal_mpp_energy, p.event.ideal_mpp_energy), kRelBound);
+      EXPECT_LE(rel(p.fixed.load_energy_served, p.event.load_energy_served), kRelBound);
+      EXPECT_LE(rel(p.fixed.final_store_voltage, p.event.final_store_voltage), kRelBound);
+      // Gated spans are skipped, not ticked.
+      EXPECT_GT(p.event.events, 0u);
+      EXPECT_LT(p.event.steps, scene.trace->size() - 1);
+      if (scene.heavy_load) {
+        EXPECT_GT(p.fixed.brownout_steps, 0);
+      }
+    }
+  }
+}
+
+TEST(SchedEquivalence, HillClimberEventRunCountsCurveHitsAndMisses) {
+  // The event stepper reports node.curve.hits/misses with the fixed
+  // path's definition, so a fleet with no fixed-path node left still
+  // has a curve hit ratio. A fresh cache on the outdoor day both builds
+  // entries (misses) and serves far more lit-step lookups (hits).
+  node::NodeConfig cfg = base_config();
+  cfg.use_controller("pando");
+  cfg.stepper = node::Stepper::kEvent;
+  obs::reset_all();
+  {
+    obs::ScopedEnable scoped;
+    const node::NodeReport r = node::simulate_node(outdoor_trace(), cfg);
+    ASSERT_GT(r.events, 0u);  // took the event engine
+  }
+  EXPECT_GT(obs::metrics().counter_value("node.curve.hits"), 0.0);
+  EXPECT_GT(obs::metrics().counter_value("node.curve.misses"), 0.0);
+  obs::reset_all();
+}
+
 fleet::FleetSpec fleet_spec(node::Stepper stepper) {
   static const auto trace = std::make_shared<const env::LightTrace>(
       env::office_desk_mixed(env::OfficeDayParams{}));
@@ -162,6 +255,36 @@ TEST(SchedEquivalence, FleetEventCountIsDeterministicAcrossJobs) {
   EXPECT_DOUBLE_EQ(a.harvested_j, b.harvested_j);
   EXPECT_DOUBLE_EQ(a.delivered_j, b.delivered_j);
   EXPECT_GT(a.events, 0u);
+}
+
+TEST(SchedEquivalence, HillClimberFleetIsByteIdenticalAcrossEnginesAndJobs) {
+  // A roster the SoA engine cannot batch runs every node per node on the
+  // event engine, so the report bytes depend on neither the engine nor
+  // the worker count.
+  fleet::FleetSpec spec;
+  spec.node_count = 24;
+  spec.chunk_size = 4;
+  spec.use_cell(pv::sanyo_am1815());
+  spec.add_environment("office", office_trace(), 0.6);
+  spec.add_environment("outdoor", outdoor_trace(), 0.4);
+  for (const char* policy : {"pando", "inccond", "periodic", "graddesc", "direct"}) {
+    spec.add_policy(policy, 0.2);
+  }
+  spec.base.storage.initial_voltage = 3.0;
+  spec.base.load.report_period = 120.0;
+  spec.base.stepper = node::Stepper::kEvent;
+
+  std::vector<std::string> json;
+  for (const fleet::FleetEngine engine : {fleet::FleetEngine::kPerNode, fleet::FleetEngine::kSoa}) {
+    for (const int jobs : {1, 3}) {
+      spec.engine = engine;
+      fleet::FleetOptions opt;
+      opt.jobs = jobs;
+      json.push_back(fleet::run_fleet(spec, opt).to_json());
+    }
+  }
+  for (std::size_t i = 1; i < json.size(); ++i) EXPECT_EQ(json[0], json[i]) << "run " << i;
+  EXPECT_NE(json[0].find("\"graddesc\""), std::string::npos);
 }
 
 }  // namespace
