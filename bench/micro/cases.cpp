@@ -564,6 +564,33 @@ CaseSpec serve_oneshot_case() {
   return spec;
 }
 
+// The per-probe sizing loop: P&O reads the power it harvested, so every
+// area probe re-steps it on the scaled cell. Context-free, like the
+// sizing_tool path; the trace is workload input and built once.
+CaseSpec sizing_outdoor_pando_case() {
+  CaseSpec spec;
+  spec.name = "sizing_outdoor_pando";
+  spec.description =
+      "energy-neutral sizing of a P&O node over the outdoor day, no "
+      "SizingContext: the per-probe loop that laws reading their own "
+      "harvest keep";
+  spec.make = [](bool smoke) {
+    auto trace = std::make_shared<const env::LightTrace>(
+        smoke ? env::constant_light(20000.0, 0.0, 600.0) : env::outdoor_day({}));
+    return [trace]() -> Counters {
+      node::SizingQuery query;
+      query.use_cell(pv::sanyo_am1815());
+      query.use_scenario(*trace);
+      query.use_controller(std::string("pando"));
+      const node::SizingResult result = node::size_for_energy_neutrality(query);
+      return {{"area_factor", result.area_factor},
+              {"storage_j", result.storage_j},
+              {"feasible", result.feasible ? 1.0 : 0.0}};
+    };
+  };
+  return spec;
+}
+
 }  // namespace
 
 void register_default_cases() {
@@ -669,6 +696,7 @@ void register_default_cases() {
       "better under the standard regression rule",
       ServeStat::kSecondsPerQuery));
   r.push_back(serve_oneshot_case());
+  r.push_back(sizing_outdoor_pando_case());
 }
 
 }  // namespace focv::microbench

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/require.hpp"
 
@@ -36,84 +37,199 @@ class ScaledCell : public pv::CellModel {
   double factor_;
 };
 
+/// Memoised Voc on a coarse lux grid, keyed by lround(200 ln lux); the
+/// first lux seen under a key supplies its Voc. Lit steps have
+/// lux >= 0.05, so keys start at lround(200 ln 0.05) = -599 and the table
+/// is indexed directly from there.
+class VocMemo {
+ public:
+  double at(double lux, const pv::CellModel& cell, pv::Conditions& c) {
+    const long key = std::lround(200.0 * std::log(lux));
+    ensure(key >= kFirstKey, "sizing: Voc memo queried below 0.05 lux");
+    const auto slot = static_cast<std::size_t>(key - kFirstKey);
+    if (slot >= voc_.size()) voc_.resize(slot + 1, kUnset);
+    double& voc = voc_[slot];
+    if (std::isnan(voc)) {
+      c.illuminance_lux = lux;
+      voc = cell.open_circuit_voltage(c);
+    }
+    return voc;
+  }
+
+ private:
+  static constexpr long kFirstKey = -599;
+  static constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> voc_;
+};
+
+/// What every sizing probe of one query shares.
+struct SizingDay {
+  const SizingQuery& query;
+  const std::vector<double>& eq_lux;
+  /// Per trace step: lux clears both the controller's floor and 0.05 lux,
+  /// so the controller steps and the cell delivers.
+  std::vector<bool> lit;
+  std::size_t lit_steps = 0;
+  double load_power = 0.0;
+
+  SizingDay(const SizingQuery& q, const std::vector<double>& lux, double min_lux)
+      : query(q),
+        eq_lux(lux),
+        lit(q.scenario_trace->time().size()),
+        load_power(power::WsnLoad(q.load).average_power()) {
+    for (std::size_t i = 0; i + 1 < lit.size(); ++i) {
+      lit[i] = lux[i] >= min_lux && lux[i] >= 0.05;
+      if (lit[i]) ++lit_steps;
+    }
+  }
+};
+
+/// The area-independent half of a sizing day, shared by the tape
+/// recorder and the per-probe loop. Walks the trace once and calls
+/// visit(dt, sensed) per step: `sensed` carries the controller's inputs
+/// on a lit step and is nullptr on a dark one. Voc is solved on
+/// `voc_cell`; `c` holds the step's conditions when visit runs.
+template <class Visit>
+void sense_day(const SizingDay& day, const pv::CellModel& voc_cell, pv::Conditions& c,
+               Visit&& visit) {
+  const std::vector<double>& t = day.query.scenario_trace->time();
+  VocMemo voc;
+  mppt::SensedInputs sensed;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    const double dt = t[i + 1] - t[i];
+    const double lux = day.eq_lux[i];
+    c.illuminance_lux = lux;
+    if (day.lit[i]) {
+      sensed.time = t[i];
+      sensed.dt = dt;
+      sensed.voc = voc.at(lux, voc_cell, c);
+      sensed.pilot_voc = sensed.voc;
+      sensed.illuminance_estimate = lux;
+      visit(dt, &sensed);
+    } else {
+      visit(dt, nullptr);
+    }
+  }
+}
+
 struct DayRun {
   double harvest_j = 0.0;       ///< delivered minus overhead [J]
   double load_j = 0.0;
   double worst_deficit_j = 0.0; ///< deepest cumulative (load+overhead-delivered) dip [J]
+  double balance_j = 0.0;       ///< running delivered - overhead - load [J]
+
+  void add(double dt, double delivered, double overhead, double load_power) {
+    harvest_j += (delivered - overhead) * dt;
+    load_j += load_power * dt;
+    balance_j += (delivered - overhead - load_power) * dt;
+    worst_deficit_j = std::min(worst_deficit_j, balance_j);
+  }
 };
 
-DayRun run_day(const SizingQuery& query, const pv::SingleDiodeModel& reference_cell,
-               const env::LightTrace& trace, mppt::MpptController& controller,
-               double factor, const std::vector<double>* shared_eq_lux) {
-  const ScaledCell cell(reference_cell, factor);
+/// One probe the long way: step the controller on the scaled cell and
+/// solve its current at every lit step. Laws that read prev_power /
+/// prev_voltage (or the store) need this, since their command depends on
+/// the area.
+DayRun loop_day(const SizingDay& day, mppt::MpptController& controller, double factor) {
+  const ScaledCell cell(*day.query.cell_model, factor);
   controller.reset();
-  const power::WsnLoad load(query.load);
-  const double load_power = load.average_power();
-
-  // The spectral conversion depends only on (trace, cell); a caller
-  // sizing many factors (or many queries) against one scenario shares
-  // it through a SizingContext instead of redoing it per probe.
-  std::vector<double> owned_eq_lux;
-  if (shared_eq_lux == nullptr) {
-    owned_eq_lux = trace.equivalent_lux(reference_cell);
-  }
-  const std::vector<double>& eq_lux = shared_eq_lux ? *shared_eq_lux : owned_eq_lux;
-  const std::vector<double>& t = trace.time();
-
-  DayRun result;
-  double balance = 0.0;
-  double prev_power = 0.0, prev_voltage = 0.0;
-  mppt::SensedInputs sensed;
   pv::Conditions c;
-  c.temperature_k = query.temperature_k;
-
-  // Memoised Voc on a coarse lux grid (Voc is area-invariant).
-  std::vector<std::pair<long, double>> voc_cache;
-  auto voc_at = [&](double lux) {
-    const long key = std::lround(200.0 * std::log(std::max(lux, 1e-3)));
-    for (const auto& [k, v] : voc_cache) {
-      if (k == key) return v;
-    }
-    c.illuminance_lux = lux;
-    const double v = (lux >= 0.05) ? cell.open_circuit_voltage(c) : 0.0;
-    voc_cache.emplace_back(key, v);
-    return v;
-  };
-
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    const double dt = t[i + 1] - t[i];
-    const double lux = eq_lux[i];
-    c.illuminance_lux = lux;
-
+  c.temperature_k = day.query.temperature_k;
+  DayRun run;
+  double prev_power = 0.0, prev_voltage = 0.0;
+  sense_day(day, cell, c, [&](double dt, mppt::SensedInputs* sensed) {
     double delivered = 0.0;
     double overhead = 0.0;
-    if (lux >= controller.minimum_operating_lux() && lux >= 0.05) {
-      sensed.time = t[i];
-      sensed.dt = dt;
-      sensed.voc = voc_at(lux);
-      sensed.pilot_voc = sensed.voc;
-      sensed.illuminance_estimate = lux;
-      sensed.prev_power = prev_power;
-      sensed.prev_voltage = prev_voltage;
-      const mppt::ControlOutput out = controller.step(sensed);
+    if (sensed != nullptr) {
+      sensed->prev_power = prev_power;
+      sensed->prev_voltage = prev_voltage;
+      const mppt::ControlOutput out = controller.step(*sensed);
       const double pv_power = cell.power_at(out.pv_voltage, c) *
                               (1.0 - std::min(1.0, out.disconnect_fraction));
       prev_power = pv_power;
       prev_voltage = out.pv_voltage;
-      delivered = query.converter.output_power(pv_power, out.pv_voltage);
+      delivered = day.query.converter.output_power(pv_power, out.pv_voltage);
       overhead = controller.overhead_power();
     }
-    result.harvest_j += (delivered - overhead) * dt;
-    result.load_j += load_power * dt;
-    balance += (delivered - overhead - load_power) * dt;
-    result.worst_deficit_j = std::min(result.worst_deficit_j, balance);
-  }
-  return result;
+    run.add(dt, delivered, overhead, day.load_power);
+  });
+  return run;
 }
 
-}  // namespace
+/// The lit steps of a day as a kMemoryless / kSampleHold controller
+/// drives them on the reference cell. Dark steps are not recorded: the
+/// loop adds 0 W delivered and 0 W overhead for them. The keep factor and
+/// the overhead change only at sample windows, so they are stored as runs
+/// and a lit step costs 16 bytes: a day's tape (~0.6 MB) then leaves a
+/// server's peak RSS flat.
+struct Tape {
+  struct Point {
+    double v = 0.0;  ///< commanded PV voltage [V]
+    double i = 0.0;  ///< reference-cell current at v, 0 when v <= 0 [A]
+  };
+  struct Hold {
+    std::size_t from = 0;   ///< first lit step (index into points) it holds for
+    double keep = 0.0;      ///< 1 - min(1, disconnect_fraction)
+    double overhead = 0.0;  ///< controller overhead after the step [W]
+  };
+  std::vector<Point> points;
+  std::vector<Hold> holds;
+};
 
-namespace {
+/// Step the controller once over the day. Its command never reads the
+/// harvested power, so the voltage at every step is the same for every
+/// area factor, and the scaled cell's current there is factor * I_ref(v).
+Tape record_day(const SizingDay& day, mppt::MpptController& controller) {
+  const pv::SingleDiodeModel& cell = *day.query.cell_model;
+  controller.reset();
+  pv::Conditions c;
+  c.temperature_k = day.query.temperature_k;
+  Tape tape;
+  tape.points.reserve(day.lit_steps);
+  sense_day(day, cell, c, [&](double, const mppt::SensedInputs* sensed) {
+    if (sensed == nullptr) return;
+    const mppt::ControlOutput out = controller.step(*sensed);
+    const double v = out.pv_voltage;
+    const double keep = 1.0 - std::min(1.0, out.disconnect_fraction);
+    const double overhead = controller.overhead_power();
+    // A +0/-0 swap compares equal but cannot move the replayed sums.
+    if (tape.holds.empty() || keep != tape.holds.back().keep ||
+        overhead != tape.holds.back().overhead) {
+      tape.holds.push_back({tape.points.size(), keep, overhead});
+    }
+    tape.points.push_back({v, (v > 0.0) ? cell.current(v, c) : 0.0});
+  });
+  return tape;
+}
+
+/// One probe from the tape, in loop_day's arithmetic order over every
+/// step: the scaled cell's current is factor * I_ref(v), and power_at(v)
+/// is v times it when positive.
+DayRun replay_day(const SizingDay& day, const Tape& tape, double factor) {
+  const std::vector<double>& t = day.query.scenario_trace->time();
+  DayRun run;
+  auto point = tape.points.begin();
+  auto hold = tape.holds.begin();
+  double keep = 0.0, overhead = 0.0;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    const double dt = t[i + 1] - t[i];
+    if (!day.lit[i]) {
+      run.add(dt, 0.0, 0.0, day.load_power);
+      continue;
+    }
+    if (hold != tape.holds.end() &&
+        hold->from == static_cast<std::size_t>(point - tape.points.begin())) {
+      keep = hold->keep;
+      overhead = hold->overhead;
+      ++hold;
+    }
+    const double current = factor * point->i;
+    const double pv_power = ((current > 0.0) ? point->v * current : 0.0) * keep;
+    run.add(dt, day.query.converter.output_power(pv_power, point->v), overhead, day.load_power);
+    ++point;
+  }
+  return run;
+}
 
 SizingResult size_impl(const SizingQuery& query, double min_factor, double max_factor,
                        const std::vector<double>* shared_eq_lux) {
@@ -124,13 +240,25 @@ SizingResult size_impl(const SizingQuery& query, double min_factor, double max_f
   require(min_factor > 0.0 && max_factor > min_factor,
           "size_for_energy_neutrality: bad factor range");
 
+  // The spectral conversion depends only on (trace, cell); a caller
+  // sizing many queries against one scenario shares it through a
+  // SizingContext.
+  std::vector<double> owned_eq_lux;
+  if (shared_eq_lux == nullptr) {
+    owned_eq_lux = query.scenario_trace->equivalent_lux(*query.cell_model);
+  }
+
   // Each run gets a freshly cloned controller so a shared query can be
   // sized from several threads at once.
   const std::unique_ptr<mppt::MpptController> owned = query.controller_prototype->clone();
   mppt::MpptController& controller = *owned;
+  const SizingDay day(query, shared_eq_lux ? *shared_eq_lux : owned_eq_lux,
+                      controller.minimum_operating_lux());
+  const mppt::MacroLaw law = controller.macro_law();
+  const bool replay = law == mppt::MacroLaw::kMemoryless || law == mppt::MacroLaw::kSampleHold;
+  const Tape tape = replay ? record_day(day, controller) : Tape{};
   const auto day_at = [&](double factor) {
-    return run_day(query, *query.cell_model, *query.scenario_trace, controller, factor,
-                   shared_eq_lux);
+    return replay ? replay_day(day, tape, factor) : loop_day(day, controller, factor);
   };
 
   SizingResult result;
@@ -144,24 +272,28 @@ SizingResult size_impl(const SizingQuery& query, double min_factor, double max_f
     return result;
   }
 
+  // Every probe is deterministic, so the run at the final `hi` is kept
+  // rather than re-run.
   double lo = min_factor, hi = max_factor;
+  DayRun at_hi = at_max;
   const DayRun at_min = day_at(min_factor);
   if (at_min.harvest_j >= at_min.load_j) {
     hi = min_factor;  // already neutral at the smallest size
+    at_hi = at_min;
   }
   for (int iter = 0; iter < 24 && hi > lo * 1.02; ++iter) {
     const double mid = std::sqrt(lo * hi);
     const DayRun run = day_at(mid);
     if (run.harvest_j >= run.load_j) {
       hi = mid;
+      at_hi = run;
     } else {
       lo = mid;
     }
   }
   result.area_factor = hi;
-  const DayRun final_run = day_at(hi);
-  result.daily_harvest_j = final_run.harvest_j;
-  result.storage_j = -final_run.worst_deficit_j * 1.25;  // 25% engineering margin
+  result.daily_harvest_j = at_hi.harvest_j;
+  result.storage_j = -at_hi.worst_deficit_j * 1.25;  // 25% engineering margin
   // Supercap sized for full energy swing at a 3 V working voltage.
   result.storage_f_at_3v = 2.0 * result.storage_j / (3.0 * 3.0);
   result.feasible = true;

@@ -71,12 +71,12 @@ struct SizingResult {
 
 /// Precomputed per-(scenario, cell) state shared by many sizing runs.
 ///
-/// A sizing run probes ~25 area factors, and each probe used to redo
-/// the O(trace) spectral conversion LightTrace::equivalent_lux before
-/// its day loop. The conversion depends only on the trace and the
-/// reference cell — never on the probed area — so a resident server
-/// (focv::serve) builds one context per environment and every sizing
-/// query against that environment skips the conversion entirely.
+/// A sizing run probes up to 11 area factors at the default range (max, min
+/// and 9 bisection steps) after one O(trace) spectral conversion
+/// LightTrace::equivalent_lux. The conversion depends only on the trace
+/// and the reference cell — never on the probed area — so a resident
+/// server (focv::serve) builds one context per environment and every
+/// sizing query against that environment skips it entirely.
 /// Immutable after construction; safe to share across threads. The
 /// trace and cell must outlive the context (held by reference).
 class SizingContext {
