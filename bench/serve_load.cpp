@@ -39,14 +39,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "serve/client.hpp"
-#include "serve/json.hpp"
 #include "serve/server.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using focv::serve::Json;
+using focv::Json;
 
 struct LoadOptions {
   int port = 0;  // 0 = self-host

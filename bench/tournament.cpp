@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "common/json_text.hpp"
+#include "common/json.hpp"
 #include "common/require.hpp"
 #include "common/table.hpp"
 #include "core/focv_system.hpp"

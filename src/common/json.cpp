@@ -1,11 +1,39 @@
-#include "serve/json.hpp"
+#include "common/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
-#include "common/json_text.hpp"
+namespace focv {
 
-namespace focv::serve {
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string format_number(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
 
 Json Json::boolean(bool b) {
   Json j;
@@ -122,8 +150,8 @@ std::string Json::dump() const {
 
 namespace {
 
-// Recursive-descent parser over the request bytes. Depth-bounded so a
-// hostile frame of nested '[' cannot blow the stack.
+// Recursive-descent parser. Depth-bounded so a hostile frame of nested
+// '[' cannot blow the stack.
 class Parser {
  public:
   explicit Parser(const std::string& text) : s_(text) {}
@@ -323,4 +351,4 @@ bool Json::parse(const std::string& text, Json& out, std::string* error) {
   return parser.parse(out, error);
 }
 
-}  // namespace focv::serve
+}  // namespace focv

@@ -1,14 +1,19 @@
-// Minimal JSON value for the focv-serve/v1 wire protocol.
+// The repo's one JSON module: the two text primitives every byte-stable
+// exporter shares (string escaping, %.17g numbers) and a small value
+// tree with a deterministic writer and a depth-bounded parser.
 //
-// The serve tier needs both directions — parse request bodies arriving
-// over the socket and render responses — under one hard constraint: the
-// rendering must be byte-deterministic, because the protocol contract
-// (tests/serve/) says identical request JSON yields byte-identical
-// response JSON no matter how the server scheduled or batched the work.
-// So the writer has no configuration: object keys keep insertion order,
-// doubles print with the same %.17g round-trip format the fleet/sweep
-// exports use (common/json_text.hpp), and there is exactly one spacing
-// convention.
+// Writers: fleet, sweep, tournament and obs exports hand-roll their
+// layouts around json_escape/format_number; the serve protocol renders
+// through Json::dump. Either way the bytes must not depend on how the
+// work was scheduled, so dump() has no configuration: object keys keep
+// insertion order, doubles print with format_number, and there is
+// exactly one spacing convention.
+//
+// Reader: Json::parse takes serve request frames and the telemetry
+// artifacts tools/obs_report folds. Numbers are read by the C
+// library's string-to-double conversion, so the `inf`/`-inf`
+// format_number prints for infinities read back; a bare `nan` takes the
+// `null` literal path and is rejected.
 //
 // kRaw lets a response embed an already-rendered byte-stable JSON
 // document (e.g. FleetReport::to_json()) without a parse/re-print trip
@@ -17,10 +22,19 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-namespace focv::serve {
+namespace focv {
+
+/// JSON string escaping (quotes not included): `"`, `\`, `\n`, `\r`
+/// and `\t` get their short escapes, other control bytes `\u00XX`.
+[[nodiscard]] std::string json_escape(std::string_view s);
+
+/// %.17g: round-trips every double, and prints the same bytes on every
+/// run and thread count. Non-finite values print as `inf` / `nan`.
+[[nodiscard]] std::string format_number(double v);
 
 class Json {
  public:
@@ -71,7 +85,7 @@ class Json {
   void dump_to(std::string& out) const;
 
   /// Parse `text`. Returns false (and fills *error, when given) on
-  /// malformed input or trailing garbage.
+  /// malformed input, trailing garbage or nesting deeper than 48.
   static bool parse(const std::string& text, Json& out, std::string* error = nullptr);
 
  private:
@@ -83,4 +97,4 @@ class Json {
   std::vector<std::pair<std::string, Json>> object_;
 };
 
-}  // namespace focv::serve
+}  // namespace focv

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <fstream>
 
-#include "common/json_text.hpp"
+#include "common/json.hpp"
 #include "common/require.hpp"
 #include "fleet/fleet.hpp"
 

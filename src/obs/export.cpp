@@ -5,7 +5,7 @@
 #include <fstream>
 #include <map>
 
-#include "common/json_text.hpp"
+#include "common/json.hpp"
 #include "common/require.hpp"
 
 namespace focv::obs {

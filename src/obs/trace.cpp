@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "common/json_text.hpp"
+#include "common/json.hpp"
 #include "common/require.hpp"
 
 namespace focv::obs {

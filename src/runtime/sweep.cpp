@@ -6,7 +6,7 @@
 #include <mutex>
 #include <optional>
 
-#include "common/json_text.hpp"
+#include "common/json.hpp"
 #include "common/require.hpp"
 #include "obs/obs.hpp"
 #include "runtime/thread_pool.hpp"

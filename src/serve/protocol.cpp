@@ -1,6 +1,6 @@
 #include "serve/protocol.hpp"
 
-#include "common/json_text.hpp"
+#include "common/json.hpp"
 #include "mppt/registry.hpp"
 
 namespace focv::serve {

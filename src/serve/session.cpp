@@ -5,7 +5,7 @@
 #include <cmath>
 #include <utility>
 
-#include "common/json_text.hpp"
+#include "common/json.hpp"
 #include "common/require.hpp"
 #include "core/focv_system.hpp"
 #include "env/profiles.hpp"
@@ -31,6 +31,32 @@ ComputeResult bad_request(std::string message) {
   ComputeResult fail;
   fail.code = errc::kBadRequest;
   fail.message = std::move(message);
+  return fail;
+}
+
+ComputeResult bad_spec(const mppt::SpecError& error) {
+  ComputeResult fail;
+  fail.code = errc::kBadSpec;
+  fail.message = error.what();
+  fail.token = offending_token(fail.message);
+  fail.hint = spec_catalog_hint();
+  return fail;
+}
+
+/// Every op the server answers, in catalog order.
+constexpr const char* kOps[] = {"ping",  "catalog", "sim",   "sizing",
+                                "sweep", "fleet",   "stats", "burn"};
+
+ComputeResult unknown_op(const std::string& op) {
+  ComputeResult fail;
+  fail.code = errc::kUnknownOp;
+  fail.message = "unknown op \"" + op + "\"";
+  fail.token = op;
+  fail.hint = "ops:";
+  for (const char* name : kOps) {
+    fail.hint += ' ';
+    fail.hint += name;
+  }
   return fail;
 }
 
@@ -225,10 +251,7 @@ bool SessionState::parse_sim(const Request& request, SimParams& out, ComputeResu
   try {
     out.spec = mppt::Registry::instance().canonical(request.body.string_or("spec", "focv"));
   } catch (const mppt::SpecError& error) {
-    fail.code = errc::kBadSpec;
-    fail.message = error.what();
-    fail.token = offending_token(fail.message);
-    fail.hint = spec_catalog_hint();
+    fail = bad_spec(error);
     return false;
   }
   return true;
@@ -281,10 +304,7 @@ bool SessionState::parse_sweep(const Request& request, SweepParams& out,
     try {
       out.specs.push_back(mppt::Registry::instance().canonical(item.as_string()));
     } catch (const mppt::SpecError& error) {
-      fail.code = errc::kBadSpec;
-      fail.message = error.what();
-      fail.token = offending_token(fail.message);
-      fail.hint = spec_catalog_hint();
+      fail = bad_spec(error);
       return false;
     }
   }
@@ -356,10 +376,7 @@ bool SessionState::parse_fleet(const Request& request, FleetParams& out,
         out.policies.emplace_back(
             mppt::Registry::instance().canonical(item.string_or("spec", "")), weight);
       } catch (const mppt::SpecError& error) {
-        fail.code = errc::kBadSpec;
-        fail.message = error.what();
-        fail.token = offending_token(fail.message);
-        fail.hint = spec_catalog_hint();
+        fail = bad_spec(error);
         return false;
       }
     }
@@ -467,11 +484,7 @@ bool SessionState::canonicalize(const Request& request, CanonicalRequest& out,
     out.batch_group = "fleet";
     return true;
   }
-  fail.code = errc::kUnknownOp;
-  fail.message = "unknown op \"" + request.op + "\"";
-  fail.token = request.op;
-  fail.hint = "ops: ping catalog sim sizing sweep fleet stats burn";
-  error = fail.render(request.id_json);
+  error = unknown_op(request.op).render(request.id_json);
   return false;
 }
 
@@ -507,24 +520,11 @@ ComputeResult SessionState::compute(const Request& request) {
     if (request.op == "fleet") return compute_fleet(request);
     if (request.op == "stats") return compute_stats();
     if (request.op == "burn") return compute_burn(request);
-    ComputeResult fail;
-    fail.code = errc::kUnknownOp;
-    fail.message = "unknown op \"" + request.op + "\"";
-    fail.token = request.op;
-    fail.hint = "ops: ping catalog sim sizing sweep fleet stats burn";
-    return fail;
+    return unknown_op(request.op);
   } catch (const mppt::SpecError& error) {
-    ComputeResult fail;
-    fail.code = errc::kBadSpec;
-    fail.message = error.what();
-    fail.token = offending_token(fail.message);
-    fail.hint = spec_catalog_hint();
-    return fail;
+    return bad_spec(error);
   } catch (const PreconditionError& error) {
-    ComputeResult fail;
-    fail.code = errc::kBadRequest;
-    fail.message = error.what();
-    return fail;
+    return bad_request(error.what());
   } catch (const std::exception& error) {
     ComputeResult fail;
     fail.code = errc::kInternal;
@@ -570,9 +570,7 @@ ComputeResult SessionState::compute_catalog() const {
     controllers.push_back(std::move(controller));
   }
   Json ops = Json::array();
-  for (const char* op : {"ping", "catalog", "sim", "sizing", "sweep", "fleet", "stats", "burn"}) {
-    ops.push_back(Json::string(op));
-  }
+  for (const char* op : kOps) ops.push_back(Json::string(op));
   Json body = Json::object();
   body.set("environments", std::move(environments));
   body.set("controllers", std::move(controllers));

@@ -5,11 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include "common/json.hpp"
 
 namespace focv::microbench {
 namespace {
@@ -19,37 +20,6 @@ std::string slurp(const std::string& path) {
   std::ostringstream out;
   out << f.rdbuf();
   return out.str();
-}
-
-/// Minimal structural JSON validation: balanced containers outside
-/// strings, no trailing garbage. Catches every way the hand-rolled
-/// emitter could break without needing a JSON library in the image.
-bool json_is_balanced(const std::string& s) {
-  int depth = 0;
-  bool in_string = false, escaped = false, seen_any = false;
-  for (const char c : s) {
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-      seen_any = true;
-    } else if (c == '}' || c == ']') {
-      if (--depth < 0) return false;
-    } else if (depth == 0 && !std::isspace(static_cast<unsigned char>(c)) && seen_any) {
-      return false;  // trailing garbage after the root object
-    }
-  }
-  return seen_any && depth == 0 && !in_string;
 }
 
 TEST(MicroBenchStats, MedianAndMad) {
@@ -66,7 +36,9 @@ TEST(MicroBenchHarness, SmokeRunCompletesAndWritesSchemaValidJson) {
   ASSERT_EQ(main_with_args({"--smoke", "--output=" + path}), 0);
   const std::string json = slurp(path);
   ASSERT_FALSE(json.empty());
-  EXPECT_TRUE(json_is_balanced(json)) << json;
+  Json doc;
+  std::string error;
+  ASSERT_TRUE(Json::parse(json, doc, &error)) << error << "\n" << json;
   EXPECT_NE(json.find("\"schema\": \"focv-bench-micro/v2\""), std::string::npos);
   EXPECT_NE(json.find("\"smoke\": true"), std::string::npos);
   // The standard suite and its derived ratios are all present.

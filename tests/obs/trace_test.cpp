@@ -5,44 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace focv::obs {
 namespace {
-
-/// Minimal structural JSON validation: balanced containers outside
-/// strings, no trailing garbage — catches every way the hand-rolled
-/// emitter could break without a JSON library in the image.
-bool json_is_balanced(const std::string& s) {
-  int depth = 0;
-  bool in_string = false, escaped = false, seen_any = false;
-  for (const char c : s) {
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-      seen_any = true;
-    } else if (c == '}' || c == ']') {
-      if (--depth < 0) return false;
-    } else if (depth == 0 && !std::isspace(static_cast<unsigned char>(c)) && seen_any) {
-      return false;
-    }
-  }
-  return seen_any && depth == 0 && !in_string;
-}
 
 const TraceEvent* find_event(const std::vector<TraceEvent>& events,
                              const std::string& name) {
@@ -112,7 +82,18 @@ TEST(Trace, ChromeJsonIsStructurallyValidAndCarriesBothTimelines) {
   tracer.record_complete("sample_window", "mppt", 1e6, 39e3, Tracer::kSimPid);
 
   const std::string json = tracer.to_chrome_json();
-  EXPECT_TRUE(json_is_balanced(json)) << json;
+  Json doc;
+  std::string error;
+  ASSERT_TRUE(Json::parse(json, doc, &error)) << error << "\n" << json;
+  // The quote and backslash in the arg survive the escape/parse trip.
+  const Json* trace_events = doc.find("traceEvents");
+  ASSERT_NE(trace_events, nullptr);
+  std::string scenario;
+  for (const Json& e : trace_events->items()) {
+    if (e.string_or("name", "") != "job") continue;
+    if (const Json* args = e.find("args")) scenario = args->string_or("scenario", "");
+  }
+  EXPECT_EQ(scenario, "office \"desk\"\\night");
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   // Both timelines are named via process_name metadata records.
   EXPECT_NE(json.find("process_name"), std::string::npos);

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "serve/json.hpp"
+#include "common/json.hpp"
 #include "serve/session.hpp"
 
 namespace focv::serve {

@@ -13,10 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "obs/flight.hpp"
 #include "obs/obs.hpp"
 #include "serve/client.hpp"
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
 
 namespace focv::serve {
