@@ -564,6 +564,42 @@ CaseSpec serve_oneshot_case() {
   return spec;
 }
 
+// The serve sizing path past the response cache: each repetition asks the
+// resident server for one office sizing at a report period no earlier
+// repetition used, so the response cache misses while the context's
+// recorded tape hits, and the round-trip is the probe replays alone.
+CaseSpec serve_warm_tape_case() {
+  CaseSpec spec;
+  spec.name = "serve_sizing_warm_tape";
+  spec.description =
+      "one office sizing round-trip against a resident focv-serve at a fresh "
+      "report period: response-cache miss, resident tape hit (probe replays only)";
+  spec.make = [](bool) {
+    auto server = std::make_shared<serve::Server>(serve::ServerOptions{});
+    std::string error;
+    require(server->start(error), "serve bench: server start failed");
+    auto client = std::make_shared<serve::Client>();
+    require(client->connect(server->port(), error), "serve bench: connect failed");
+    auto next = std::make_shared<int>(0);
+    const auto ask = [server, client, next]() -> Counters {
+      // Periods 60.001 s, 60.002 s, ...: all distinct cache keys.
+      const double period = 60.0 + 1e-3 * ++*next;
+      Json response;
+      std::string error;
+      require(client->call(R"({"op":"sizing","env":"office","report_period_s":)" +
+                               format_number(period) + "}",
+                           response, error),
+              "serve bench: sizing failed");
+      return {{"report_period_s", period}};
+    };
+    // First touch warms the office environment and records its tape:
+    // setup, not the path under measurement.
+    ask();
+    return ask;
+  };
+  return spec;
+}
+
 // The per-probe sizing loop: P&O reads the power it harvested, so every
 // area probe re-steps it on the scaled cell. Context-free, like the
 // sizing_tool path; the trace is workload input and built once.
@@ -696,6 +732,7 @@ void register_default_cases() {
       "better under the standard regression rule",
       ServeStat::kSecondsPerQuery));
   r.push_back(serve_oneshot_case());
+  r.push_back(serve_warm_tape_case());
   r.push_back(sizing_outdoor_pando_case());
 }
 

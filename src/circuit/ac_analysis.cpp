@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "circuit/devices_passive.hpp"
 #include "circuit/devices_sources.hpp"
 #include "common/require.hpp"
 
@@ -132,42 +131,56 @@ AcSweep ac_analyze(Circuit& circuit, const AcOptions& options) {
   // 1. Operating point; devices linearise around it.
   const Vector x_op = dc_operating_point(circuit, options.dc, options.initial_guess);
   const Solution op(x_op, circuit.node_count(), 0.0);
-  for (const auto& device : circuit.devices()) device->set_dc_state(op);
 
   const int n = circuit.unknown_count();
   const int node_vars = circuit.node_count() - 1;
+  const auto un = static_cast<std::size_t>(n);
 
-  // 2. Real (conductance) part: stamp every non-reactive device at the
-  //    operating point; the rhs it produces is discarded (small signal).
-  //    Reactive elements and the stimulus are handled per-frequency.
-  Matrix g_real(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
-  Vector scratch_rhs(static_cast<std::size_t>(n), 0.0);
+  // 2. Small-signal stamps, frequency-independent: G (conductances at the
+  //    operating point) and C (coefficients of jw); A = G + jwC. The rhs
+  //    the stamps produce is discarded.
+  Matrix g_real(un, un);
+  Matrix c_imag(un, un);
   {
-    StampContext ctx(g_real, scratch_rhs, x_op, circuit.node_count());
-    ctx.dt = 0.0;
-    ctx.gmin = options.dc.newton.gmin;
-    for (const auto& device : circuit.devices()) {
-      if (dynamic_cast<const Capacitor*>(device.get()) != nullptr) continue;
-      if (dynamic_cast<const Inductor*>(device.get()) != nullptr) continue;
-      device->begin_step(0.0, 0.0);
-      device->stamp(ctx);
-    }
+    Vector scratch_rhs(un, 0.0);
+    StampContext g_ctx(g_real, scratch_rhs, x_op, circuit.node_count());
+    StampContext c_ctx(c_imag, scratch_rhs, x_op, circuit.node_count());
+    g_ctx.gmin = options.dc.newton.gmin;
+    for (const auto& device : circuit.devices()) device->stamp_ac(op, g_ctx, c_ctx);
     for (int r = 0; r < node_vars; ++r) {
       g_real.at(static_cast<std::size_t>(r), static_cast<std::size_t>(r)) +=
           options.dc.newton.gmin;
     }
   }
 
-  // 3. Locate the stimulus.
-  const VoltageSource* v_stim = nullptr;
-  const CurrentSource* i_stim = nullptr;
+  // 3. The stimulus, unit magnitude.
+  VoltageSource* v_stim = nullptr;
+  CurrentSource* i_stim = nullptr;
   for (const auto& device : circuit.devices()) {
     if (device->name() != options.stimulus) continue;
-    v_stim = dynamic_cast<const VoltageSource*>(device.get());
-    i_stim = dynamic_cast<const CurrentSource*>(device.get());
+    v_stim = dynamic_cast<VoltageSource*>(device.get());
+    i_stim = dynamic_cast<CurrentSource*>(device.get());
   }
   require(v_stim != nullptr || i_stim != nullptr,
           "ac_analyze: stimulus '" + options.stimulus + "' is not an independent source");
+  std::vector<Complex> b(un);
+  if (v_stim != nullptr) {
+    b[static_cast<std::size_t>(circuit.node_count() - 1 + v_stim->branch_index())] =
+        Complex{1.0, 0.0};
+  }
+  if (i_stim != nullptr) {
+    // CurrentSource lacks node accessors; its DC stamp writes -I0 at node
+    // a and +I0 at node b into the rhs, normalised here to a unit injection.
+    Matrix dummy(un, un);
+    Vector rhs(un, 0.0);
+    StampContext ictx(dummy, rhs, x_op, circuit.node_count());
+    i_stim->stamp(ictx);
+    double scale = 0.0;
+    for (const double v : rhs) scale = std::max(scale, std::abs(v));
+    require(scale > 0.0, "ac_analyze: current-source stimulus has zero DC value; "
+                         "give it a nonzero waveform to define the injection nodes");
+    for (std::size_t r = 0; r < un; ++r) b[r] = rhs[r] / scale;
+  }
 
   AcSweep sweep(build_signal_names(circuit));
 
@@ -177,97 +190,13 @@ AcSweep ac_analyze(Circuit& circuit, const AcOptions& options) {
   for (int p = 0; p < points; ++p) {
     const double f = options.f_start * std::pow(10.0, decades * p / (points - 1));
     const double w = 2.0 * std::numbers::pi * f;
-
-    // Assemble A = G + jwC with reactive elements as admittances.
-    std::vector<Complex> a(static_cast<std::size_t>(n) * n);
-    for (int r = 0; r < n; ++r) {
-      for (int c = 0; c < n; ++c) {
-        a[static_cast<std::size_t>(r) * n + c] =
-            g_real.at(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
+    std::vector<Complex> a(un * un);
+    for (std::size_t r = 0; r < un; ++r) {
+      for (std::size_t c = 0; c < un; ++c) {
+        a[r * un + c] = Complex{g_real.at(r, c), w * c_imag.at(r, c)};
       }
     }
-    // Reactive stamps. We reach into the same stamping conventions the
-    // devices use (see devices_passive.cpp).
-    Matrix c_cap(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
-    Vector unused(static_cast<std::size_t>(n), 0.0);
-    int inductor_branch_base = 0;
-    (void)inductor_branch_base;
-    for (const auto& device : circuit.devices()) {
-      if (const auto* cap = dynamic_cast<const Capacitor*>(device.get())) {
-        // Admittance jwC between the capacitor's nodes: re-stamp through
-        // a fresh context to reuse the node bookkeeping.
-        // Capacitor doesn't expose its nodes, so stamp via a companion
-        // trick: a backward-Euler stamp with dt = 1 yields G = C, which
-        // is exactly the pattern we need scaled by jw.
-        Matrix pattern(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
-        Vector pattern_rhs(static_cast<std::size_t>(n), 0.0);
-        StampContext cctx(pattern, pattern_rhs, x_op, circuit.node_count());
-        cctx.dt = 1.0;
-        cctx.integrator = Integrator::kBackwardEuler;
-        auto* mutable_cap = const_cast<Capacitor*>(cap);
-        mutable_cap->begin_step(0.0, 1.0);
-        mutable_cap->stamp(cctx);
-        for (int r = 0; r < n; ++r) {
-          for (int c2 = 0; c2 < n; ++c2) {
-            const double cij = pattern.at(static_cast<std::size_t>(r),
-                                          static_cast<std::size_t>(c2));
-            if (cij != 0.0) a[static_cast<std::size_t>(r) * n + c2] += Complex{0.0, w * cij};
-          }
-        }
-      } else if (const auto* ind = dynamic_cast<const Inductor*>(device.get())) {
-        // Branch equation: va - vb - jwL * i = 0. The DC stamp (dt = 0)
-        // was skipped above, so stamp the full complex form here via the
-        // BE companion pattern at dt = 1 (va - vb - L*i = -L*i_prev).
-        Matrix pattern(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
-        Vector pattern_rhs(static_cast<std::size_t>(n), 0.0);
-        StampContext lctx(pattern, pattern_rhs, x_op, circuit.node_count());
-        lctx.dt = 1.0;
-        lctx.integrator = Integrator::kBackwardEuler;
-        auto* mutable_ind = const_cast<Inductor*>(ind);
-        mutable_ind->begin_step(0.0, 1.0);
-        mutable_ind->stamp(lctx);
-        const int br = circuit.node_count() - 1 + ind->branch_index();
-        for (int r = 0; r < n; ++r) {
-          for (int c2 = 0; c2 < n; ++c2) {
-            const double pij = pattern.at(static_cast<std::size_t>(r),
-                                          static_cast<std::size_t>(c2));
-            if (pij == 0.0) continue;
-            if (r == br && c2 == br) {
-              // -L on the branch diagonal becomes -jwL.
-              a[static_cast<std::size_t>(r) * n + c2] += Complex{0.0, w * pij};
-            } else {
-              a[static_cast<std::size_t>(r) * n + c2] += Complex{pij, 0.0};
-            }
-          }
-        }
-      }
-    }
-
-    // Stimulus: unit magnitude.
-    std::vector<Complex> b(static_cast<std::size_t>(n));
-    if (v_stim != nullptr) {
-      b[static_cast<std::size_t>(circuit.node_count() - 1 + v_stim->branch_index())] =
-          Complex{1.0, 0.0};
-    }
-    if (i_stim != nullptr) {
-      // CurrentSource lacks node accessors; inject through its transient
-      // stamp pattern by differencing two stamped rhs vectors.
-      Matrix dummy(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
-      Vector rhs1(static_cast<std::size_t>(n), 0.0);
-      StampContext ictx(dummy, rhs1, x_op, circuit.node_count());
-      ictx.source_scale = 1.0;
-      ictx.time = 0.0;
-      const_cast<CurrentSource*>(i_stim)->stamp(ictx);
-      // rhs1 now holds -I0 at node a and +I0 at node b (scaled by the
-      // waveform's DC value); normalise to a unit injection.
-      double scale = 0.0;
-      for (const double v : rhs1) scale = std::max(scale, std::abs(v));
-      require(scale > 0.0, "ac_analyze: current-source stimulus has zero DC value; "
-                           "give it a nonzero waveform to define the injection nodes");
-      for (int r = 0; r < n; ++r) b[static_cast<std::size_t>(r)] = rhs1[static_cast<std::size_t>(r)] / scale;
-    }
-
-    sweep.append(f, complex_lu_solve(std::move(a), std::move(b), static_cast<std::size_t>(n)));
+    sweep.append(f, complex_lu_solve(std::move(a), b, un));
   }
   return sweep;
 }

@@ -67,10 +67,12 @@ struct AcOptions {
   const Vector* initial_guess = nullptr;
 };
 
-/// Run the sweep. The circuit's operating point is solved first; all
-/// devices are then stamped at that point with reactive companion terms
-/// replaced by admittances. Throws PreconditionError when `stimulus`
-/// names no independent source in the circuit.
+/// Run the sweep. The circuit's operating point is solved first; every
+/// device then contributes its Device::stamp_ac at that point, reactive
+/// ones as admittances. Capacitor voltages and inductor currents are left
+/// as they were, so a later transient from initial conditions is
+/// unaffected. Throws PreconditionError when `stimulus` names no
+/// independent source in the circuit.
 [[nodiscard]] AcSweep ac_analyze(Circuit& circuit, const AcOptions& options);
 
 }  // namespace focv::circuit

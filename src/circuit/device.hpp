@@ -141,6 +141,19 @@ class Device {
   /// Called once before Newton iterations at each new candidate step.
   virtual void begin_step(double /*time*/, double /*dt*/) {}
 
+  /// Small-signal stamp around the operating point `op` (ac_analyze):
+  /// the frequency-independent part into `g`, the coefficients of j*omega
+  /// into `jw`; both contexts hold dt = 0 and `op` as the iterate. The
+  /// default is the device's own DC Newton stamp at `op`, so nonlinear
+  /// devices linearise there (their rhs is discarded) and settle their
+  /// iterate state as any DC analysis does. Reactive devices override it
+  /// with their admittance and leave their transient state alone.
+  virtual void stamp_ac(const Solution& op, StampContext& g, StampContext& /*jw*/) {
+    set_dc_state(op);
+    begin_step(0.0, 0.0);
+    stamp(g);
+  }
+
   /// Commit internal state (capacitor voltage, switch state, ...) after a
   /// step converged and was accepted by the step controller.
   virtual void accept_step(const Solution& /*solution*/) {}

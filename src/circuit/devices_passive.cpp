@@ -57,6 +57,10 @@ void Capacitor::stamp(StampContext& ctx) {
   ctx.add_current_into(b_, -ieq_);
 }
 
+void Capacitor::stamp_ac(const Solution& /*op*/, StampContext& /*g*/, StampContext& jw) {
+  jw.add_conductance(a_, b_, capacitance_);
+}
+
 void Capacitor::accept_step(const Solution& solution) {
   if (dt_ <= 0.0) return;  // DC pseudo-step: keep the stored IC
   const double v_new = solution.v(a_) - solution.v(b_);
@@ -102,6 +106,12 @@ void Inductor::stamp(StampContext& ctx) {
   ctx.add_matrix(br, StampContext::row(b_), -1.0);
   ctx.add_matrix(br, br, -req);
   ctx.add_rhs(br, veq);
+}
+
+void Inductor::stamp_ac(const Solution& /*op*/, StampContext& g, StampContext& jw) {
+  stamp(g);  // dt = 0: KCL incidence and va - vb, the frequency-independent part
+  const int br = jw.branch_row(branch_);
+  jw.add_matrix(br, br, -inductance_);
 }
 
 void Inductor::accept_step(const Solution& solution) {

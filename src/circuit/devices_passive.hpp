@@ -39,6 +39,8 @@ class Capacitor : public Device {
   void begin_step(double time, double dt) override;
   void accept_step(const Solution& solution) override;
   void set_dc_state(const Solution& solution) override;
+  /// Admittance j*omega*C between a and b.
+  void stamp_ac(const Solution& op, StampContext& g, StampContext& jw) override;
 
   [[nodiscard]] double capacitance() const { return capacitance_; }
   /// Committed capacitor voltage (a - b) from the last accepted step [V].
@@ -73,6 +75,8 @@ class Inductor : public Device {
   void begin_step(double time, double dt) override;
   void accept_step(const Solution& solution) override;
   void set_dc_state(const Solution& solution) override;
+  /// Branch equation va - vb - j*omega*L*i = 0.
+  void stamp_ac(const Solution& op, StampContext& g, StampContext& jw) override;
 
   /// Committed inductor current a -> b [A].
   [[nodiscard]] double current() const { return i_state_; }

@@ -206,7 +206,8 @@ class Parser {
       out = Json::boolean(false);
       return literal("false", 5);
     }
-    if (c == 'n') {
+    // `nan` is a number: format_number prints it for a positive NaN.
+    if (c == 'n' && s_.compare(pos_, 3, "nan") != 0) {
       out = Json();
       return literal("null", 4);
     }

@@ -11,9 +11,8 @@
 //
 // Reader: Json::parse takes serve request frames and the telemetry
 // artifacts tools/obs_report folds. Numbers are read by the C
-// library's string-to-double conversion, so the `inf`/`-inf`
-// format_number prints for infinities read back; a bare `nan` takes the
-// `null` literal path and is rejected.
+// library's string-to-double conversion, so every format_number output
+// reads back, including `inf`, `-inf`, `nan` and `-nan`.
 //
 // kRaw lets a response embed an already-rendered byte-stable JSON
 // document (e.g. FleetReport::to_json()) without a parse/re-print trip

@@ -1,14 +1,104 @@
 #include "node/sizing.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <mutex>
 
 #include "common/require.hpp"
 
 namespace focv::node {
 
+namespace detail {
+
+/// The lit steps of a day as a kMemoryless / kSampleHold controller
+/// drives them on the reference cell. Dark steps are not recorded: the
+/// loop adds 0 W delivered and 0 W overhead for them. The keep factor and
+/// the overhead change only at sample windows, so they are stored as runs
+/// and a lit step costs 16 bytes: a day's tape (~0.6 MB) then leaves a
+/// server's peak RSS flat.
+struct Tape {
+  struct Point {
+    double v = 0.0;  ///< commanded PV voltage [V]
+    double i = 0.0;  ///< reference-cell current at v, 0 when v <= 0 [A]
+  };
+  struct Hold {
+    std::size_t from = 0;   ///< first lit step (index into points) it holds for
+    double keep = 0.0;      ///< 1 - min(1, disconnect_fraction)
+    double overhead = 0.0;  ///< controller overhead after the step [W]
+  };
+  std::vector<Point> points;
+  std::vector<Hold> holds;
+};
+
+/// A SizingContext's recorded tapes, keyed by canonical controller spec
+/// and the exact bits of the temperature, at most
+/// SizingContext::kResidentTapes of them, least recently used evicted
+/// first. A miss records outside the lock, so two first queries for one
+/// key may both record it; the first insert wins and the tapes are equal.
+class TapeMemo {
+ public:
+  template <class Record>
+  std::shared_ptr<const Tape> get(std::string_view spec, double temperature_k,
+                                  Record&& record) {
+    const auto temperature_bits = std::bit_cast<std::uint64_t>(temperature_k);
+    {
+      const std::lock_guard lock(mutex_);
+      if (Entry* hit = find(spec, temperature_bits)) return hit->tape;
+    }
+    auto tape = std::make_shared<const Tape>(record());
+    const std::lock_guard lock(mutex_);
+    ++recorded_;
+    if (Entry* raced = find(spec, temperature_bits)) return raced->tape;
+    if (entries_.size() == SizingContext::kResidentTapes) {
+      entries_.erase(std::min_element(
+          entries_.begin(), entries_.end(),
+          [](const Entry& a, const Entry& b) { return a.last_use < b.last_use; }));
+    }
+    entries_.push_back({std::string(spec), temperature_bits, tape, ++clock_});
+    return tape;
+  }
+
+  [[nodiscard]] std::uint64_t recorded() const {
+    const std::lock_guard lock(mutex_);
+    return recorded_;
+  }
+  [[nodiscard]] std::size_t resident() const {
+    const std::lock_guard lock(mutex_);
+    return entries_.size();
+  }
+
+ private:
+  struct Entry {
+    std::string spec;
+    std::uint64_t temperature_bits = 0;
+    std::shared_ptr<const Tape> tape;
+    std::uint64_t last_use = 0;
+  };
+
+  /// The entry for a key, its use stamped; nullptr on a miss. Holds mutex_.
+  Entry* find(std::string_view spec, std::uint64_t temperature_bits) {
+    for (Entry& entry : entries_) {
+      if (entry.temperature_bits == temperature_bits && entry.spec == spec) {
+        entry.last_use = ++clock_;
+        return &entry;
+      }
+    }
+    return nullptr;
+  }
+
+  mutable std::mutex mutex_;
+  std::vector<Entry> entries_;
+  std::uint64_t clock_ = 0;
+  std::uint64_t recorded_ = 0;
+};
+
+}  // namespace detail
+
 namespace {
+
+using detail::Tape;
 
 /// Exact area scaling of a cell: every areal current (photo, diode,
 /// shunt) scales together while series resistance scales inversely, so
@@ -156,26 +246,6 @@ DayRun loop_day(const SizingDay& day, mppt::MpptController& controller, double f
   return run;
 }
 
-/// The lit steps of a day as a kMemoryless / kSampleHold controller
-/// drives them on the reference cell. Dark steps are not recorded: the
-/// loop adds 0 W delivered and 0 W overhead for them. The keep factor and
-/// the overhead change only at sample windows, so they are stored as runs
-/// and a lit step costs 16 bytes: a day's tape (~0.6 MB) then leaves a
-/// server's peak RSS flat.
-struct Tape {
-  struct Point {
-    double v = 0.0;  ///< commanded PV voltage [V]
-    double i = 0.0;  ///< reference-cell current at v, 0 when v <= 0 [A]
-  };
-  struct Hold {
-    std::size_t from = 0;   ///< first lit step (index into points) it holds for
-    double keep = 0.0;      ///< 1 - min(1, disconnect_fraction)
-    double overhead = 0.0;  ///< controller overhead after the step [W]
-  };
-  std::vector<Point> points;
-  std::vector<Hold> holds;
-};
-
 /// Step the controller once over the day. Its command never reads the
 /// harvested power, so the voltage at every step is the same for every
 /// area factor, and the scaled cell's current there is factor * I_ref(v).
@@ -231,8 +301,10 @@ DayRun replay_day(const SizingDay& day, const Tape& tape, double factor) {
   return run;
 }
 
+/// One sizing run. A SizingContext supplies the spectral conversion and
+/// its tape memo; without one both are null.
 SizingResult size_impl(const SizingQuery& query, double min_factor, double max_factor,
-                       const std::vector<double>* shared_eq_lux) {
+                       const std::vector<double>* shared_eq_lux, detail::TapeMemo* tapes) {
   require(query.cell_model != nullptr, "size_for_energy_neutrality: cell is required");
   require(query.scenario_trace != nullptr, "size_for_energy_neutrality: scenario is required");
   require(query.controller_prototype != nullptr,
@@ -256,9 +328,18 @@ SizingResult size_impl(const SizingQuery& query, double min_factor, double max_f
                       controller.minimum_operating_lux());
   const mppt::MacroLaw law = controller.macro_law();
   const bool replay = law == mppt::MacroLaw::kMemoryless || law == mppt::MacroLaw::kSampleHold;
-  const Tape tape = replay ? record_day(day, controller) : Tape{};
+  // A tape depends on the controller and the temperature, never on the
+  // load, so a context keeps it across queries that name their spec.
+  std::shared_ptr<const Tape> tape;
+  if (replay) {
+    const auto record = [&] { return record_day(day, controller); };
+    const std::string_view spec = query.controller_spec();
+    tape = (tapes != nullptr && !spec.empty())
+               ? tapes->get(spec, query.temperature_k, record)
+               : std::make_shared<const Tape>(record());
+  }
   const auto day_at = [&](double factor) {
-    return replay ? replay_day(day, tape, factor) : loop_day(day, controller, factor);
+    return replay ? replay_day(day, *tape, factor) : loop_day(day, controller, factor);
   };
 
   SizingResult result;
@@ -302,9 +383,43 @@ SizingResult size_impl(const SizingQuery& query, double min_factor, double max_f
 
 }  // namespace
 
+void SizingQuery::use_controller(const std::string& spec) {
+  const mppt::Registry& registry = mppt::Registry::instance();
+  const mppt::ResolvedSpec resolved = registry.resolve(spec);
+  controller_prototype = registry.make(resolved);
+  // The canonical print keeps 12 significant digits and drops explicit
+  // defaults, which some factories read (`focv[k=0.596]` is not `focv`),
+  // so it names this controller only when it resolves back to the same
+  // parameters bit for bit.
+  bool exact = true;
+  if (spec != resolved.canonical) {
+    const mppt::ResolvedSpec again = registry.resolve(resolved.canonical);
+    for (std::size_t i = 0; i < resolved.params.size(); ++i) {
+      const mppt::ResolvedSpec::Value& a = resolved.params[i];
+      const mppt::ResolvedSpec::Value& b = again.params[i];
+      exact = exact && a.is_set == b.is_set &&
+              std::bit_cast<std::uint64_t>(a.value) == std::bit_cast<std::uint64_t>(b.value);
+    }
+  }
+  spec_ = exact ? resolved.canonical : std::string();
+  spec_source_ = controller_prototype;
+}
+
+SizingContext::SizingContext(const env::LightTrace& trace, const pv::SingleDiodeModel& cell)
+    : trace_(&trace),
+      cell_(&cell),
+      eq_lux_(trace.equivalent_lux(cell)),
+      tapes_(std::make_unique<detail::TapeMemo>()) {}
+
+SizingContext::~SizingContext() = default;
+
+std::uint64_t SizingContext::tapes_recorded() const { return tapes_->recorded(); }
+
+std::size_t SizingContext::tapes_resident() const { return tapes_->resident(); }
+
 SizingResult size_for_energy_neutrality(const SizingQuery& query, double min_factor,
                                         double max_factor) {
-  return size_impl(query, min_factor, max_factor, nullptr);
+  return size_impl(query, min_factor, max_factor, nullptr, nullptr);
 }
 
 SizingResult size_for_energy_neutrality(const SizingQuery& query, const SizingContext& context,
@@ -315,7 +430,7 @@ SizingResult size_for_energy_neutrality(const SizingQuery& query, const SizingCo
           "size_for_energy_neutrality: context was built for a different trace");
   require(&context.cell() == query.cell_model.get(),
           "size_for_energy_neutrality: context was built for a different cell");
-  return size_impl(query, min_factor, max_factor, &context.eq_lux());
+  return size_impl(query, min_factor, max_factor, &context.eq_lux(), context.tapes_.get());
 }
 
 }  // namespace focv::node

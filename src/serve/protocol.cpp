@@ -32,7 +32,7 @@ bool parse_request(const std::string& payload, Request& out, std::string& error)
   }
   out.op = op->as_string();
   out.deadline_ms = body.number_or("deadline_ms", 0.0);
-  if (out.deadline_ms < 0.0) {
+  if (!(out.deadline_ms >= 0.0)) {
     error = error_response(out.id_json, errc::kBadRequest, "\"deadline_ms\" must be >= 0");
     return false;
   }

@@ -12,7 +12,9 @@
 //     re-entrant, so concurrent runs lease a cache from a pool instead
 //     of sharing one), and
 //   * a node::SizingContext (the sizing tier's O(trace) spectral
-//     conversion).
+//     conversion, plus the controller tapes it records on first use:
+//     a `sizing` or `sweep` of a controller the environment has sized
+//     before replays its area probes only).
 //
 // On top sits a bounded response cache keyed by the canonical request
 // key: query ops are deterministic by contract, so identical requests

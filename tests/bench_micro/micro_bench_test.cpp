@@ -51,6 +51,7 @@ TEST(MicroBenchHarness, SmokeRunCompletesAndWritesSchemaValidJson) {
         "cell_model_solves", "fleet_step", "fleet_step_event",
         "fleet_soa_ref_event", "fleet_soa_float",
         "obs_overhead_disabled", "obs_overhead_enabled", "sizing_outdoor_pando",
+        "serve_sizing_warm_tape",
         "speedup_simulate_node_24h_indoor",
         "speedup_simulate_node_24h_outdoor", "overhead_obs_overhead",
         "speedup_fleet_soa",

@@ -1,6 +1,9 @@
 // AC small-signal analysis against closed-form frequency responses.
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +11,7 @@
 #include "circuit/devices_active.hpp"
 #include "circuit/devices_passive.hpp"
 #include "circuit/devices_sources.hpp"
+#include "circuit/transient.hpp"
 #include "common/require.hpp"
 
 namespace focv::circuit {
@@ -121,6 +125,45 @@ TEST(AcAnalysis, CurrentSourceStimulusMeasuresImpedance) {
   EXPECT_NEAR(std::abs(sweep.response("n1").front()), 5e3, 50.0);
   const double fc = 1.0 / (2.0 * std::numbers::pi * 5e3 * 1e-7);
   EXPECT_NEAR(sweep.corner_frequency("n1"), fc, fc * 0.06);
+}
+
+// ac_analyze only reads the reactive state: a transient that starts from
+// the devices' own initial conditions (a charged capacitor, an inductor
+// carrying current) gives the same bytes after a sweep as without one.
+TEST(AcAnalysis, TransientAfterSweepIsByteIdentical) {
+  const auto build = [](Circuit& ckt) {
+    const NodeId in = ckt.node("in");
+    const NodeId a = ckt.node("a");
+    const NodeId out = ckt.node("out");
+    ckt.add<VoltageSource>("Vs", in, kGround, Waveform::dc(1.0));
+    ckt.add<Resistor>("R", in, a, 10.0);
+    ckt.add<Inductor>("L", a, out, 1e-3, /*initial_current=*/2e-3);
+    ckt.add<Capacitor>("C", out, kGround, 1e-6, /*initial_voltage=*/0.4);
+  };
+  TransientOptions topt;
+  topt.t_stop = 5e-4;
+  topt.start_from_dc = false;  // start from the devices' initial conditions
+  Circuit fresh;
+  build(fresh);
+  const Trace expected = transient_analyze(fresh, topt);
+
+  Circuit swept;
+  build(swept);
+  AcOptions aopt;
+  aopt.stimulus = "Vs";
+  aopt.f_start = 100.0;
+  aopt.f_stop = 1e6;
+  (void)ac_analyze(swept, aopt);
+  const Trace got = transient_analyze(swept, topt);
+
+  ASSERT_EQ(got.time(), expected.time());
+  ASSERT_EQ(got.signal_names(), expected.signal_names());
+  for (const std::string& name : expected.signal_names()) {
+    const std::vector<double>& want = expected.signal(name);
+    const std::vector<double>& have = got.signal(name);
+    ASSERT_EQ(have.size(), want.size()) << name;
+    EXPECT_EQ(std::memcmp(have.data(), want.data(), want.size() * sizeof(double)), 0) << name;
+  }
 }
 
 TEST(AcAnalysis, RejectsUnknownStimulus) {

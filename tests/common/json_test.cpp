@@ -129,14 +129,21 @@ TEST(JsonNumber, NonFinitePrintAsInfNanAndParseBack) {
   EXPECT_EQ(format_number(inf), "inf");
   EXPECT_EQ(format_number(-inf), "-inf");
   EXPECT_EQ(format_number(std::numeric_limits<double>::quiet_NaN()), "nan");
-  // Numbers go through strtod, so infinities and a signed NaN read
-  // back. A bare `nan` takes the `null` literal path and is rejected.
+  // Numbers go through strtod, so infinities and both NaN signs read
+  // back, and print again as they were written.
   Json out;
-  ASSERT_TRUE(Json::parse("[inf,-inf,-nan]", out));
+  ASSERT_TRUE(Json::parse("[inf,-inf,-nan,nan]", out));
   EXPECT_EQ(out.items()[0].as_number(), inf);
   EXPECT_EQ(out.items()[1].as_number(), -inf);
   EXPECT_TRUE(std::isnan(out.items()[2].as_number()));
-  EXPECT_EQ(parse_error("nan"), "bad literal at byte 0");
+  EXPECT_TRUE(std::isnan(out.items()[3].as_number()));
+  EXPECT_EQ(out.dump(), "[inf,-inf,-nan,nan]");
+  ASSERT_TRUE(Json::parse("nan", out));
+  EXPECT_TRUE(std::isnan(out.as_number()));
+  // `null` and its misspellings keep the literal path.
+  EXPECT_TRUE(Json::parse("null", out));
+  EXPECT_EQ(parse_error("nul"), "bad literal at byte 0");
+  EXPECT_EQ(parse_error("nanx"), "trailing characters after JSON value at byte 3");
 }
 
 // --- seeded mutation loop ---------------------------------------------
@@ -147,11 +154,12 @@ Json random_value(Rng& rng, int depth) {
     case 0: return Json::null();
     case 1: return Json::boolean(rng.below(2) == 1);
     case 2: {
-      // Any non-NaN bit pattern: subnormals, extremes and infinities.
+      // Any bit pattern: subnormals, extremes, infinities and NaNs of
+      // either sign, which random bits hit too rarely to rely on.
       const std::uint64_t bits = rng.next_u64();
       double v = 0.0;
       std::memcpy(&v, &bits, sizeof v);
-      if (std::isnan(v)) v = -0.0;
+      if (rng.below(16) == 0) v = std::copysign(std::numeric_limits<double>::quiet_NaN(), v);
       return Json::number(rng.below(2) == 0 ? v : std::ldexp(rng.uniform(-1.0, 1.0), 20));
     }
     case 3: {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -178,6 +180,85 @@ TEST(Sizing, OutdoorPandoMatchesPinnedValues) {
   EXPECT_EQ(r.area_factor, 0.14362384940381748);
   EXPECT_EQ(r.daily_harvest_j, 0.82688799770028376);
   EXPECT_EQ(r.storage_j, 6.3542411181460174);
+}
+
+TEST(SizingQuery, ControllerSpecOnlyWhenTheCanonicalPrintBuildsIt) {
+  core::register_paper_controller();
+  SizingQuery q;
+  q.use_controller(std::string("focv"));
+  EXPECT_EQ(q.controller_spec(), "focv");
+  q.use_controller(std::string("pilot[ k = 0.61 , min_lux = 0 lux ]"));
+  EXPECT_EQ(q.controller_spec(), "pilot[k=0.61,min_lux=0lux]");
+  // Canonical "focv" leaves k unset, which the paper factory reads.
+  q.use_controller(std::string("focv[k=0.596]"));
+  EXPECT_EQ(q.controller_spec(), "");
+  // 13 significant digits do not survive the canonical print.
+  q.use_controller(std::string("fixed[v=3.000000000001]"));
+  EXPECT_EQ(q.controller_spec(), "");
+  q.use_controller(std::string("fixed"));
+  q.controller_prototype = q.controller_prototype->clone();
+  EXPECT_EQ(q.controller_spec(), "");
+  q.use_controller(core::make_paper_controller());
+  EXPECT_EQ(q.controller_spec(), "");
+}
+
+// A context keeps each tape law's recorded day across queries. Ten keys
+// (spec x temperature) cycle through eight resident slots, so the second
+// pass evicts and re-records every one; every result must equal the
+// context-free run bit for bit, at every load.
+TEST(SizingMemo, MemoizedEqualsFreshThroughEvictionAndRebuild) {
+  const env::LightTrace day = env::semi_mobile_day();
+  const SizingContext context(day, pv::sanyo_am1815());
+  struct Key {
+    const char* spec;
+    double temperature_k;
+  };
+  const Key keys[] = {{"focv", 300.15},           {"focv[min_lux=0lux]", 300.15},
+                      {"focv", 310.0},            {"focv", 300.15 + 1e-12},
+                      {"fixed", 300.15},          {"fixed[min_lux=0lux]", 300.15},
+                      {"pilot", 300.15},          {"pilot", 280.0},
+                      {"photo", 300.15},          {"focv[k=0.61]", 300.15}};
+  static_assert(std::size(keys) > SizingContext::kResidentTapes);
+  std::uint64_t recorded = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Key& key : keys) {
+      for (const double period : {30.0, 600.0}) {
+        SCOPED_TRACE(std::string(key.spec) + " at " + std::to_string(key.temperature_k) +
+                     " K, period " + std::to_string(period) + ", pass " +
+                     std::to_string(pass));
+        SizingQuery q = spec_query(day, key.spec, period);
+        q.temperature_k = key.temperature_k;
+        ASSERT_FALSE(q.controller_spec().empty());
+        expect_bit_equal(size_for_energy_neutrality(q, context),
+                         size_for_energy_neutrality(q));
+      }
+      // Recorded on the first load, replayed on the second.
+      EXPECT_EQ(context.tapes_recorded(), ++recorded);
+    }
+    EXPECT_EQ(context.tapes_resident(), SizingContext::kResidentTapes);
+  }
+  // The most recent key is resident: asking again records nothing.
+  const SizingQuery last = spec_query(day, "focv[k=0.61]", 120.0);
+  expect_bit_equal(size_for_energy_neutrality(last, context), size_for_energy_neutrality(last));
+  EXPECT_EQ(context.tapes_recorded(), recorded);
+}
+
+TEST(SizingMemo, QueriesWithoutASpecRecordTheirOwnTape) {
+  const env::LightTrace day = env::office_desk_mixed();
+  const SizingContext context(day, pv::sanyo_am1815());
+  const SizingQuery object = office_query(day, 120.5);
+  const SizingQuery lossy = spec_query(day, "focv[k=0.596]", 120.5);
+  for (int i = 0; i < 2; ++i) {
+    expect_bit_equal(size_for_energy_neutrality(object, context),
+                     size_for_energy_neutrality(object));
+    expect_bit_equal(size_for_energy_neutrality(lossy, context),
+                     size_for_energy_neutrality(lossy));
+  }
+  // Loop laws step per probe and never touch the memo either.
+  const SizingQuery pando = spec_query(day, "pando", 120.5);
+  expect_bit_equal(size_for_energy_neutrality(pando, context), size_for_energy_neutrality(pando));
+  EXPECT_EQ(context.tapes_recorded(), 0u);
+  EXPECT_EQ(context.tapes_resident(), 0u);
 }
 
 TEST(Sizing, RejectsMissingInputs) {

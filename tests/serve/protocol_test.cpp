@@ -62,6 +62,7 @@ TEST(ServeProtocol, ParseRequestRejectsWithStructuredErrors) {
       {"{\"op\":\"\",\"id\":1}", errc::kBadRequest},
       {"{\"op\":\"ping\",\"id\":{}}", errc::kBadRequest},
       {"{\"op\":\"ping\",\"deadline_ms\":-1}", errc::kBadRequest},
+      {"{\"op\":\"ping\",\"deadline_ms\":nan}", errc::kBadRequest},
   };
   for (const auto& shape : shapes) {
     Request request;
@@ -74,6 +75,28 @@ TEST(ServeProtocol, ParseRequestRejectsWithStructuredErrors) {
     ASSERT_NE(err, nullptr);
     EXPECT_EQ(err->string_or("code", ""), shape.code) << shape.payload;
     EXPECT_FALSE(err->string_or("message", "").empty());
+  }
+}
+
+// `nan` parses as a number since the JSON reader takes every number it
+// prints; the parameter checks must still turn NaN away.
+TEST(ServeProtocol, NanParametersAreBadRequests) {
+  SessionState session;
+  for (const char* payload :
+       {R"({"op":"sizing","env":"office","report_period_s":nan})",
+        R"({"op":"sweep","env":"office","specs":["focv"],"min_factor":-nan})",
+        R"({"op":"fleet","nodes":nan})",
+        R"({"op":"fleet","nodes":4,"environments":[{"name":"office","weight":nan}]})"}) {
+    Request request;
+    std::string error;
+    ASSERT_TRUE(parse_request(payload, request, error)) << payload;
+    CanonicalRequest canon;
+    ASSERT_FALSE(session.canonicalize(request, canon, error)) << payload;
+    Json response;
+    ASSERT_TRUE(Json::parse(error, response)) << error;
+    const Json* err = response.find("error");
+    ASSERT_NE(err, nullptr) << payload;
+    EXPECT_EQ(err->string_or("code", ""), errc::kBadRequest) << payload;
   }
 }
 
