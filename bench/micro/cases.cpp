@@ -664,6 +664,12 @@ void register_default_cases() {
       "intervals",
       /*indoor=*/true, "pando"));
   r.push_back(simulate_node_event_case(
+      "simulate_node_24h_indoor_pilot_event",
+      "office-day 24 h pilot-cell run on the event-driven macro-stepper: "
+      "the day crosses the 500 lux supply floor inside ratio-band "
+      "segments, which split into floor runs",
+      /*indoor=*/true, "pilot"));
+  r.push_back(simulate_node_event_case(
       "simulate_node_24h_outdoor_graddesc_event",
       "outdoor 24 h gradient-descent run on the event-driven "
       "macro-stepper: night gated in closed form, daylight ticked per step",

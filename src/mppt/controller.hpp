@@ -36,7 +36,8 @@ enum class MacroLaw {
   /// Mutable state updated every step (P&O, incremental conductance):
   /// the engine makes the fixed path's step() calls with the fixed
   /// path's inputs, and advances spans under minimum_operating_lux()
-  /// (where neither path calls step()) as store intervals. Those
+  /// (where neither path calls step()) as store intervals, whether a
+  /// span fills a trace segment or is one floor run inside it. Those
   /// reproduce store_voltage to rounding only, which is all a law that
   /// reads it can differ by.
   kPerStepOnly,

@@ -332,8 +332,9 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
   // Integrate steps [a, b) from one held operating point. Illuminance
   // enters through a 2-point quadrature at the interval's dt-weighted
   // mean +- stddev (O(1) from the prefix moments), clamped to the
-  // segment's actual range, which integrates the curve exactly through
-  // its second moment — the ratio band bounds what is left.
+  // caller's [lo_lux, hi_lux] (the run's actual range), which integrates
+  // the curve exactly through its second moment — the ratio band bounds
+  // what is left.
   const auto process_interval = [&](std::size_t a, std::size_t b, bool running, double lo_lux,
                                     double hi_lux) {
     ++intervals;
@@ -488,56 +489,19 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
     return i_pv >= 4.0 * (cp.standby_leakage + controller_current);
   };
 
-  const double dark_lux = CurveCache::kDarkLux;
-  for (const env::Segment& seg : prep.segments()) {
-    ++report.events;  // light-trace breakpoint
-    const double seg_min = s * seg.min_value;
-    const double seg_max = s * seg.max_value;
-
-    bool per_step = false;
-    bool frozen_cs = false;
-    if (min_operating_lux > 0.0 && seg_min < min_operating_lux && seg_max >= min_operating_lux) {
-      per_step = true;  // the running gate would flip mid-segment
+  // Advance steps [a, b), all on one side of the supply floor, whose
+  // scaled illuminance spans [lo_lux, hi_lux]: the run's own range is the
+  // quadrature clamp. Lit hill-climber runs tick; everything else is
+  // macro-stepped, sample-hold laws up to each command event.
+  const auto process_run = [&](std::size_t a, std::size_t b, bool running, double lo_lux,
+                               double hi_lux) {
+    if (running && law == mppt::MacroLaw::kPerStepOnly) {
+      for (std::size_t i = a; i < b; ++i) fallback_step(i, true);
+      return;
     }
-    if (!per_step && seg.dark && seg_max >= dark_lux) {
-      // lux_scale pushed a dark-merged segment (unbounded ratio) across
-      // the surrogate's dark cutoff: no band bound for the quadrature.
-      per_step = true;
-    }
-    if (!per_step && law == mppt::MacroLaw::kPerStepOnly && !(seg_max < min_operating_lux)) {
-      // A lit hill-climber span: its state changes every step. Gated
-      // spans (wholly under the supply floor) fall through to a store
-      // interval: the fixed loop makes no step() call there either, so
-      // the controller sees the same calls with the same inputs.
-      per_step = true;
-    }
-    if (!per_step && coldstart) {
-      if (coldstart_certified(seg_min)) {
-        frozen_cs = true;
-      } else {
-        per_step = true;  // supervisor state must evolve tick by tick
-        // A started supervisor failing certification is the anomalous
-        // case (the drain margin collapsed); pre-start fallbacks are the
-        // expected cold-start ramp and stay quiet.
-        if (coldstart->started()) {
-          obs::anomaly("coldstart_cert_failed", t[seg.first],
-                       {{"seg_min_lux", seg_min},
-                        {"steps", static_cast<double>(seg.last - seg.first)}});
-        }
-      }
-    }
-    if (per_step) {
-      for (std::size_t i = seg.first; i < seg.last; ++i) fallback_step(i, true);
-      continue;
-    }
-
-    const bool running_seg = (min_operating_lux <= 0.0 || seg_min >= min_operating_lux) &&
-                             (!coldstart || coldstart->started());
-    (void)frozen_cs;  // documented: certified segments never advance the supervisor
-
-    std::size_t p = seg.first;
-    while (p < seg.last) {
-      if (running_seg && law == mppt::MacroLaw::kSampleHold) {
+    std::size_t p = a;
+    while (p < b) {
+      if (running && law == mppt::MacroLaw::kSampleHold) {
         const double te = controller.next_command_event(t[p]);
         if (te < t[p + 1]) {
           // The event lands inside step p: replay that step through the
@@ -547,22 +511,76 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
           ++p;
           continue;
         }
-        std::size_t q = seg.last;
-        if (te < t[seg.last]) {
+        std::size_t q = b;
+        if (te < t[b]) {
           // Macro-step up to the step that contains the event.
           auto it = std::upper_bound(t.begin() + static_cast<std::ptrdiff_t>(p),
-                                     t.begin() + static_cast<std::ptrdiff_t>(seg.last) + 1, te);
+                                     t.begin() + static_cast<std::ptrdiff_t>(b) + 1, te);
           q = static_cast<std::size_t>(it - t.begin()) - 1;
         }
         q = cap_interval(p, q);
-        process_interval(p, q, true, seg_min, seg_max);
+        process_interval(p, q, true, lo_lux, hi_lux);
         p = q;
       } else {
-        const std::size_t q = cap_interval(p, seg.last);
-        process_interval(p, q, running_seg, seg_min, seg_max);
+        const std::size_t q = cap_interval(p, b);
+        process_interval(p, q, running, lo_lux, hi_lux);
         p = q;
       }
     }
+  };
+
+  const double dark_lux = CurveCache::kDarkLux;
+  for (const env::Segment& seg : prep.segments()) {
+    ++report.events;  // light-trace breakpoint
+    const double seg_min = s * seg.min_value;
+    const double seg_max = s * seg.max_value;
+
+    // lux_scale pushed a dark-merged segment (unbounded ratio) across
+    // the surrogate's dark cutoff: no band bound for the quadrature.
+    bool per_step = seg.dark && seg_max >= dark_lux;
+    if (!per_step && coldstart && !coldstart_certified(seg_min)) {
+      per_step = true;  // supervisor state must evolve tick by tick
+      // A started supervisor failing certification is the anomalous
+      // case (the drain margin collapsed); pre-start fallbacks are the
+      // expected cold-start ramp and stay quiet.
+      if (coldstart->started()) {
+        obs::anomaly("coldstart_cert_failed", t[seg.first],
+                     {{"seg_min_lux", seg_min},
+                      {"steps", static_cast<double>(seg.last - seg.first)}});
+      }
+    }
+    if (per_step) {
+      for (std::size_t i = seg.first; i < seg.last; ++i) fallback_step(i, true);
+      continue;
+    }
+
+    // A cold-start supervisor is started and certified to stay so from
+    // here: only the supply floor gates the controller.
+    if (!(seg_min < min_operating_lux && seg_max >= min_operating_lux)) {
+      process_run(seg.first, seg.last, seg_min >= min_operating_lux, seg_min, seg_max);
+      continue;
+    }
+    // The supply floor falls inside the segment: split it into maximal
+    // runs on one side of it, flipping exactly where the fixed loop's
+    // running gate flips. The gated runs are store intervals (the fixed
+    // loop makes no step() call there), the lit ones macro-step.
+    std::size_t a = seg.first;
+    double lo = s * eq[a];
+    double hi = lo;
+    bool gated = lo < min_operating_lux;
+    for (std::size_t i = a + 1; i < seg.last; ++i) {
+      const double lux = s * eq[i];
+      if ((lux < min_operating_lux) != gated) {
+        process_run(a, i, !gated, lo, hi);
+        a = i;
+        lo = hi = lux;
+        gated = !gated;
+      } else {
+        lo = std::min(lo, lux);
+        hi = std::max(hi, lux);
+      }
+    }
+    process_run(a, seg.last, !gated, lo, hi);
   }
 
   report.final_store_voltage = store_voltage();

@@ -9,14 +9,16 @@
 //     the controller's mutable state (held sample, astable phase,
 //     catch-up edges after dark periods) stays exactly the fixed path's.
 //   - Light-trace breakpoints: the ratio-band segmentation of
-//     env/segments.hpp via PreparedTrace; any segment straddling a
-//     controller's minimum operating illuminance (running would flip
-//     mid-segment) is stepped tick by tick instead.
-//   - Per-step-only controllers (P&O, inccond, gradient descent): a
-//     segment wholly under the supply floor is a store interval like any
-//     other gated span; every other segment is ticked step by step with
-//     the fixed path's curve arithmetic, so harvest, delivery, overhead
-//     and brown-out steps equal the fixed path's bit for bit.
+//     env/segments.hpp via PreparedTrace.
+//   - Supply-floor crossings: a segment straddling the controller's
+//     minimum operating illuminance is split into maximal runs on one
+//     side of it, at the step where the fixed path's running gate flips.
+//     Gated runs are store intervals, lit runs macro-step.
+//   - Per-step-only controllers (P&O, inccond, gradient descent): spans
+//     under the supply floor are store intervals like any other gated
+//     span; every lit step is ticked with the fixed path's curve
+//     arithmetic, so harvest, delivery, overhead and brown-out steps
+//     equal the fixed path's bit for bit.
 //   - Storage threshold crossings: usable/brown-out flips found by the
 //     closed-form root solve in power/storage.cpp (linear solve for the
 //     battery), snapped to the step boundary the fixed path would flip

@@ -207,6 +207,82 @@ TEST(SchedEquivalence, HillClimberEventRunCountsCurveHitsAndMisses) {
   obs::reset_all();
 }
 
+// --- Supply-floor runs ------------------------------------------------
+// A ratio-band segment that straddles the controller's supply floor is
+// split into maximal runs on one side of it, at the fixed loop's own
+// running gate. The gated runs are store intervals and the lit ones
+// macro-step, so memoryless laws tick no step at all on these days.
+
+const env::LightTrace& semi_mobile_trace() {
+  static const env::LightTrace trace = env::semi_mobile_day();
+  return trace;
+}
+
+// sched.fallback_steps of one event run: NodeReport does not carry it.
+double event_fallback_steps(const env::LightTrace& trace, node::NodeConfig cfg) {
+  cfg.stepper = node::Stepper::kEvent;
+  obs::reset_all();
+  {
+    obs::ScopedEnable scoped;
+    (void)node::simulate_node(trace, cfg);
+  }
+  const double steps = obs::metrics().counter_value("sched.fallback_steps");
+  obs::reset_all();
+  return steps;
+}
+
+TEST(SchedEquivalence, SupplyFloorRunsMacroStep) {
+  struct Day {
+    std::string name;
+    const env::LightTrace* trace;
+  };
+  const std::vector<Day> days = {{"office", &office_trace()},
+                                 {"semi_mobile", &semi_mobile_trace()},
+                                 {"outdoor", &outdoor_trace()}};
+  for (const char* spec : {"fixed", "fixed[v=3.02]", "pilot", "pilot[k=0.61]", "photo", "focv"}) {
+    const std::string law(spec);
+    for (const Day& day : days) {
+      for (const double lux_scale : {0.65, 1.0, 1.31}) {
+        // Out of contract before floor runs existed and not moved by them
+        // (ROADMAP, defect (a)): harvest and delivery off by ~1.0e-3.
+        if (law == "photo" && day.name == "outdoor" && lux_scale == 0.65) continue;
+        for (const double store_v : {3.0, 0.0}) {
+          SCOPED_TRACE(law + " / " + day.name + " x" + std::to_string(lux_scale) + " / store " +
+                       std::to_string(store_v));
+          node::NodeConfig cfg = base_config();
+          cfg.use_controller(law);
+          cfg.lux_scale = lux_scale;
+          cfg.storage.initial_voltage = store_v;
+          const Pair p = run_both(*day.trace, cfg);
+          EXPECT_LE(rel(p.fixed.harvested_energy, p.event.harvested_energy), kRelBound);
+          EXPECT_LE(rel(p.fixed.delivered_energy, p.event.delivered_energy), kRelBound);
+          EXPECT_LE(rel(p.fixed.overhead_energy, p.event.overhead_energy), kRelBound);
+          EXPECT_LE(rel(p.fixed.load_energy_served, p.event.load_energy_served), kRelBound);
+          EXPECT_LE(rel(p.fixed.ideal_mpp_energy, p.event.ideal_mpp_energy), kRelBound);
+          // Memoryless laws without a cold-start supervisor never tick.
+          // Above unit scale the night's dark-merged segment crosses
+          // CurveCache::kDarkLux and still ticks, whatever the law.
+          if (law != "focv" && lux_scale <= 1.0) {
+            EXPECT_EQ(event_fallback_steps(*day.trace, cfg), 0.0);
+          }
+          // The days that used to tick through every straddling segment.
+          if (lux_scale == 1.0 && store_v == 3.0) {
+            if (law == "pilot" && day.name == "office") {
+              EXPECT_LE(p.event.steps, 300u);
+            }
+            if (law == "fixed" && day.name == "semi_mobile") {
+              EXPECT_LE(p.event.steps, 600u);
+            }
+            if (law == "pilot" && day.name == "semi_mobile") {
+              EXPECT_LE(p.event.steps, 1000u);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 fleet::FleetSpec fleet_spec(node::Stepper stepper) {
   static const auto trace = std::make_shared<const env::LightTrace>(
       env::office_desk_mixed(env::OfficeDayParams{}));
