@@ -674,6 +674,12 @@ void register_default_cases() {
       "outdoor 24 h gradient-descent run on the event-driven "
       "macro-stepper: night gated in closed form, daylight ticked per step",
       /*indoor=*/false, "graddesc"));
+  r.push_back(simulate_node_event_case(
+      "simulate_node_24h_outdoor_direct_event",
+      "outdoor 24 h direct-connection run on the event-driven "
+      "macro-stepper: the store starts at 3.0 V and sits full from "
+      "about 08:00, where the store-drift guard is floored at 60 s",
+      /*indoor=*/false, "direct"));
   r.push_back(sweep_case("sweep_jobs1",
                          "2 cells x 3 controllers x 3 scenarios, single-threaded",
                          /*jobs=*/1));

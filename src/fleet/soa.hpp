@@ -45,7 +45,7 @@ namespace focv::fleet::soa {
 /// fleet can reach (a +-6 sigma margin on the heterogeneity bounds;
 /// lookups clamp at the edges). The entry doubles are stored verbatim,
 /// so lookups run the same interpolation arithmetic as
-/// CurveCache::at_lux.
+/// CurveCache::at(LuxKey).
 struct DenseTables {
   long grid_lo = 0;  ///< grid index of slot 0
   int slots = 0;

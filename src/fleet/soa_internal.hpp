@@ -92,7 +92,7 @@ inline double row_power(const DenseTables& tb, std::size_t k, double v) {
   return p0 + t * (p1 - p0);
 }
 
-/// CurveCache::power_at_lux on an already-resolved slot (the engine
+/// CurveCache::power_at(LuxKey, v) on an already-resolved slot (the engine
 /// resolves each quadrature point's slot once and reuses it for the
 /// Voc/Pmpp read and every P(V) lookup).
 inline double power_at(const DenseTables& tb, const Slot& s, double v) {

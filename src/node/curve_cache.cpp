@@ -109,7 +109,7 @@ void CurveCache::prepare_surrogate(const std::vector<double>& eq_lux) {
   cover(jmin, jmax + 1);  // +1 for the j+1 neighbour
 
   // Pass 2: per-step keys; entries built on first touch.
-  for (std::size_t i = 0; i < eq_lux.size(); ++i) step_keys_[i] = key_of(eq_lux[i]);
+  for (std::size_t i = 0; i < eq_lux.size(); ++i) step_keys_[i] = step_key_of(eq_lux[i]);
 }
 
 CurveCache::StepCurve CurveCache::at_step(std::size_t i) const {
@@ -132,14 +132,19 @@ double CurveCache::power_at_step(std::size_t i, double v) {
 CurveCache::StepKey CurveCache::step_key(double equivalent_lux) {
   require(options_.model == PowerModel::kSurrogate,
           "CurveCache: step_key needs the surrogate model");
-  return key_of(equivalent_lux);
+  return step_key_of(equivalent_lux);
 }
 
-CurveCache::StepKey CurveCache::key_of(double equivalent_lux) {
-  if (!(equivalent_lux >= kDarkLux)) return StepKey{};
+CurveCache::LuxKey CurveCache::key_of(double equivalent_lux) {
+  if (!(equivalent_lux >= kDarkLux)) return LuxKey{};
   const double x = kGridNodesPerLogLux * std::log(equivalent_lux);
   const long j = static_cast<long>(std::floor(x));
-  return StepKey{ensure_slot(j), static_cast<float>(x - static_cast<double>(j))};
+  return LuxKey{ensure_slot(j), x - static_cast<double>(j)};
+}
+
+CurveCache::StepKey CurveCache::step_key_of(double equivalent_lux) {
+  const LuxKey key = key_of(equivalent_lux);
+  return StepKey{key.slot, static_cast<float>(key.frac)};
 }
 
 CurveCache::StepCurve CurveCache::at_key(StepKey key) const {
@@ -200,15 +205,31 @@ std::uint32_t CurveCache::ensure_slot(long j) {
   return static_cast<std::uint32_t>(slot);
 }
 
-std::uint32_t CurveCache::ensure_lux_slot(double equivalent_lux, double& frac) {
+CurveCache::LuxKey CurveCache::lux_key(double equivalent_lux) {
   require(options_.model == PowerModel::kSurrogate,
-          "CurveCache: at_lux/power_at_lux need the surrogate model");
-  frac = 0.0;
-  if (!(equivalent_lux >= kDarkLux)) return kDarkStep;
-  const double x = kGridNodesPerLogLux * std::log(equivalent_lux);
-  const long j = static_cast<long>(std::floor(x));
-  frac = x - static_cast<double>(j);
-  return ensure_slot(j);
+          "CurveCache: lux_key needs the surrogate model");
+  return key_of(equivalent_lux);
+}
+
+CurveCache::StepCurve CurveCache::at(LuxKey key) const {
+  ++queries_;
+  StepCurve out;
+  if (key.slot == kDarkStep) return out;
+  const Entry& e0 = entries_[key.slot];
+  const Entry& e1 = entries_[key.slot + 1];
+  const double f = key.frac;
+  out.voc = e0.voc + f * (e1.voc - e0.voc);
+  out.pmpp = e0.pmpp + f * (e1.pmpp - e0.pmpp);
+  out.vmpp = e0.vmpp + f * (e1.vmpp - e0.vmpp);
+  return out;
+}
+
+double CurveCache::power_at(LuxKey key, double v) const {
+  ++queries_;
+  if (v <= 0.0 || key.slot == kDarkStep) return 0.0;
+  const double p0 = table_power(entries_[key.slot], v);
+  const double p1 = table_power(entries_[key.slot + 1], v);
+  return p0 + key.frac * (p1 - p0);
 }
 
 void CurveCache::warm_range(double lux_min, double lux_max) {
@@ -218,12 +239,10 @@ void CurveCache::warm_range(double lux_min, double lux_max) {
   if (!(lux_max >= lux_min)) return;
   const long jmin = static_cast<long>(std::floor(kGridNodesPerLogLux * std::log(lux_min)));
   const long jmax = static_cast<long>(std::floor(kGridNodesPerLogLux * std::log(lux_max)));
-  double frac = 0.0;
   for (long j = jmin; j <= jmax; ++j) {
-    // A lux at the node-interval midpoint makes ensure_lux_slot build
-    // grid nodes j and j+1.
-    (void)ensure_lux_slot(std::exp((static_cast<double>(j) + 0.5) / kGridNodesPerLogLux),
-                          frac);
+    // A lux at the node-interval midpoint makes lux_key build grid
+    // nodes j and j+1.
+    (void)lux_key(std::exp((static_cast<double>(j) + 0.5) / kGridNodesPerLogLux));
   }
 }
 
@@ -274,31 +293,6 @@ void CurveCache::seed_entries(const CurveCache& other) {
     Entry& dst = entries_[static_cast<std::size_t>(src_lo - grid_base_) + s];
     if (!dst.built) dst = src;
   }
-}
-
-CurveCache::StepCurve CurveCache::at_lux(double equivalent_lux) {
-  ++queries_;
-  double f = 0.0;
-  const std::uint32_t slot = ensure_lux_slot(equivalent_lux, f);
-  StepCurve out;
-  if (slot == kDarkStep) return out;
-  const Entry& e0 = entries_[slot];
-  const Entry& e1 = entries_[slot + 1];
-  out.voc = e0.voc + f * (e1.voc - e0.voc);
-  out.pmpp = e0.pmpp + f * (e1.pmpp - e0.pmpp);
-  out.vmpp = e0.vmpp + f * (e1.vmpp - e0.vmpp);
-  return out;
-}
-
-double CurveCache::power_at_lux(double equivalent_lux, double v) {
-  ++queries_;
-  if (v <= 0.0) return 0.0;
-  double f = 0.0;
-  const std::uint32_t slot = ensure_lux_slot(equivalent_lux, f);
-  if (slot == kDarkStep) return 0.0;
-  const double p0 = table_power(entries_[slot], v);
-  const double p1 = table_power(entries_[slot + 1], v);
-  return p0 + f * (p1 - p0);
 }
 
 }  // namespace focv::node

@@ -114,9 +114,23 @@ class CurveCache {
   /// log-illuminance grid nodes prepare() uses — values depend only on
   /// the grid index, so a cache shared across fixed and event runs
   /// answers both consistently. Surrogate mode only.
-  [[nodiscard]] StepCurve at_lux(double equivalent_lux);
-  /// Cell power at voltage v under `equivalent_lux`, same grid [W].
-  [[nodiscard]] double power_at_lux(double equivalent_lux, double v);
+  ///
+  /// lux_key() resolves an illuminance once (one log, one floor, the two
+  /// grid entries built on first touch); at() and power_at() then read
+  /// through the key, so a caller asking for the curve summary and
+  /// several P(V) points at one illuminance pays the resolution once.
+  /// Unlike StepKey the weight stays double. A key is valid until the
+  /// next call that may grow the table below its slot; growth above it
+  /// (a key resolved at a higher illuminance) never moves it.
+  struct LuxKey {
+    std::uint32_t slot = kDarkStep;  ///< dense entry index, or kDarkStep below kDarkLux
+    double frac = 0.0;               ///< weight towards entry slot + 1
+  };
+  [[nodiscard]] LuxKey lux_key(double equivalent_lux);
+  /// Curve summary at a key.
+  [[nodiscard]] StepCurve at(LuxKey key) const;
+  /// Cell power at voltage v at a key [W].
+  [[nodiscard]] double power_at(LuxKey key, double v) const;
 
   /// Build every surrogate grid entry whose node lies in
   /// [lux_min, lux_max] (plus the interpolation neighbour above), so a
@@ -140,8 +154,8 @@ class CurveCache {
   /// out densely for external flat-array interpolation. The fleet SoA
   /// engine exports one table per environment and answers every node's
   /// curve queries from it without touching the cache again — the values
-  /// are the exact entry values at_lux() interpolates, so a flat-table
-  /// lookup reproduces at_lux()/power_at_lux() arithmetic bit for bit.
+  /// are the exact entry values at() interpolates, so a flat-table
+  /// lookup reproduces at()/power_at() arithmetic bit for bit.
   /// Warms the range first; surrogate mode only.
   struct DenseExport {
     long grid_lo = 0;  ///< grid index of slot 0 (lux = exp(grid_lo / kGridNodesPerLogLux))
@@ -163,7 +177,7 @@ class CurveCache {
   [[nodiscard]] std::uint64_t model_evals() const { return model_evals_; }
   /// Unique illuminance buckets / grid nodes solved so far.
   [[nodiscard]] std::uint64_t entries_built() const { return entries_built_; }
-  /// Curve lookups served (every at_* and power_at_* call). Together
+  /// Curve lookups served (every at* and power_at* call). Together
   /// with model_evals() this yields the cache hit ratio:
   /// hits = queries - model_evals issued after prepare().
   [[nodiscard]] std::uint64_t queries() const { return queries_; }
@@ -200,12 +214,11 @@ class CurveCache {
   /// Grow/build so entries for grid nodes j and j+1 exist; returns the
   /// dense slot of j.
   inline std::uint32_t ensure_slot(long j);
-  /// step_key() without the mode check. It and ensure_slot() are inline
-  /// because prepare() runs them once per trace step.
-  inline StepKey key_of(double equivalent_lux);
-  /// ensure_slot() for the node below `equivalent_lux`, writing the
-  /// double interpolation weight. kDarkStep below kDarkLux.
-  std::uint32_t ensure_lux_slot(double equivalent_lux, double& frac);
+  /// lux_key() without the mode check, and its float-weight StepKey.
+  /// They and ensure_slot() are inline because prepare() runs them once
+  /// per trace step.
+  inline LuxKey key_of(double equivalent_lux);
+  inline StepKey step_key_of(double equivalent_lux);
 
   const pv::SingleDiodeModel& cell_;
   pv::Conditions conditions_;

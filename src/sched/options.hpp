@@ -22,7 +22,11 @@ struct EventOptions {
   /// voltage drift per analytic interval [V]. The commanded PV voltage
   /// follows the store, so the interval length is capped at
   /// guard * C * V / |net power| and the operating point is re-evaluated
-  /// at the interval midpoint (one predictor-corrector pass).
+  /// at the interval midpoint (one predictor-corrector pass). While the
+  /// supercapacitor sits full under net inflow its clamp pins the store
+  /// voltage, so the cap is raised to a 60 s floor there
+  /// (kFullStoreIntervalS in macro_stepper.cpp); batteries keep the
+  /// plain guard.
   double store_dv_guard = 5e-3;
 
   /// Hard cap on one analytic interval [s] — bounds any slow drift the

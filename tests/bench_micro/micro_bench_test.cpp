@@ -47,7 +47,7 @@ TEST(MicroBenchHarness, SmokeRunCompletesAndWritesSchemaValidJson) {
         "simulate_node_24h_outdoor_surrogate", "simulate_node_24h_outdoor_exact",
         "simulate_node_24h_indoor_event", "simulate_node_24h_outdoor_event",
         "simulate_node_24h_indoor_pando_event", "simulate_node_24h_outdoor_graddesc_event",
-        "simulate_node_24h_indoor_pilot_event",
+        "simulate_node_24h_indoor_pilot_event", "simulate_node_24h_outdoor_direct_event",
         "sweep_jobs1", "sweep_jobsN", "circuit_transient_window",
         "cell_model_solves", "fleet_step", "fleet_step_event",
         "fleet_soa_ref_event", "fleet_soa_float",

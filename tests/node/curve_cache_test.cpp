@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/require.hpp"
@@ -209,6 +210,89 @@ TEST(CurveCache, ExactRePrepareMatchesFreshCache) {
     EXPECT_EQ(a.voc, b.voc) << i;
     EXPECT_EQ(a.pmpp, b.pmpp) << i;
     EXPECT_EQ(reused.power_at_step(i, 0.7 * b.voc), fresh.power_at_step(i, 0.7 * b.voc)) << i;
+  }
+}
+
+// --- LuxKey: on-demand lookups resolved once per illuminance ---------
+
+TEST(CurveCache, LuxKeyBelowDarkLuxIsDarkAndFree) {
+  const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
+  CurveCache cache(cell, kRoomTempK);
+  const CurveCache::LuxKey key = cache.lux_key(0.5 * CurveCache::kDarkLux);
+  EXPECT_EQ(key.slot, CurveCache::kDarkStep);
+  EXPECT_EQ(cache.at(key).voc, 0.0);
+  EXPECT_EQ(cache.at(key).pmpp, 0.0);
+  EXPECT_EQ(cache.power_at(key, 1.5), 0.0);
+  EXPECT_EQ(cache.entries_built(), 0u);
+  EXPECT_EQ(cache.model_evals(), 0u);
+}
+
+TEST(CurveCache, LuxKeyPowerAtNonPositiveVoltageIsZero) {
+  const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
+  CurveCache cache(cell, kRoomTempK);
+  const CurveCache::LuxKey key = cache.lux_key(480.0);
+  ASSERT_NE(key.slot, CurveCache::kDarkStep);
+  EXPECT_EQ(cache.power_at(key, 0.0), 0.0);
+  EXPECT_EQ(cache.power_at(key, -0.3), 0.0);
+  EXPECT_GT(cache.power_at(key, 0.5 * cache.at(key).voc), 0.0);
+}
+
+TEST(CurveCache, LuxKeyQueriesCountEveryLookup) {
+  const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
+  CurveCache cache(cell, kRoomTempK);
+  const std::uint64_t before = cache.queries();
+  const CurveCache::LuxKey key = cache.lux_key(1021.0);
+  const CurveCache::LuxKey dark = cache.lux_key(0.0);
+  EXPECT_EQ(cache.queries(), before);  // resolving is not a lookup
+  (void)cache.at(key);
+  (void)cache.power_at(key, 1.0);
+  (void)cache.power_at(key, 0.0);
+  (void)cache.at(dark);
+  (void)cache.power_at(dark, 1.0);
+  EXPECT_EQ(cache.queries(), before + 5u);
+}
+
+TEST(CurveCache, ReusingALuxKeyBuildsNothing) {
+  const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
+  CurveCache cache(cell, kRoomTempK);
+  const CurveCache::LuxKey key = cache.lux_key(3333.0);
+  const std::uint64_t evals = cache.model_evals();
+  const std::uint64_t entries = cache.entries_built();
+  EXPECT_EQ(entries, 2u);  // node j and its j+1 neighbour
+  const CurveCache::StepCurve c = cache.at(key);
+  for (int k = 0; k < 50; ++k) {
+    (void)cache.at(key);
+    (void)cache.power_at(key, c.voc * k / 50.0);
+  }
+  EXPECT_EQ(cache.model_evals(), evals);
+  EXPECT_EQ(cache.entries_built(), entries);
+}
+
+TEST(CurveCache, LuxKeyStaysValidWhileTheTableGrowsAboveIt) {
+  // The event stepper resolves its two quadrature illuminances low then
+  // high and reads through both keys: growing the table above a resolved
+  // slot must not move that slot.
+  const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
+  CurveCache cache(cell, kRoomTempK);
+  const CurveCache::LuxKey lo = cache.lux_key(137.0);
+  (void)cache.lux_key(41000.0);  // grows the table far above `lo`
+  CurveCache fresh(cell, kRoomTempK);
+  const CurveCache::LuxKey ref = fresh.lux_key(137.0);
+  EXPECT_EQ(cache.at(lo).voc, fresh.at(ref).voc);
+  EXPECT_EQ(cache.at(lo).pmpp, fresh.at(ref).pmpp);
+  EXPECT_EQ(cache.power_at(lo, 0.4), fresh.power_at(ref, 0.4));
+}
+
+TEST(CurveCache, LuxKeyMatchesStepKeySlot) {
+  // Same grid node as the fixed loop's float-weight key; only the
+  // weight's precision differs.
+  const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
+  CurveCache cache(cell, kRoomTempK);
+  for (const double lux : kLuxLadder) {
+    const CurveCache::LuxKey key = cache.lux_key(lux);
+    const CurveCache::StepKey step = cache.step_key(lux);
+    EXPECT_EQ(key.slot, step.slot) << lux;
+    EXPECT_EQ(static_cast<float>(key.frac), step.frac) << lux;
   }
 }
 

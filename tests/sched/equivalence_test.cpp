@@ -283,6 +283,57 @@ TEST(SchedEquivalence, SupplyFloorRunsMacroStep) {
   }
 }
 
+// --- Full-store intervals ----------------------------------------------
+// A store-tracking law on a full supercapacitor under net inflow runs at
+// the clamped store voltage, so its intervals are floored at 60 s there
+// instead of being sliced by the drift guard (~2 s outdoors).
+
+TEST(SchedEquivalence, FullStoreMacroStepsStoreTrackingLaws) {
+  struct Day {
+    std::string name;
+    const env::LightTrace* trace;
+  };
+  const std::vector<Day> days = {{"office", &office_trace()},
+                                 {"outdoor", &outdoor_trace()},
+                                 {"semi_mobile", &semi_mobile_trace()}};
+  // desk_sunday_blinds_closed() with an empty store is left out: it is
+  // out of contract (~2e-3) before and after this rule, because an empty
+  // store never pins (ROADMAP, defect (a)).
+  for (const char* spec : {"direct", "direct[drop=0.4V]"}) {
+    const std::string law(spec);
+    for (const Day& day : days) {
+      for (const double lux_scale : {0.65, 1.0, 1.31}) {
+        for (const double store_v : {3.0, 2.5}) {
+          // Out of contract before this rule and not moved by it (ROADMAP,
+          // defect (a)): harvest off by 1.17e-3.
+          if (law == "direct[drop=0.4V]" && day.name == "office" && lux_scale == 1.31 &&
+              store_v == 3.0) {
+            continue;
+          }
+          SCOPED_TRACE(law + " / " + day.name + " x" + std::to_string(lux_scale) + " / store " +
+                       std::to_string(store_v));
+          node::NodeConfig cfg = base_config();
+          cfg.use_controller(law);
+          cfg.lux_scale = lux_scale;
+          cfg.storage.initial_voltage = store_v;
+          const Pair p = run_both(*day.trace, cfg);
+          EXPECT_LE(rel(p.fixed.harvested_energy, p.event.harvested_energy), kRelBound);
+          EXPECT_LE(rel(p.fixed.delivered_energy, p.event.delivered_energy), kRelBound);
+          EXPECT_LE(rel(p.fixed.overhead_energy, p.event.overhead_energy), kRelBound);
+          EXPECT_LE(rel(p.fixed.load_energy_served, p.event.load_energy_served), kRelBound);
+          EXPECT_LE(rel(p.fixed.ideal_mpp_energy, p.event.ideal_mpp_energy), kRelBound);
+          EXPECT_LE(std::abs(p.fixed.final_store_voltage - p.event.final_store_voltage), 5e-3);
+          // The outdoor day pins the store for ~9 h; 2 s slicing read
+          // ~20.7 k event steps there.
+          if (law == "direct" && day.name == "outdoor" && lux_scale == 1.0 && store_v == 3.0) {
+            EXPECT_LE(p.event.steps, 2000u);
+          }
+        }
+      }
+    }
+  }
+}
+
 fleet::FleetSpec fleet_spec(node::Stepper stepper) {
   static const auto trace = std::make_shared<const env::LightTrace>(
       env::office_desk_mixed(env::OfficeDayParams{}));
