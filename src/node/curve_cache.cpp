@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <unordered_map>
 
 #include "common/require.hpp"
@@ -23,37 +22,15 @@ pv::Conditions CurveCache::conditions_at(double equivalent_lux) const {
 }
 
 void CurveCache::prepare(const std::vector<double>& eq_lux) {
-  if (options_.model == PowerModel::kExact) {
-    // Exact entries are keyed by the first illuminance that landed in
-    // each bucket *of the previous series*; reusing them would change
-    // the trajectory, so re-preparation starts from a fresh table.
-    entries_.clear();
-    step_keys_.clear();
-    prepare_exact(eq_lux);
-  } else {
-    prepare_surrogate(eq_lux);
-  }
-}
-
-void CurveCache::build_exact_entry(Entry& e, double lux) {
-  if (lux >= kDarkLux) {
-    const pv::Conditions c = conditions_at(lux);
-    e.voc = cell_.open_circuit_voltage(c);
-    const pv::MppResult mpp = cell_.maximum_power_point(c, e.voc);
-    e.pmpp = mpp.power;
-    e.vmpp = mpp.voltage;
-    model_evals_ += 2;
-  }
-  e.built = true;
-  ++entries_built_;
-}
-
-void CurveCache::prepare_exact(const std::vector<double>& eq_lux) {
+  require(options_.model == PowerModel::kExact,
+          "CurveCache: prepare needs the exact model (surrogate runs use step_key)");
   // The historical memoisation: a 0.1 % log-illuminance bucket, keyed by
   // the first illuminance that lands in it, in step order. Keeping the
   // first-encounter representative (rather than the bucket centre) is
   // what makes this mode reproduce the pre-surrogate trajectory bit for
-  // bit.
+  // bit. Entries keyed by the previous series would change the
+  // trajectory, so re-preparation starts from a fresh table.
+  entries_.clear();
   eq_lux_ = &eq_lux;
   step_keys_.resize(eq_lux.size());
   std::unordered_map<long, std::uint32_t> slot_of_key;
@@ -68,6 +45,19 @@ void CurveCache::prepare_exact(const std::vector<double>& eq_lux) {
     }
     step_keys_[i] = StepKey{it->second, 0.0f};
   }
+}
+
+void CurveCache::build_exact_entry(Entry& e, double lux) {
+  if (lux >= kDarkLux) {
+    const pv::Conditions c = conditions_at(lux);
+    e.voc = cell_.open_circuit_voltage(c);
+    const pv::MppResult mpp = cell_.maximum_power_point(c, e.voc);
+    e.pmpp = mpp.power;
+    e.vmpp = mpp.voltage;
+    model_evals_ += 2;
+  }
+  e.built = true;
+  ++entries_built_;
 }
 
 void CurveCache::build_surrogate_entry(Entry& e, long grid_index) {
@@ -88,39 +78,13 @@ void CurveCache::build_surrogate_entry(Entry& e, long grid_index) {
   ++entries_built_;
 }
 
-void CurveCache::prepare_surrogate(const std::vector<double>& eq_lux) {
-  step_keys_.assign(eq_lux.size(), StepKey{});
-
-  // Pass 1: the grid span touched by lit steps, from the lit illuminance
-  // extremes (one log() each, padded by a grid node on each side). The
-  // span only sizes entries_ up front; pass 2 places every step. Entries
-  // built for earlier series sit at fixed grid nodes, so re-preparation
-  // keeps them (their values depend only on the grid index).
-  double lux_lo = std::numeric_limits<double>::infinity();
-  double lux_hi = 0.0;
-  for (const double lux : eq_lux) {
-    if (lux < kDarkLux) continue;
-    lux_lo = std::min(lux_lo, lux);
-    lux_hi = std::max(lux_hi, lux);
-  }
-  if (lux_hi == 0.0) return;  // all-dark series: entries from earlier runs stay valid
-  const long jmin = static_cast<long>(std::floor(kGridNodesPerLogLux * std::log(lux_lo))) - 1;
-  const long jmax = static_cast<long>(std::floor(kGridNodesPerLogLux * std::log(lux_hi))) + 1;
-  cover(jmin, jmax + 1);  // +1 for the j+1 neighbour
-
-  // Pass 2: per-step keys; entries built on first touch.
-  for (std::size_t i = 0; i < eq_lux.size(); ++i) step_keys_[i] = step_key_of(eq_lux[i]);
-}
-
 CurveCache::StepCurve CurveCache::at_step(std::size_t i) const {
-  if (options_.model == PowerModel::kSurrogate) return at_key(step_keys_[i]);
   ++queries_;
   const Entry& e = entries_[step_keys_[i].slot];
   return StepCurve{e.voc, e.pmpp, e.vmpp};
 }
 
 double CurveCache::power_at_step(std::size_t i, double v) {
-  if (options_.model == PowerModel::kSurrogate) return power_at_key(step_keys_[i], v);
   ++queries_;
   if (v <= 0.0) return 0.0;
   const double lux = (*eq_lux_)[i];

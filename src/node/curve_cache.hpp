@@ -25,8 +25,10 @@
 //    order) and P(V) is solved exactly per step at the step's own
 //    illuminance.
 //
-// Either way, the per-step lookups are array indexations prepared once
-// by prepare(): no hashing, no log(), no binary search in the hot loop.
+// Surrogate queries resolve a key per illuminance on demand (step_key,
+// lux_key: one log, one floor) and read through it. The exact model
+// instead prepares the whole run's series once (prepare), so its
+// per-step lookups are array indexations with no hashing or log().
 #pragma once
 
 #include <cstdint>
@@ -62,37 +64,32 @@ class CurveCache {
     double vmpp = 0.0;  ///< maximum-power voltage [V]
   };
 
-  /// Precompute the per-step lookup arrays for a run over `eq_lux`
-  /// (equivalent fluorescent illuminance per sample). Must be called
-  /// before the per-step queries; `eq_lux` must outlive the cache in
-  /// exact mode (the per-step solves read it back).
-  ///
-  /// prepare() may be called again for a new series. In surrogate mode
-  /// the entry table survives re-preparation: entries live at fixed
-  /// log-illuminance grid nodes whose values depend only on the cell
-  /// and the options, so a cache can serve many runs (the fleet engine
-  /// re-prepares one cache across every node of a chunk) and only pays
-  /// exact solves for grid nodes no earlier series touched — without
-  /// changing any run's trajectory. In exact mode the entry table is
-  /// keyed by first-encountered illuminance in step order, so
-  /// re-preparation resets it (fresh-cache semantics, bit-identical to
-  /// a new cache); only the instrumentation counters accumulate.
+  /// Exact mode only: memoise the curve summaries of a run over
+  /// `eq_lux` (equivalent fluorescent illuminance per sample) for
+  /// at_step / power_at_step. `eq_lux` must outlive the queries (the
+  /// per-step solves read it back). The entry table is keyed by
+  /// first-encountered illuminance in step order, so re-preparation
+  /// resets it (fresh-cache semantics, bit-identical to a new cache);
+  /// only the instrumentation counters accumulate.
   void prepare(const std::vector<double>& eq_lux);
 
-  /// Curve summary for step i.
+  /// Exact mode: curve summary for step i of the prepared series.
   [[nodiscard]] StepCurve at_step(std::size_t i) const;
 
-  /// Cell power when held at voltage v during step i [W].
+  /// Exact mode: cell power when held at voltage v during step i [W].
   [[nodiscard]] double power_at_step(std::size_t i, double v);
 
   /// Surrogate lookup key of one illuminance: the dense slot of the grid
   /// node below it and the log-illuminance interpolation weight, rounded
-  /// through float. prepare() stores one key per step and at_step /
-  /// power_at_step read through it, so a caller that resolves its own
-  /// keys with step_key() and queries at_key() / power_at_key() runs the
-  /// fixed loop's arithmetic bit for bit without an O(trace) prepare()
-  /// pass (the event stepper does this for per-step-only controllers).
-  /// A key is valid until the next call that may build entries.
+  /// through float. Every tick-replayed step resolves one with
+  /// step_key() and queries at_key() / power_at_key(): that float weight
+  /// is part of the reference (kFixed) trajectory. Entries live at fixed
+  /// log-illuminance grid nodes whose values depend only on the cell and
+  /// the options, so one cache can serve many runs (the fleet engine
+  /// shares one across every node of a chunk) and only pays exact solves
+  /// for grid nodes no earlier run touched — without changing any run's
+  /// trajectory. A key is valid until the next call that may build
+  /// entries.
   static constexpr std::uint32_t kDarkStep = 0xffffffffu;
   struct StepKey {
     std::uint32_t slot = kDarkStep;  ///< dense entry index, or kDarkStep below kDarkLux
@@ -106,12 +103,10 @@ class CurveCache {
   /// Cell power at voltage v at a key [W].
   [[nodiscard]] double power_at_key(StepKey key, double v) const;
 
-  /// On-demand surrogate queries at an arbitrary equivalent illuminance,
-  /// usable without (or alongside) a prepare() pass. The event-driven
-  /// macro-stepper visits a few thousand quadrature points per simulated
-  /// day instead of every trace sample, so it skips the O(trace) prepare
-  /// and asks here directly. Entries are built lazily at the same fixed
-  /// log-illuminance grid nodes prepare() uses — values depend only on
+  /// On-demand surrogate queries at an arbitrary equivalent illuminance
+  /// with a double weight: the event stepper's quadrature points and
+  /// isolated ticks. Entries are built lazily at the same fixed
+  /// log-illuminance grid nodes step_key() uses — values depend only on
   /// the grid index, so a cache shared across fixed and event runs
   /// answers both consistently. Surrogate mode only.
   ///
@@ -179,7 +174,7 @@ class CurveCache {
   [[nodiscard]] std::uint64_t entries_built() const { return entries_built_; }
   /// Curve lookups served (every at* and power_at* call). Together
   /// with model_evals() this yields the cache hit ratio:
-  /// hits = queries - model_evals issued after prepare().
+  /// hits = queries - model_evals issued over the same span.
   [[nodiscard]] std::uint64_t queries() const { return queries_; }
   [[nodiscard]] PowerModel model() const { return options_.model; }
   [[nodiscard]] const Options& options() const { return options_; }
@@ -203,8 +198,6 @@ class CurveCache {
     bool built = false;
   };
 
-  void prepare_exact(const std::vector<double>& eq_lux);
-  void prepare_surrogate(const std::vector<double>& eq_lux);
   void build_exact_entry(Entry& e, double lux);
   void build_surrogate_entry(Entry& e, long grid_index);
   [[nodiscard]] double table_power(const Entry& e, double v) const;
@@ -215,8 +208,8 @@ class CurveCache {
   /// dense slot of j.
   inline std::uint32_t ensure_slot(long j);
   /// lux_key() without the mode check, and its float-weight StepKey.
-  /// They and ensure_slot() are inline because prepare() runs them once
-  /// per trace step.
+  /// They and ensure_slot() are inline because a tick-mode run resolves
+  /// one key per trace step.
   inline LuxKey key_of(double equivalent_lux);
   inline StepKey step_key_of(double equivalent_lux);
 
@@ -224,7 +217,7 @@ class CurveCache {
   pv::Conditions conditions_;
   Options options_;
 
-  // Per-step lookup keys (filled by prepare; exact mode leaves frac 0).
+  // Exact mode: per-step entry slots, filled by prepare (frac unused).
   std::vector<StepKey> step_keys_;
   std::vector<Entry> entries_;
   long grid_base_ = 0;                    ///< surrogate: grid index of entries_[0]

@@ -29,9 +29,12 @@ class PreparedTrace;  // sched/prepared_trace.hpp
 
 namespace focv::node {
 
-/// Time-advancement strategy of simulate_node.
+/// Time-advancement strategy of simulate_node. Both run one stepper
+/// (sched/macro_stepper.cpp) and one definition of a step: PV curve ->
+/// controller -> converter -> store -> load.
 enum class Stepper {
-  /// Integrate every trace step (the bit-identical reference path).
+  /// Tick every trace step (the bit-identical reference). NodeConfig::
+  /// events is ignored and NodeReport::events stays 0.
   kFixed,
   /// Event-driven macro-stepping (focv::sched): advance from event to
   /// event — MPPT sample/hold boundaries, light-trace segments, storage
@@ -40,10 +43,10 @@ enum class Stepper {
   /// 0.1 % (enforced by tests/sched/) at 1-2 orders of magnitude fewer
   /// steps. Per-step-only controllers such as P&O run here too: spans
   /// under their supply floor advance in closed form, and lit spans
-  /// tick step by step with the fixed path's own arithmetic (harvest
-  /// and brown-out steps bit-identical). Configurations the engine
-  /// cannot handle (exact power model, the obs_compare_exact shadow)
-  /// transparently run the fixed path.
+  /// tick with kFixed's own step (harvest and brown-out steps
+  /// bit-identical). Configurations the engine cannot macro-step (exact
+  /// power model, the obs_compare_exact shadow) tick every step exactly
+  /// as kFixed does.
   kEvent,
 };
 
@@ -105,7 +108,8 @@ struct NodeConfig {
 
   /// Time-advancement strategy (see Stepper). kFixed is the reference.
   Stepper stepper = Stepper::kFixed;
-  /// Tuning of the event engine; ignored under kFixed.
+  /// Tuning of the event engine; ignored under kFixed and whenever the
+  /// engine ticks every step (see Stepper::kEvent).
   sched::EventOptions events;
 
   power::BuckBoostConverter converter;
@@ -170,34 +174,30 @@ struct NodeReport {
 /// Re-entrancy: this function never mutates shared state — the
 /// controller prototype is cloned and reset per run — so concurrent
 /// calls with the same config are safe and deterministic.
-[[nodiscard]] NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config);
-
-/// As above, but evaluating PV curves through a caller-owned cache.
 ///
-/// `shared_curves` must have been built for the same cell model,
-/// temperature and power-model options as `config`; it is re-prepared
-/// for this run's illuminance series (see CurveCache::prepare). In
-/// surrogate mode the entry table carries over between runs, so
-/// simulating many nodes that share a cell model through one cache —
-/// what the fleet chunk stepper does — only pays exact solves for grid
-/// nodes no earlier run touched, while every run's trajectory stays
-/// bit-identical to a fresh-cache run. The report's model_evals /
-/// curve_entries counters are this run's increments only. Passing
-/// nullptr falls back to an internal per-run cache.
+/// `shared_curves` (optional) evaluates PV curves through a caller-owned
+/// cache, which must have been built for the same cell model,
+/// temperature and power-model options as `config`. In surrogate mode
+/// the entry table carries over between runs, so simulating many nodes
+/// that share a cell model through one cache — what the fleet chunk
+/// stepper does — only pays exact solves for grid nodes no earlier run
+/// touched, while every run's trajectory stays bit-identical to a
+/// fresh-cache run; in exact mode the cache is re-prepared for this
+/// run's series (see CurveCache::prepare). The report's model_evals /
+/// curve_entries counters are this run's increments only. nullptr uses
+/// an internal per-run cache. NOT re-entrant with respect to
+/// `shared_curves`: concurrent runs must not share one cache (the fleet
+/// engine shares per worker chunk, which is sequential).
 ///
-/// NOT re-entrant with respect to `shared_curves`: concurrent runs must
-/// not share one cache (the fleet engine shares per worker chunk, which
-/// is sequential).
+/// `prepared` (optional) is a caller-owned PreparedTrace (the event
+/// engine's O(trace) preprocessing — see sched/prepared_trace.hpp)
+/// built for exactly this trace and cell, shared read-only across any
+/// number of concurrent runs. The fleet engine builds one per
+/// environment so nodes share the preprocessing. nullptr builds what
+/// the run needs: under kFixed only the two lux series, since a
+/// segmented PreparedTrace costs more than the series alone.
 [[nodiscard]] NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
-                                       CurveCache* shared_curves);
-
-/// As above, additionally reusing a caller-owned PreparedTrace (the
-/// event engine's O(trace) preprocessing — see sched/prepared_trace.hpp)
-/// built for exactly this trace and cell. The fleet engine builds one
-/// per environment so event-stepped nodes share the preprocessing.
-/// Ignored (may be nullptr) when the run takes the fixed path.
-[[nodiscard]] NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
-                                       CurveCache* shared_curves,
-                                       const sched::PreparedTrace* prepared);
+                                       CurveCache* shared_curves = nullptr,
+                                       const sched::PreparedTrace* prepared = nullptr);
 
 }  // namespace focv::node

@@ -10,8 +10,19 @@
 
 #include "common/require.hpp"
 #include "obs/obs.hpp"
+#include "sched/prepared_trace.hpp"
 
 namespace focv::sched {
+
+bool event_supported(const node::NodeConfig& config) {
+  if (config.power_model != node::PowerModel::kSurrogate) return false;
+  if (config.obs_compare_exact) return false;
+  return config.controller_prototype != nullptr;
+}
+
+}  // namespace focv::sched
+
+namespace focv::node {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -29,47 +40,77 @@ constexpr std::uint64_t kObsFlushEvery = 64;
 /// floor (900 s intervals) 875 / 1.03e-3, past the 0.1 % contract; the
 /// plain guard reads 14,089 / 4.1e-6.
 constexpr double kFullStoreIntervalS = 60.0;
+
+// Each stepper registers its own histogram on its first run, right after
+// node.step_tracking_efficiency as it always has, so metrics.jsonl keeps
+// its layout: the surrogate-vs-exact shadow for tick mode, the interval
+// length for event mode.
+obs::HistogramId deviation_histogram() {
+  static const obs::HistogramId id =
+      obs::metrics().histogram("node.surrogate.deviation_rel", {1e-9, 1.0, 48});
+  return id;
+}
+obs::HistogramId interval_histogram() {
+  static const obs::HistogramId id =
+      obs::metrics().histogram("sched.interval_s", {1e-3, 1e5, 48});
+  return id;
+}
+// Out of line and cold: brown-out entry is rare, and the anomaly's
+// field list need not sit in fallback_step's hot path.
+[[gnu::cold, gnu::noinline]] void emit_brownout(double t, double store_voltage, double lux,
+                                                std::size_t step) {
+  obs::anomaly("brownout", t,
+               {{"store_voltage", store_voltage},
+                {"lux", lux},
+                {"step", static_cast<double>(step)}});
+}
 }  // namespace
 
-bool event_supported(const node::NodeConfig& config) {
-  if (config.power_model != node::PowerModel::kSurrogate) return false;
-  if (config.obs_compare_exact) return false;
-  return config.controller_prototype != nullptr;
-}
-
-// The structure mirrors node/harvester_node.cpp's fixed loop on purpose:
-// fallback_step() below IS that loop body (via lazy curve queries), and
-// every macro interval must account energy into the same NodeReport
-// fields the fixed path uses. Read the two side by side.
-node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::NodeConfig& config,
-                                      node::CurveCache* shared_curves,
-                                      const PreparedTrace* prepared) {
-  using node::CurveCache;
+// One body for both steppers. Tick mode (Stepper::kFixed, or any config
+// event_supported() rejects) runs fallback_step() below on every trace
+// step; event mode advances segment by segment and reaches
+// fallback_step() only where a step must tick. Every macro interval
+// accounts energy into the same NodeReport fields fallback_step() does.
+NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
+                         CurveCache* shared_curves, const sched::PreparedTrace* prepared) {
+  using sched::PreparedTrace;
 
   require(config.cell_model != nullptr, "simulate_node: cell is required (use_cell)");
   require(config.controller_prototype != nullptr,
           "simulate_node: controller is required (use_controller)");
   require(trace.size() >= 2, "simulate_node: trace needs at least 2 samples");
   require(config.lux_scale > 0.0, "simulate_node: lux_scale must be > 0");
-  require(event_supported(config),
-          "simulate_node_events: config cannot run on the event engine (see event_supported)");
 
   const pv::SingleDiodeModel& cell = *config.cell_model;
+  // Decided once per run: tick every step, or macro-step between events.
+  const bool tick_all = config.stepper == Stepper::kFixed || !sched::event_supported(config);
+  const bool exact = config.power_model == PowerModel::kExact;  // implies tick_all
 
-  // Per-trace preprocessing: shared read-only across nodes, or built here.
+  // Per-trace series: a caller-owned PreparedTrace (shared read-only
+  // across nodes) is read in place. Without one, tick mode needs only
+  // the two lux series; event mode builds its own PreparedTrace.
   std::optional<PreparedTrace> owned_prep;
+  std::vector<double> owned_eq;
+  std::vector<double> owned_total;
   if (prepared != nullptr) {
     require(&prepared->trace() == &trace,
-            "simulate_node_events: PreparedTrace was built for a different trace");
+            "simulate_node: PreparedTrace was built for a different trace");
     require(&prepared->cell() == &cell,
-            "simulate_node_events: PreparedTrace was built for a different cell model");
+            "simulate_node: PreparedTrace was built for a different cell model");
+  } else if (tick_all) {
+    owned_eq = trace.equivalent_lux(cell);
+    owned_total = trace.total_lux();
   } else {
     env::SegmentationOptions seg;
     seg.ratio_band = config.events.lux_ratio_band;
     seg.floor = CurveCache::kDarkLux;
     owned_prep.emplace(trace, cell, seg);
+    prepared = &*owned_prep;
   }
-  const PreparedTrace& prep = prepared != nullptr ? *prepared : *owned_prep;
+  // From here `prepared` is null only for a tick-mode run without a
+  // caller instance; tick mode reads nothing but these two series.
+  const std::vector<double>& eq = prepared != nullptr ? prepared->eq_lux() : owned_eq;
+  const std::vector<double>& total = prepared != nullptr ? prepared->total_lux() : owned_total;
 
   std::unique_ptr<mppt::MpptController> owned_controller = config.controller_prototype->clone();
   mppt::MpptController& controller = *owned_controller;
@@ -90,6 +131,8 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
   std::optional<power::ColdStartCircuit> coldstart;
   if (config.coldstart) coldstart.emplace(*config.coldstart);
 
+  // A caller-owned cache (fleet chunks, serve) must answer for exactly
+  // this run's cell/temperature/options, or its entries would be wrong.
   std::optional<CurveCache> owned_curves;
   if (shared_curves != nullptr) {
     require(&shared_curves->cell() == &cell,
@@ -104,33 +147,59 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
                          CurveCache::Options{config.power_model, config.surrogate_points});
   }
   CurveCache& curves = shared_curves != nullptr ? *shared_curves : *owned_curves;
+  // A shared cache carries counters (and in surrogate mode, entries)
+  // from earlier runs; the report's counters are this run's increments.
   const std::uint64_t evals_before = curves.model_evals();
   const std::uint64_t entries_before = curves.entries_built();
   const std::uint64_t queries_before = curves.queries();
 
   const std::vector<double>& t = trace.time();
-  const std::vector<double>& eq = prep.eq_lux();
-  const std::vector<double>& total = prep.total_lux();
   const double s = config.lux_scale;
-  const std::size_t n_steps = prep.step_count();
-  require(n_steps == trace.size() - 1,
-          "simulate_node_events: PreparedTrace size does not match the trace");
+  const std::size_t n_steps = trace.size() - 1;
 
+  // Telemetry: one enabled() check per run; the step loops only test the
+  // hoisted bool. Everything recorded is derived from values the
+  // simulation computes anyway (observation-only, see obs.hpp).
   const bool obs_on = obs::enabled();
+  const bool shadow = obs_on && config.obs_compare_exact && !exact;
+
+  // kExact (and the exact shadow) answer per step from a prepare()d
+  // series, which must outlive the run's queries: the scaled copy lives
+  // here.
+  std::vector<double> scaled_eq;
+  if (s != 1.0 && (exact || shadow)) {
+    scaled_eq = eq;
+    for (double& v : scaled_eq) v *= s;
+  }
+  const std::vector<double>& exact_eq = s != 1.0 ? scaled_eq : eq;
+  if (exact) curves.prepare(exact_eq);
+
   std::optional<obs::Tracer::Span> run_span;
+  std::optional<CurveCache> exact_shadow;  ///< surrogate-vs-exact comparison (tick mode)
   if (obs_on) {
     run_span.emplace(obs::tracer().span("simulate_node", "node"));
     run_span->arg("controller", controller.name());
-    run_span->arg("power_model", "surrogate");
-    run_span->arg("stepper", "event");
+    run_span->arg("power_model", exact ? "exact" : "surrogate");
+    if (!tick_all) run_span->arg("stepper", "event");
+    if (shadow) {
+      exact_shadow.emplace(cell, config.temperature_k,
+                           CurveCache::Options{PowerModel::kExact, config.surrogate_points});
+      exact_shadow->prepare(exact_eq);
+    }
   }
   static const obs::HistogramId step_eff_id = obs::metrics().histogram(
       "node.step_tracking_efficiency", {1e-3, 1.0 + 1e-9, 48});
-  static const obs::HistogramId interval_id =
-      obs::metrics().histogram("sched.interval_s", {1e-3, 1e5, 48});
+  const obs::HistogramId deviation_id = tick_all ? deviation_histogram() : obs::HistogramId{};
+  const obs::HistogramId interval_id = tick_all ? obs::HistogramId{} : interval_histogram();
+  // Per-step efficiency samples batch locally (plain adds) and merge
+  // into the registry every kObsFlushEvery samples.
   obs::HistogramBatch eff_batch({1e-3, 1.0 + 1e-9, 48});
+  // Brown-out entry raises an anomaly (one flight dump when armed) in
+  // tick mode only; event runs have never emitted it.
+  const bool brownout_anomaly = obs_on && tick_all;
+  bool in_brownout = false;
 
-  node::NodeReport report;
+  NodeReport report;
   report.duration = trace.duration();
 
   mppt::SensedInputs sensed;
@@ -142,7 +211,8 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
   const double controller_current = overhead_power / 3.3;  // for the cold-start load model
   const bool record = config.record_traces;
   const std::size_t stride = static_cast<std::size_t>(std::max(1, config.record_stride));
-  const bool bursts = config.events.resolve_load_bursts;
+  // EventOptions tune event mode only: tick mode drains the average load.
+  const bool bursts = !tick_all && config.events.resolve_load_bursts;
 
   std::uint64_t fallback_steps = 0;
   std::uint64_t intervals = 0;
@@ -221,7 +291,7 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
         const std::size_t r = ((p + stride - 1) / stride) * stride;  // next recorded step >= p
         if (r < b) {
           rec_step = r;
-          q = r + 1;  // the fixed path records step r after applying it
+          q = r + 1;  // tick mode records step r after applying it
         }
       }
       if (!bursts) {
@@ -263,24 +333,35 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
   };
 
   // --- fallback step ---------------------------------------------------
-  // One tick of the fixed reference loop (node/harvester_node.cpp),
-  // answered through lazy curve queries so no O(trace) prepare() pass is
-  // needed. kPerStepOnly laws tick every lit step, so they resolve one
-  // step key (float weight, the fixed loop's own at_step arithmetic)
-  // and replay that loop bit for bit; other laws only tick isolated
-  // steps and resolve a double-weight LuxKey instead. `advance_cs` is
+  // One step of the behavioural chain: PV curve -> controller ->
+  // converter -> store -> load. Tick mode runs it on every step; event
+  // mode on the steps it cannot macro-step. Curve queries are lazy, so
+  // no O(trace) pass is needed: tick-replayed steps (every step in tick
+  // mode, every lit step of a kPerStepOnly law) resolve one StepKey
+  // (float weight), isolated event-mode ticks a double-weight LuxKey,
+  // and kExact reads its prepare()d per-step solves. `advance_cs` is
   // false only inside segments whose cold-start supervisor is
   // certified-and-frozen (see below).
-  const bool replay_steps = law == mppt::MacroLaw::kPerStepOnly;
+  const bool replay_steps = tick_all || law == mppt::MacroLaw::kPerStepOnly;
   const auto fallback_step = [&](std::size_t i, bool advance_cs) {
     const double dt = t[i + 1] - t[i];
     const double lux = s * eq[i];
-    const CurveCache::StepKey step_key =
-        replay_steps ? curves.step_key(lux) : CurveCache::StepKey{};
-    const CurveCache::LuxKey lux_key = replay_steps ? CurveCache::LuxKey{} : curves.lux_key(lux);
-    const CurveCache::StepCurve curve = replay_steps ? curves.at_key(step_key) : curves.at(lux_key);
+    CurveCache::StepKey step_key;
+    CurveCache::LuxKey lux_key;
+    CurveCache::StepCurve curve;
+    if (exact) {
+      curve = curves.at_step(i);
+    } else if (replay_steps) {
+      step_key = curves.step_key(lux);
+      curve = curves.at_key(step_key);
+    } else {
+      lux_key = curves.lux_key(lux);
+      curve = curves.at(lux_key);
+    }
     report.ideal_mpp_energy += curve.pmpp * dt;
 
+    // Cold-start gate: while the supervisor has not fired, the MPPT is
+    // unpowered and the PV charges C1 instead of harvesting.
     bool running = true;
     if (coldstart) {
       if (advance_cs) {
@@ -288,6 +369,8 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
       }
       running = coldstart->started();
     }
+    // Supply floor: below its minimum illuminance the tracking circuitry
+    // cannot run at all.
     if (lux < min_operating_lux) running = false;
 
     double pv_power = 0.0;
@@ -297,20 +380,27 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
       sensed.time = t[i];
       sensed.dt = dt;
       sensed.voc = curve.voc;
-      sensed.pilot_voc = curve.voc;
+      sensed.pilot_voc = curve.voc;  // matched pilot; controller applies its own mismatch
       sensed.illuminance_estimate = s * total[i];
       sensed.prev_power = prev_power;
       sensed.prev_voltage = prev_voltage;
       sensed.store_voltage = store_voltage();
       const mppt::ControlOutput out = controller.step(sensed);
       pv_voltage = out.pv_voltage;
-      pv_power = (replay_steps ? curves.power_at_key(step_key, out.pv_voltage)
-                               : curves.power_at(lux_key, out.pv_voltage)) *
-                 (1.0 - std::min(1.0, out.disconnect_fraction));
+      const double cell_power = exact          ? curves.power_at_step(i, pv_voltage)
+                                : replay_steps ? curves.power_at_key(step_key, pv_voltage)
+                                               : curves.power_at(lux_key, pv_voltage);
+      pv_power = cell_power * (1.0 - std::min(1.0, out.disconnect_fraction));
       report.overhead_energy += overhead_power * dt;
       if (obs_on && curve.pmpp > 0.0) {
         eff_batch.observe(pv_power / curve.pmpp);
         if (eff_batch.pending() >= kObsFlushEvery) obs::metrics().flush(step_eff_id, eff_batch);
+        if (exact_shadow && pv_voltage > 0.0) {  // tick mode, surrogate: a StepKey
+          const double exact_power = exact_shadow->power_at_step(i, pv_voltage);
+          obs::metrics().observe(
+              deviation_id,
+              std::abs(curves.power_at_key(step_key, pv_voltage) - exact_power) / curve.pmpp);
+        }
       }
     }
     prev_power = pv_power;
@@ -320,14 +410,18 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
     const double delivered = config.converter.output_power(pv_power, pv_voltage);
     report.delivered_energy += delivered * dt;
 
+    // Store bookkeeping: harvest in, overhead and load out.
     double drain = running ? overhead_power : 0.0;
     const double step_load = bursts ? load.power_at(t[i]) : load_power;
     if (store_usable()) {
       drain += step_load;
       report.load_energy_served += step_load * dt;
+      in_brownout = false;
     } else {
       ++report.brownout_steps;
       report.brownout_time += dt;
+      if (brownout_anomaly && !in_brownout) emit_brownout(t[i], store_voltage(), lux, i);
+      in_brownout = true;
     }
     store_apply(delivered - drain, dt);
 
@@ -338,7 +432,6 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
       report.store_voltage.push_back(store_voltage());
     }
     ++fallback_steps;
-    ++report.events;
   };
 
   // --- analytic macro interval -----------------------------------------
@@ -352,7 +445,7 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
                                     double hi_lux) {
     ++intervals;
     ++report.events;
-    const PreparedTrace::Moments m = prep.moments(a, b);
+    const PreparedTrace::Moments m = prepared->moments(a, b);
     const double w = m.w;
     const double mean = (m.m1 / m.w) * s;
     const double var = std::max(0.0, (m.m2 / m.w) * s * s - mean * mean);
@@ -393,7 +486,7 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
     };
     switch (law) {
       case mppt::MacroLaw::kSampleHold: {
-        // The fixed path applies the command sampled at each step's own
+        // Tick mode applies the command sampled at each step's own
         // time; evaluating the (linear) hold droop half a mean step past
         // the midpoint reproduces that average exactly.
         pv_v = controller.command_at(t_mid + 0.5 * dt_bar);
@@ -401,7 +494,7 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
         break;
       }
       case mppt::MacroLaw::kMemoryless: {
-        const double est = prep.total_lux_mean(a, b) * s;
+        const double est = prepared->total_lux_mean(a, b) * s;
         const auto eval = [&](const CurveCache::StepCurve& c, CurveCache::LuxKey key) {
           sensed.time = t_mid;
           sensed.dt = dt_bar;
@@ -431,7 +524,7 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
           sensed.dt = dt_bar;
           sensed.voc = 0.5 * (c_lo.voc + c_hi.voc);
           sensed.pilot_voc = sensed.voc;
-          sensed.illuminance_estimate = prep.total_lux_mean(a, b) * s;
+          sensed.illuminance_estimate = prepared->total_lux_mean(a, b) * s;
           sensed.prev_power = prev_power;
           sensed.prev_voltage = prev_voltage;
           sensed.store_voltage = v_store;
@@ -528,7 +621,7 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
         if (te < t[p + 1]) {
           // The event lands inside step p: replay that step through the
           // real controller so its mutable state (held sample, astable
-          // phase, catch-up after dark) is exactly the fixed path's.
+          // phase, catch-up after dark) is exactly tick mode's.
           fallback_step(p, false);
           ++p;
           continue;
@@ -551,58 +644,63 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
     }
   };
 
-  const double dark_lux = CurveCache::kDarkLux;
-  for (const env::Segment& seg : prep.segments()) {
-    ++report.events;  // light-trace breakpoint
-    const double seg_min = s * seg.min_value;
-    const double seg_max = s * seg.max_value;
+  if (tick_all) {
+    for (std::size_t i = 0; i < n_steps; ++i) fallback_step(i, true);
+  } else {
+    const double dark_lux = CurveCache::kDarkLux;
+    for (const env::Segment& seg : prepared->segments()) {
+      ++report.events;  // light-trace breakpoint
+      const double seg_min = s * seg.min_value;
+      const double seg_max = s * seg.max_value;
 
-    // lux_scale pushed a dark-merged segment (unbounded ratio) across
-    // the surrogate's dark cutoff: no band bound for the quadrature.
-    bool per_step = seg.dark && seg_max >= dark_lux;
-    if (!per_step && coldstart && !coldstart_certified(seg_min)) {
-      per_step = true;  // supervisor state must evolve tick by tick
-      // A started supervisor failing certification is the anomalous
-      // case (the drain margin collapsed); pre-start fallbacks are the
-      // expected cold-start ramp and stay quiet.
-      if (coldstart->started()) {
-        obs::anomaly("coldstart_cert_failed", t[seg.first],
-                     {{"seg_min_lux", seg_min},
-                      {"steps", static_cast<double>(seg.last - seg.first)}});
+      // lux_scale pushed a dark-merged segment (unbounded ratio) across
+      // the surrogate's dark cutoff: no band bound for the quadrature.
+      bool per_step = seg.dark && seg_max >= dark_lux;
+      if (!per_step && coldstart && !coldstart_certified(seg_min)) {
+        per_step = true;  // supervisor state must evolve tick by tick
+        // A started supervisor failing certification is the anomalous
+        // case (the drain margin collapsed); pre-start fallbacks are the
+        // expected cold-start ramp and stay quiet.
+        if (coldstart->started()) {
+          obs::anomaly("coldstart_cert_failed", t[seg.first],
+                       {{"seg_min_lux", seg_min},
+                        {"steps", static_cast<double>(seg.last - seg.first)}});
+        }
       }
-    }
-    if (per_step) {
-      for (std::size_t i = seg.first; i < seg.last; ++i) fallback_step(i, true);
-      continue;
-    }
+      if (per_step) {
+        for (std::size_t i = seg.first; i < seg.last; ++i) fallback_step(i, true);
+        continue;
+      }
 
-    // A cold-start supervisor is started and certified to stay so from
-    // here: only the supply floor gates the controller.
-    if (!(seg_min < min_operating_lux && seg_max >= min_operating_lux)) {
-      process_run(seg.first, seg.last, seg_min >= min_operating_lux, seg_min, seg_max);
-      continue;
-    }
-    // The supply floor falls inside the segment: split it into maximal
-    // runs on one side of it, flipping exactly where the fixed loop's
-    // running gate flips. The gated runs are store intervals (the fixed
-    // loop makes no step() call there), the lit ones macro-step.
-    std::size_t a = seg.first;
-    double lo = s * eq[a];
-    double hi = lo;
-    bool gated = lo < min_operating_lux;
-    for (std::size_t i = a + 1; i < seg.last; ++i) {
-      const double lux = s * eq[i];
-      if ((lux < min_operating_lux) != gated) {
-        process_run(a, i, !gated, lo, hi);
-        a = i;
-        lo = hi = lux;
-        gated = !gated;
-      } else {
-        lo = std::min(lo, lux);
-        hi = std::max(hi, lux);
+      // A cold-start supervisor is started and certified to stay so from
+      // here: only the supply floor gates the controller.
+      if (!(seg_min < min_operating_lux && seg_max >= min_operating_lux)) {
+        process_run(seg.first, seg.last, seg_min >= min_operating_lux, seg_min, seg_max);
+        continue;
       }
+      // The supply floor falls inside the segment: split it into maximal
+      // runs on one side of it, flipping exactly where tick mode's
+      // running gate flips. The gated runs are store intervals (tick mode
+      // makes no step() call there), the lit ones macro-step.
+      std::size_t a = seg.first;
+      double lo = s * eq[a];
+      double hi = lo;
+      bool gated = lo < min_operating_lux;
+      for (std::size_t i = a + 1; i < seg.last; ++i) {
+        const double lux = s * eq[i];
+        if ((lux < min_operating_lux) != gated) {
+          process_run(a, i, !gated, lo, hi);
+          a = i;
+          lo = hi = lux;
+          gated = !gated;
+        } else {
+          lo = std::min(lo, lux);
+          hi = std::max(hi, lux);
+        }
+      }
+      process_run(a, seg.last, !gated, lo, hi);
     }
-    process_run(a, seg.last, !gated, lo, hi);
+    report.events += fallback_steps;  // every tick is an event boundary
   }
 
   report.final_store_voltage = store_voltage();
@@ -616,32 +714,47 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
     static const obs::CounterId evals_id = obs::metrics().counter("node.model_evals");
     static const obs::CounterId hits_id = obs::metrics().counter("node.curve.hits");
     static const obs::CounterId misses_id = obs::metrics().counter("node.curve.misses");
-    static const obs::CounterId events_id = obs::metrics().counter("sched.events");
-    static const obs::CounterId intervals_id = obs::metrics().counter("sched.intervals");
-    static const obs::CounterId fallback_id = obs::metrics().counter("sched.fallback_steps");
-    // Hit/miss as on the fixed path: a lookup that needed no exact
-    // solve is a hit.
+    // Hit/miss: a lookup that needed no exact solve is a hit. In exact
+    // mode every power_at_step solve is a miss; surrogate lookups hit
+    // the interpolated tables.
     const std::uint64_t queries = curves.queries() - queries_before;
     const std::uint64_t misses = std::min(queries, report.model_evals);
     obs::metrics().add(steps_id, static_cast<double>(report.steps));
     obs::metrics().add(evals_id, static_cast<double>(report.model_evals));
     obs::metrics().add(hits_id, static_cast<double>(queries - misses));
     obs::metrics().add(misses_id, static_cast<double>(misses));
-    obs::metrics().add(events_id, static_cast<double>(report.events));
-    obs::metrics().add(intervals_id, static_cast<double>(intervals));
-    obs::metrics().add(fallback_id, static_cast<double>(fallback_steps));
+    if (tick_all) {
+      static const obs::HistogramId builds_id =
+          obs::metrics().histogram("node.curve.entries_built", {1.0, 1e5, 40});
+      static const obs::HistogramId run_evals_id =
+          obs::metrics().histogram("node.curve.model_evals", {1.0, 1e7, 56});
+      obs::metrics().observe(builds_id, static_cast<double>(report.curve_entries));
+      obs::metrics().observe(run_evals_id, static_cast<double>(report.model_evals));
+    } else {
+      static const obs::CounterId events_id = obs::metrics().counter("sched.events");
+      static const obs::CounterId intervals_id = obs::metrics().counter("sched.intervals");
+      static const obs::CounterId fallback_id = obs::metrics().counter("sched.fallback_steps");
+      obs::metrics().add(events_id, static_cast<double>(report.events));
+      obs::metrics().add(intervals_id, static_cast<double>(intervals));
+      obs::metrics().add(fallback_id, static_cast<double>(fallback_steps));
+    }
     obs::events().emit("node_run_complete", report.duration,
                        {{"steps", report.steps},
                         {"tracking_efficiency", report.tracking_efficiency()},
                         {"net_j", report.net_energy()},
                         {"curve_entries", report.curve_entries}});
     run_span->arg("steps", static_cast<double>(report.steps));
-    run_span->arg("events", static_cast<double>(report.events));
-    run_span->arg("fallback_steps", static_cast<double>(fallback_steps));
-    run_span->arg("model_evals", static_cast<double>(report.model_evals));
+    if (tick_all) {
+      run_span->arg("model_evals", static_cast<double>(report.model_evals));
+      run_span->arg("curve_entries", static_cast<double>(report.curve_entries));
+    } else {
+      run_span->arg("events", static_cast<double>(report.events));
+      run_span->arg("fallback_steps", static_cast<double>(fallback_steps));
+      run_span->arg("model_evals", static_cast<double>(report.model_evals));
+    }
     run_span->arg("tracking_efficiency", report.tracking_efficiency());
   }
   return report;
 }
 
-}  // namespace focv::sched
+}  // namespace focv::node

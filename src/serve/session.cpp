@@ -164,7 +164,7 @@ void SessionState::warm(EnvState& env) {
   env.state = EnvState::Warm::kBuilding;
   lock.unlock();
   try {
-    // Segmentation matching what simulate_node_events derives for
+    // Segmentation matching what simulate_node derives for event runs under
     // default EventOptions, so the prepared trace is accepted there.
     env::SegmentationOptions seg;
     seg.ratio_band = sched::EventOptions{}.lux_ratio_band;

@@ -24,18 +24,24 @@ CurveCache::Options options_for(PowerModel model) {
 // off any grid node (the worst case for the interpolation).
 const std::vector<double> kLuxLadder = {137.0, 480.0, 1021.0, 3333.0, 9870.0, 41000.0};
 
+// Resolve a key for every illuminance of a series, in step order, as a
+// kFixed run does; builds the series' grid entries.
+void resolve_series(CurveCache& cache, const std::vector<double>& lux) {
+  for (const double l : lux) (void)cache.step_key(l);
+}
+
 TEST(CurveCache, SurrogatePowerWithinTenthOfPercentOfExact) {
   const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
   CurveCache cache(cell, kRoomTempK, options_for(PowerModel::kSurrogate));
-  cache.prepare(kLuxLadder);
   for (std::size_t i = 0; i < kLuxLadder.size(); ++i) {
+    const CurveCache::StepKey key = cache.step_key(kLuxLadder[i]);
     const pv::Conditions c = cache.conditions_at(kLuxLadder[i]);
     const double voc = cell.open_circuit_voltage(c);
     const double pmpp = cell.maximum_power_point(c, voc).power;
     for (int k = 1; k < 60; ++k) {
       const double v = voc * k / 60.0;
       const double exact = cell.power_at(v, c);
-      const double fast = cache.power_at_step(i, v);
+      const double fast = cache.power_at_key(key, v);
       EXPECT_NEAR(fast, exact, 1e-3 * pmpp)
           << "lux=" << kLuxLadder[i] << " v=" << v;
     }
@@ -45,12 +51,11 @@ TEST(CurveCache, SurrogatePowerWithinTenthOfPercentOfExact) {
 TEST(CurveCache, SurrogateCurveSummaryWithinTenthOfPercent) {
   const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
   CurveCache cache(cell, kRoomTempK, options_for(PowerModel::kSurrogate));
-  cache.prepare(kLuxLadder);
   for (std::size_t i = 0; i < kLuxLadder.size(); ++i) {
     const pv::Conditions c = cache.conditions_at(kLuxLadder[i]);
     const double voc = cell.open_circuit_voltage(c);
     const pv::MppResult mpp = cell.maximum_power_point(c, voc);
-    const CurveCache::StepCurve s = cache.at_step(i);
+    const CurveCache::StepCurve s = cache.at_key(cache.step_key(kLuxLadder[i]));
     EXPECT_NEAR(s.voc, voc, 1e-3 * voc);
     EXPECT_NEAR(s.pmpp, mpp.power, 1e-3 * mpp.power);
     // Vmpp tolerance is looser in absolute terms: P(V) is flat at the
@@ -64,12 +69,12 @@ TEST(CurveCache, SurrogateNeverExceedsItsOwnPmpp) {
   // cannot beat the interpolated curve maximum.
   const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
   CurveCache cache(cell, kRoomTempK, options_for(PowerModel::kSurrogate));
-  cache.prepare(kLuxLadder);
-  for (std::size_t i = 0; i < kLuxLadder.size(); ++i) {
-    const CurveCache::StepCurve s = cache.at_step(i);
+  for (const double lux : kLuxLadder) {
+    const CurveCache::StepKey key = cache.step_key(lux);
+    const CurveCache::StepCurve s = cache.at_key(key);
     for (int k = 0; k <= 100; ++k) {
       const double v = s.voc * 1.05 * k / 100.0;
-      EXPECT_LE(cache.power_at_step(i, v), s.pmpp * (1.0 + 1e-12));
+      EXPECT_LE(cache.power_at_key(key, v), s.pmpp * (1.0 + 1e-12));
     }
   }
 }
@@ -109,9 +114,16 @@ TEST(CurveCache, ExactModeKeysBucketsByFirstEncounter) {
 TEST(CurveCache, DarkStepsAreFreeAndZero) {
   const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
   const std::vector<double> lux = {0.0, 0.01, 500.0};
-  for (const PowerModel model : {PowerModel::kSurrogate, PowerModel::kExact}) {
-    CurveCache cache(cell, kRoomTempK, options_for(model));
-    cache.prepare(lux);  // must outlive the cache in exact mode
+  {
+    CurveCache cache(cell, kRoomTempK, options_for(PowerModel::kSurrogate));
+    EXPECT_EQ(cache.at_key(cache.step_key(lux[0])).pmpp, 0.0);
+    EXPECT_EQ(cache.at_key(cache.step_key(lux[1])).voc, 0.0);
+    EXPECT_EQ(cache.power_at_key(cache.step_key(lux[0]), 1.5), 0.0);
+    EXPECT_GT(cache.at_key(cache.step_key(lux[2])).pmpp, 0.0);
+  }
+  {
+    CurveCache cache(cell, kRoomTempK, options_for(PowerModel::kExact));
+    cache.prepare(lux);  // must outlive the queries in exact mode
     EXPECT_EQ(cache.at_step(0).pmpp, 0.0);
     EXPECT_EQ(cache.at_step(1).voc, 0.0);
     EXPECT_EQ(cache.power_at_step(0, 1.5), 0.0);
@@ -123,27 +135,34 @@ TEST(CurveCache, ConstantLightBuildsOnlyNeighbouringEntries) {
   const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
   CurveCache cache(cell, kRoomTempK, options_for(PowerModel::kSurrogate));
   const std::vector<double> lux(10000, 750.0);
-  cache.prepare(lux);
+  resolve_series(cache, lux);
   EXPECT_EQ(cache.entries_built(), 2u);  // node j and its j+1 neighbour
-  // Preparation cost is bounded by entries, not steps.
+  // Resolution cost is bounded by entries, not steps.
   EXPECT_LE(cache.model_evals(), 2u * (2u + 128u));
   // Per-step queries issue no further solves in surrogate mode.
   const std::uint64_t before = cache.model_evals();
-  (void)cache.power_at_step(123, 1.0);
+  (void)cache.power_at_key(cache.step_key(lux[123]), 1.0);
   EXPECT_EQ(cache.model_evals(), before);
 }
 
 TEST(CurveCache, RePrepareIsFreeForAnIdenticalSeries) {
-  // Re-preparation replaced the old one-shot contract: preparing the
+  // A surrogate cache carries its entries across runs: resolving the
   // same series again reuses every entry and solves nothing new.
   const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
   CurveCache cache(cell, kRoomTempK);
-  cache.prepare({500.0});
+  resolve_series(cache, {500.0});
   const std::uint64_t evals = cache.model_evals();
   const std::uint64_t entries = cache.entries_built();
-  cache.prepare({500.0});
+  resolve_series(cache, {500.0});
   EXPECT_EQ(cache.model_evals(), evals);
   EXPECT_EQ(cache.entries_built(), entries);
+}
+
+TEST(CurveCache, PrepareRejectsTheSurrogateModel) {
+  // Surrogate runs resolve keys lazily; prepare() serves only kExact.
+  const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
+  CurveCache cache(cell, kRoomTempK, options_for(PowerModel::kSurrogate));
+  EXPECT_THROW(cache.prepare(kLuxLadder), PreconditionError);
 }
 
 TEST(CurveCache, RejectsTinyTables) {
@@ -154,7 +173,7 @@ TEST(CurveCache, RejectsTinyTables) {
 }
 
 TEST(CurveCache, SurrogateRePrepareMatchesFreshCache) {
-  // The fleet stepper re-prepares one cache across many nodes. A re-used
+  // The fleet stepper shares one cache across many nodes. A re-used
   // cache must answer exactly like a fresh one for the new series, while
   // keeping (and growing) the grid entries it already solved.
   const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
@@ -164,25 +183,28 @@ TEST(CurveCache, SurrogateRePrepareMatchesFreshCache) {
   const std::vector<double> second = {55.0, 480.0, 22000.0, 0.0};
 
   CurveCache reused(cell, kRoomTempK, options_for(PowerModel::kSurrogate));
-  reused.prepare(first);
+  resolve_series(reused, first);
   const std::uint64_t evals_first = reused.model_evals();
-  reused.prepare(second);
+  resolve_series(reused, second);
 
   CurveCache fresh(cell, kRoomTempK, options_for(PowerModel::kSurrogate));
-  fresh.prepare(second);
+  resolve_series(fresh, second);
 
   for (std::size_t i = 0; i < second.size(); ++i) {
-    const CurveCache::StepCurve a = reused.at_step(i);
-    const CurveCache::StepCurve b = fresh.at_step(i);
+    // Every entry is built, so these keys stay valid across the queries.
+    const CurveCache::StepKey ka = reused.step_key(second[i]);
+    const CurveCache::StepKey kb = fresh.step_key(second[i]);
+    const CurveCache::StepCurve a = reused.at_key(ka);
+    const CurveCache::StepCurve b = fresh.at_key(kb);
     EXPECT_EQ(a.voc, b.voc) << i;
     EXPECT_EQ(a.pmpp, b.pmpp) << i;
     for (int k = 1; k < 20; ++k) {
       const double v = b.voc * k / 20.0;
-      EXPECT_EQ(reused.power_at_step(i, v), fresh.power_at_step(i, v)) << i << " " << v;
+      EXPECT_EQ(reused.power_at_key(ka, v), fresh.power_at_key(kb, v)) << i << " " << v;
     }
   }
   // Overlapping grid nodes were reused, not re-solved: the second
-  // prepare costs fewer evals than the fresh cache's.
+  // series costs fewer evals than the fresh cache's.
   EXPECT_LT(reused.model_evals() - evals_first, fresh.model_evals());
   // Counters accumulate across prepares instead of resetting.
   EXPECT_GE(reused.model_evals(), evals_first);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "core/focv_system.hpp"
 #include "env/profiles.hpp"
 #include "mppt/baselines.hpp"
@@ -222,6 +226,147 @@ TEST(HarvesterNode, BatteryBrownoutWhenEmptyAndDark) {
   const env::LightTrace trace = env::constant_light(0.0, 0.0, 600.0);
   const NodeReport report = simulate_node(trace, cfg);
   EXPECT_GT(report.brownout_steps, 0);
+}
+
+
+// --- kFixed goldens ---------------------------------------------------
+// Every NodeReport scalar of seven 24 h kFixed runs, captured as hexfloat
+// from the dedicated fixed-step loop this stepper's tick mode replaced.
+// EXPECT_EQ, not NEAR: tick mode must reproduce that loop bit for bit.
+
+struct Golden {
+  double harvested, delivered, overhead, load_served, ideal_mpp, coldstart_time;
+  int brownout_steps;
+  double brownout_time, final_store_voltage;
+  std::uint64_t steps, model_evals, curve_entries;
+};
+
+void expect_golden(const NodeReport& r, const Golden& g) {
+  EXPECT_EQ(r.harvested_energy, g.harvested);
+  EXPECT_EQ(r.delivered_energy, g.delivered);
+  EXPECT_EQ(r.overhead_energy, g.overhead);
+  EXPECT_EQ(r.load_energy_served, g.load_served);
+  EXPECT_EQ(r.ideal_mpp_energy, g.ideal_mpp);
+  EXPECT_EQ(r.coldstart_time, g.coldstart_time);
+  EXPECT_EQ(r.brownout_steps, g.brownout_steps);
+  EXPECT_EQ(r.brownout_time, g.brownout_time);
+  EXPECT_EQ(r.final_store_voltage, g.final_store_voltage);
+  EXPECT_EQ(r.steps, g.steps);
+  EXPECT_EQ(r.model_evals, g.model_evals);
+  EXPECT_EQ(r.curve_entries, g.curve_entries);
+  EXPECT_EQ(r.events, 0u);
+}
+
+// The golden days store 3.0 V and report every 120 s; `spec` "focv" is
+// the paper controller, anything else a registry spec.
+NodeConfig golden_config(const std::string& spec) {
+  NodeConfig cfg = base_config(core::make_paper_controller());
+  if (spec != "focv") cfg.use_controller(spec);
+  return cfg;
+}
+
+TEST(HarvesterNodeGolden, OfficeFocvSurrogate) {
+  const NodeConfig cfg = golden_config("focv");
+  expect_golden(simulate_node(env::office_desk_mixed(), cfg),
+                {0x1.0427f92565d83p+4, 0x1.94cef94170a29p+3, 0x1.effe5a5495c33p-1,
+                 0x1.9172ef0ae84fep-1, 0x1.062a1d4276c84p+4, 0x1.b3fp+14, 0, 0x0p+0,
+                 0x1.370b62607c953p+2, 86400u, 36400u, 280u});
+}
+
+TEST(HarvesterNodeGolden, OfficeFocvExact) {
+  NodeConfig cfg = golden_config("focv");
+  cfg.power_model = PowerModel::kExact;
+  expect_golden(simulate_node(env::office_desk_mixed(), cfg),
+                {0x1.0424bdd3f3386p+4, 0x1.94c9af48cfa3cp+3, 0x1.effe5a5495c33p-1,
+                 0x1.9172ef0ae84fep-1, 0x1.062452d7a657p+4, 0x1.b3fp+14, 0, 0x0p+0,
+                 0x1.370b62607c953p+2, 86400u, 45664u, 3973u});
+}
+
+TEST(HarvesterNodeGolden, OutdoorGradDesc) {
+  const NodeConfig cfg = golden_config("graddesc");
+  expect_golden(simulate_node(env::outdoor_day(), cfg),
+                {0x1.524e42055c542p+6, 0x1.12a233486ec5p+6, 0x1.334eb9a175febp+2,
+                 0x1.9172ef0ae84fep-1, 0x1.4d3460c40614ap+8, 0x1.6ba4p+14, 0, 0x0p+0,
+                 0x1.31a763a88de6dp+2, 86400u, 56420u, 434u});
+}
+
+TEST(HarvesterNodeGolden, DeskSundayPandoDimEmptyStore) {
+  NodeConfig cfg = golden_config("pando");
+  cfg.lux_scale = 0.65;
+  cfg.storage.initial_voltage = 0.0;
+  expect_golden(simulate_node(env::desk_sunday_blinds_closed(), cfg),
+                {0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.b8064fabadc76p+0, -0x1p+0, 86400, 0x1.518p+16,
+                 0x0p+0, 86400u, 20540u, 158u});
+}
+
+TEST(HarvesterNodeGolden, SemiMobileDirectBattery) {
+  NodeConfig cfg = golden_config("direct");
+  power::Battery::Params bat;
+  bat.initial_soc = 0.3;
+  cfg.battery = bat;
+  expect_golden(simulate_node(env::semi_mobile_day(), cfg),
+                {0x1.a33ee4602468cp+4, 0x1.492925b61ae36p+4, 0x0p+0, 0x1.9172ef0ae84fep-1,
+                 0x1.a35198449bb97p+4, 0x0p+0, 0, 0x0p+0, 0x1.764c7c553f764p+1, 86400u, 17030u,
+                 131u});
+}
+
+TEST(HarvesterNodeGolden, OfficeFocvColdStart) {
+  NodeConfig cfg = golden_config("focv");
+  cfg.storage.initial_voltage = 0.0;
+  cfg.coldstart = power::ColdStartCircuit::Params{};
+  expect_golden(simulate_node(env::office_desk_mixed(), cfg),
+                {0x1.0427f92565d83p+4, 0x1.94cef94170a29p+3, 0x1.effe5a5495c33p-1,
+                 0x1.05139a10b94dfp-1, 0x1.062a1d4276c84p+4, 0x1.b3fp+14, 30211, 0x1.d80cp+14,
+                 0x1.370b62607c953p+2, 86400u, 36400u, 280u});
+}
+
+std::uint64_t fnv1a(const std::vector<double>& v, std::uint64_t h) {
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(double); ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(HarvesterNodeGolden, OfficePilotRecordedSeries) {
+  NodeConfig cfg = golden_config("pilot");
+  cfg.record_traces = true;
+  cfg.record_stride = 7;
+  const NodeReport r = simulate_node(env::office_desk_mixed(), cfg);
+  expect_golden(r, {0x1.005930ae3b3aap+4, 0x1.8f06c2a5f14b3p+3, 0x1.6b7e90ff9690cp+3,
+                    0x1.9172ef0ae84fep-1, 0x1.062a1d4276c84p+4, 0x1.b3fp+14, 0, 0x0p+0,
+                    0x1.90c6227cdb572p+1, 86400u, 36400u, 280u});
+  ASSERT_EQ(r.time.size(), 12343u);
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::vector<double>* series : {&r.time, &r.pv_voltage, &r.pv_power, &r.store_voltage}) {
+    h = fnv1a(*series, h);
+  }
+  EXPECT_EQ(h, 0xcbcef8123a6f4705ull);
+}
+
+TEST(HarvesterNode, FixedStepperIgnoresEventOptions) {
+  // EventOptions tune event mode only; kFixed ticks every step and
+  // drains the period-average load whatever they say.
+  const env::LightTrace trace = env::office_desk_mixed();
+  NodeConfig cfg = golden_config("focv");
+  const NodeReport plain = simulate_node(trace, cfg);
+  cfg.events.resolve_load_bursts = true;
+  cfg.events.lux_ratio_band = 3.0;
+  cfg.events.max_interval_s = 10.0;
+  cfg.events.store_dv_guard = 1.0;
+  const NodeReport tuned = simulate_node(trace, cfg);
+  EXPECT_EQ(tuned.harvested_energy, plain.harvested_energy);
+  EXPECT_EQ(tuned.delivered_energy, plain.delivered_energy);
+  EXPECT_EQ(tuned.overhead_energy, plain.overhead_energy);
+  EXPECT_EQ(tuned.load_energy_served, plain.load_energy_served);
+  EXPECT_EQ(tuned.ideal_mpp_energy, plain.ideal_mpp_energy);
+  EXPECT_EQ(tuned.brownout_steps, plain.brownout_steps);
+  EXPECT_EQ(tuned.brownout_time, plain.brownout_time);
+  EXPECT_EQ(tuned.final_store_voltage, plain.final_store_voltage);
+  EXPECT_EQ(tuned.steps, plain.steps);
+  EXPECT_EQ(tuned.model_evals, plain.model_evals);
+  EXPECT_EQ(tuned.events, 0u);
 }
 
 }  // namespace
