@@ -93,55 +93,6 @@ double CurveCache::power_at_step(std::size_t i, double v) {
   return cell_.power_at(v, conditions_at(lux));
 }
 
-CurveCache::StepKey CurveCache::step_key(double equivalent_lux) {
-  require(options_.model == PowerModel::kSurrogate,
-          "CurveCache: step_key needs the surrogate model");
-  return step_key_of(equivalent_lux);
-}
-
-CurveCache::LuxKey CurveCache::key_of(double equivalent_lux) {
-  if (!(equivalent_lux >= kDarkLux)) return LuxKey{};
-  const double x = kGridNodesPerLogLux * std::log(equivalent_lux);
-  const long j = static_cast<long>(std::floor(x));
-  return LuxKey{ensure_slot(j), x - static_cast<double>(j)};
-}
-
-CurveCache::StepKey CurveCache::step_key_of(double equivalent_lux) {
-  const LuxKey key = key_of(equivalent_lux);
-  return StepKey{key.slot, static_cast<float>(key.frac)};
-}
-
-CurveCache::StepCurve CurveCache::at_key(StepKey key) const {
-  ++queries_;
-  StepCurve out;
-  if (key.slot == kDarkStep) return out;
-  const Entry& e0 = entries_[key.slot];
-  const Entry& e1 = entries_[key.slot + 1];
-  const double f = static_cast<double>(key.frac);
-  out.voc = e0.voc + f * (e1.voc - e0.voc);
-  out.pmpp = e0.pmpp + f * (e1.pmpp - e0.pmpp);
-  out.vmpp = e0.vmpp + f * (e1.vmpp - e0.vmpp);
-  return out;
-}
-
-double CurveCache::power_at_key(StepKey key, double v) const {
-  ++queries_;
-  if (v <= 0.0 || key.slot == kDarkStep) return 0.0;
-  const double p0 = table_power(entries_[key.slot], v);
-  const double p1 = table_power(entries_[key.slot + 1], v);
-  return p0 + static_cast<double>(key.frac) * (p1 - p0);
-}
-
-double CurveCache::table_power(const Entry& e, double v) const {
-  if (v >= e.voc) return 0.0;
-  const int n = options_.surrogate_points;
-  const double pos = v / e.voc * static_cast<double>(n - 1);
-  const int k = std::min(static_cast<int>(pos), n - 2);
-  const double t = pos - static_cast<double>(k);
-  const std::size_t idx = static_cast<std::size_t>(k);
-  return e.power[idx] + t * (e.power[idx + 1] - e.power[idx]);
-}
-
 void CurveCache::cover(long lo, long hi) {
   const long old_lo = grid_base_;
   const long old_hi = grid_base_ + static_cast<long>(entries_.size()) - 1;
@@ -161,39 +112,12 @@ void CurveCache::cover(long lo, long hi) {
   grid_base_ = new_lo;
 }
 
-std::uint32_t CurveCache::ensure_slot(long j) {
+std::uint32_t CurveCache::build_slot(long j) {
   if (j < grid_base_ || j + 1 >= grid_base_ + static_cast<long>(entries_.size())) cover(j, j + 1);
   const std::size_t slot = static_cast<std::size_t>(j - grid_base_);
   if (!entries_[slot].built) build_surrogate_entry(entries_[slot], j);
   if (!entries_[slot + 1].built) build_surrogate_entry(entries_[slot + 1], j + 1);
   return static_cast<std::uint32_t>(slot);
-}
-
-CurveCache::LuxKey CurveCache::lux_key(double equivalent_lux) {
-  require(options_.model == PowerModel::kSurrogate,
-          "CurveCache: lux_key needs the surrogate model");
-  return key_of(equivalent_lux);
-}
-
-CurveCache::StepCurve CurveCache::at(LuxKey key) const {
-  ++queries_;
-  StepCurve out;
-  if (key.slot == kDarkStep) return out;
-  const Entry& e0 = entries_[key.slot];
-  const Entry& e1 = entries_[key.slot + 1];
-  const double f = key.frac;
-  out.voc = e0.voc + f * (e1.voc - e0.voc);
-  out.pmpp = e0.pmpp + f * (e1.pmpp - e0.pmpp);
-  out.vmpp = e0.vmpp + f * (e1.vmpp - e0.vmpp);
-  return out;
-}
-
-double CurveCache::power_at(LuxKey key, double v) const {
-  ++queries_;
-  if (v <= 0.0 || key.slot == kDarkStep) return 0.0;
-  const double p0 = table_power(entries_[key.slot], v);
-  const double p1 = table_power(entries_[key.slot + 1], v);
-  return p0 + key.frac * (p1 - p0);
 }
 
 void CurveCache::warm_range(double lux_min, double lux_max) {

@@ -26,14 +26,21 @@
 //    illuminance.
 //
 // Surrogate queries resolve a key per illuminance on demand (step_key,
-// lux_key: one log, one floor) and read through it. The exact model
-// instead prepares the whole run's series once (prepare), so its
-// per-step lookups are array indexations with no hashing or log().
+// lux_key: one log, one floor) and read through it. A tick-mode run
+// makes these calls on every trace step, so the key resolution, the
+// built-entry fast path and the table reads are defined inline at the
+// end of this header; only table growth and entry builds (build_slot)
+// stay out of line. The exact model instead
+// prepares the whole run's series once (prepare), so its per-step
+// lookups are array indexations with no hashing or log().
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "common/require.hpp"
 #include "pv/conditions.hpp"
 #include "pv/diode_models.hpp"
 
@@ -97,7 +104,11 @@ class CurveCache {
   };
   /// Key for `equivalent_lux`, building its two grid entries on first
   /// touch. Surrogate mode only.
-  [[nodiscard]] StepKey step_key(double equivalent_lux);
+  [[nodiscard]] StepKey step_key(double equivalent_lux) {
+    require(options_.model == PowerModel::kSurrogate,
+            "CurveCache: step_key needs the surrogate model");
+    return step_key_of(equivalent_lux);
+  }
   /// Curve summary at a key.
   [[nodiscard]] StepCurve at_key(StepKey key) const;
   /// Cell power at voltage v at a key [W].
@@ -121,7 +132,11 @@ class CurveCache {
     std::uint32_t slot = kDarkStep;  ///< dense entry index, or kDarkStep below kDarkLux
     double frac = 0.0;               ///< weight towards entry slot + 1
   };
-  [[nodiscard]] LuxKey lux_key(double equivalent_lux);
+  [[nodiscard]] LuxKey lux_key(double equivalent_lux) {
+    require(options_.model == PowerModel::kSurrogate,
+            "CurveCache: lux_key needs the surrogate model");
+    return key_of(equivalent_lux);
+  }
   /// Curve summary at a key.
   [[nodiscard]] StepCurve at(LuxKey key) const;
   /// Cell power at voltage v at a key [W].
@@ -205,13 +220,13 @@ class CurveCache {
   /// [lo, hi].
   void cover(long lo, long hi);
   /// Grow/build so entries for grid nodes j and j+1 exist; returns the
-  /// dense slot of j.
-  inline std::uint32_t ensure_slot(long j);
+  /// dense slot of j. The inline fast path returns when both are built;
+  /// build_slot() is the out-of-line rest.
+  std::uint32_t ensure_slot(long j);
+  std::uint32_t build_slot(long j);
   /// lux_key() without the mode check, and its float-weight StepKey.
-  /// They and ensure_slot() are inline because a tick-mode run resolves
-  /// one key per trace step.
-  inline LuxKey key_of(double equivalent_lux);
-  inline StepKey step_key_of(double equivalent_lux);
+  LuxKey key_of(double equivalent_lux);
+  StepKey step_key_of(double equivalent_lux);
 
   const pv::SingleDiodeModel& cell_;
   pv::Conditions conditions_;
@@ -227,5 +242,80 @@ class CurveCache {
   std::uint64_t entries_built_ = 0;
   mutable std::uint64_t queries_ = 0;  ///< per-step lookups (at_step is const)
 };
+
+// --- per-step readers (inline: see the file comment) -------------------
+
+inline std::uint32_t CurveCache::ensure_slot(long j) {
+  const long slot = j - grid_base_;
+  if (slot >= 0 && slot + 1 < static_cast<long>(entries_.size())) {
+    const auto s = static_cast<std::size_t>(slot);
+    if (entries_[s].built && entries_[s + 1].built) return static_cast<std::uint32_t>(s);
+  }
+  return build_slot(j);
+}
+
+inline CurveCache::LuxKey CurveCache::key_of(double equivalent_lux) {
+  if (!(equivalent_lux >= kDarkLux)) return LuxKey{};
+  const double x = kGridNodesPerLogLux * std::log(equivalent_lux);
+  const long j = static_cast<long>(std::floor(x));
+  return LuxKey{ensure_slot(j), x - static_cast<double>(j)};
+}
+
+inline CurveCache::StepKey CurveCache::step_key_of(double equivalent_lux) {
+  const LuxKey key = key_of(equivalent_lux);
+  return StepKey{key.slot, static_cast<float>(key.frac)};
+}
+
+inline double CurveCache::table_power(const Entry& e, double v) const {
+  if (v >= e.voc) return 0.0;
+  const int n = options_.surrogate_points;
+  const double pos = v / e.voc * static_cast<double>(n - 1);
+  const int k = std::min(static_cast<int>(pos), n - 2);
+  const double t = pos - static_cast<double>(k);
+  const std::size_t idx = static_cast<std::size_t>(k);
+  return e.power[idx] + t * (e.power[idx + 1] - e.power[idx]);
+}
+
+inline CurveCache::StepCurve CurveCache::at_key(StepKey key) const {
+  ++queries_;
+  StepCurve out;
+  if (key.slot == kDarkStep) return out;
+  const Entry& e0 = entries_[key.slot];
+  const Entry& e1 = entries_[key.slot + 1];
+  const double f = static_cast<double>(key.frac);
+  out.voc = e0.voc + f * (e1.voc - e0.voc);
+  out.pmpp = e0.pmpp + f * (e1.pmpp - e0.pmpp);
+  out.vmpp = e0.vmpp + f * (e1.vmpp - e0.vmpp);
+  return out;
+}
+
+inline double CurveCache::power_at_key(StepKey key, double v) const {
+  ++queries_;
+  if (v <= 0.0 || key.slot == kDarkStep) return 0.0;
+  const double p0 = table_power(entries_[key.slot], v);
+  const double p1 = table_power(entries_[key.slot + 1], v);
+  return p0 + static_cast<double>(key.frac) * (p1 - p0);
+}
+
+inline CurveCache::StepCurve CurveCache::at(LuxKey key) const {
+  ++queries_;
+  StepCurve out;
+  if (key.slot == kDarkStep) return out;
+  const Entry& e0 = entries_[key.slot];
+  const Entry& e1 = entries_[key.slot + 1];
+  const double f = key.frac;
+  out.voc = e0.voc + f * (e1.voc - e0.voc);
+  out.pmpp = e0.pmpp + f * (e1.pmpp - e0.pmpp);
+  out.vmpp = e0.vmpp + f * (e1.vmpp - e0.vmpp);
+  return out;
+}
+
+inline double CurveCache::power_at(LuxKey key, double v) const {
+  ++queries_;
+  if (v <= 0.0 || key.slot == kDarkStep) return 0.0;
+  const double p0 = table_power(entries_[key.slot], v);
+  const double p1 = table_power(entries_[key.slot + 1], v);
+  return p0 + key.frac * (p1 - p0);
+}
 
 }  // namespace focv::node

@@ -6,21 +6,6 @@
 
 namespace focv::power {
 
-double Supercapacitor::apply_power(double power, double dt) {
-  require(dt > 0.0, "Supercapacitor::apply_power: dt must be > 0");
-  // Self discharge first (energy domain, exact for the RC decay).
-  if (params_.self_discharge_resistance > 0.0 && voltage_ > 0.0) {
-    const double tau = params_.self_discharge_resistance * params_.capacitance;
-    voltage_ *= std::exp(-dt / tau);
-  }
-  const double e_before = stored_energy();
-  double e_after = e_before + power * dt;
-  const double e_max = 0.5 * params_.capacitance * params_.max_voltage * params_.max_voltage;
-  e_after = std::clamp(e_after, 0.0, e_max);
-  voltage_ = std::sqrt(2.0 * e_after / params_.capacitance);
-  return e_after - e_before;
-}
-
 double Supercapacitor::advance_constant_power(double power, double dt) {
   require(dt > 0.0, "Supercapacitor::advance_constant_power: dt must be > 0");
   const double e_before = stored_energy();

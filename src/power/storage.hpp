@@ -1,6 +1,9 @@
 // Energy storage models: supercapacitor and a simple battery.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/require.hpp"
 
 namespace focv::power {
@@ -25,8 +28,28 @@ class Supercapacitor {
 
   /// Apply a net power for dt seconds (positive charges, negative
   /// discharges). Returns the energy actually absorbed/delivered [J]
-  /// (clipped at the voltage limits and at empty).
-  double apply_power(double power, double dt);
+  /// (clipped at the voltage limits and at empty). Tick mode calls this
+  /// once per trace step, so it is inline, and the self-discharge factor
+  /// exp(-dt / tau) is memoised on the last dt: traces step at a uniform
+  /// dt, and exp() of the same argument returns the same bits, so the
+  /// memo never changes a result.
+  double apply_power(double power, double dt) {
+    require(dt > 0.0, "Supercapacitor::apply_power: dt must be > 0");
+    // Self discharge first (energy domain, exact for the RC decay).
+    if (params_.self_discharge_resistance > 0.0 && voltage_ > 0.0) {
+      if (dt != decay_dt_) {
+        const double tau = params_.self_discharge_resistance * params_.capacitance;
+        decay_ = std::exp(-dt / tau);
+        decay_dt_ = dt;
+      }
+      voltage_ *= decay_;
+    }
+    const double e_before = stored_energy();
+    double e_after = e_before + power * dt;
+    e_after = std::clamp(e_after, 0.0, max_energy());
+    voltage_ = std::sqrt(2.0 * e_after / params_.capacitance);
+    return e_after - e_before;
+  }
 
   /// Advance by dt under a constant net power using the closed form of
   /// the continuous dynamics dE/dt = P - 2E/tau (tau = R_self * C).
@@ -71,6 +94,8 @@ class Supercapacitor {
  private:
   Params params_;
   double voltage_;
+  double decay_dt_ = 0.0;  ///< dt the memoised decay_ belongs to (0: none; dt > 0)
+  double decay_ = 1.0;     ///< exp(-decay_dt_ / tau)
 };
 
 }  // namespace focv::power

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -245,24 +246,40 @@ NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
     }
   };
 
-  // Opt-in burst resolution: continuous-time advance of [t0, t1) split
-  // at load burst edges and usable() crossings. Not an equivalence path
-  // (the fixed reference drains the period-average load), so crossings
-  // flip in continuous time instead of snapping to step boundaries;
-  // brownout_time is authoritative here, brownout_steps only counts
-  // tick-stepped fallback steps.
-  const auto advance_piece = [&](double t0, double t1, double delivered_pw, double oh_drain) {
-    double cur = t0;
+  // Opt-in burst resolution: continuous-time advance of steps [a, b)
+  // split at load burst edges and usable() crossings. Not an equivalence
+  // path (the fixed reference drains the period-average load), so
+  // crossings flip in continuous time instead of snapping to step
+  // boundaries; brownout_time is authoritative here, brownout_steps only
+  // counts tick-stepped fallback steps. After a flip, usable() is held to
+  // the next step boundary (tick mode tests it only at step starts), so a
+  // step sees at most one flip. A store whose inflow lies between the net
+  // power with the load and without it would otherwise flip back within
+  // nanoseconds, forever; held per step, it serves the load for the
+  // fraction of each step that balances its inflow.
+  const auto advance_piece = [&](std::size_t a, std::size_t b, double delivered_pw,
+                                 double oh_drain) {
+    double cur = t[a];
+    const double t1 = t[b];
+    std::size_t hold_until = kNone;  // usable() is held until t[hold_until]
+    bool held = false;
     while (cur < t1) {
-      const bool usable = store_usable();
+      if (hold_until != kNone && cur >= t[hold_until]) hold_until = kNone;
+      const bool usable = hold_until != kNone ? held : store_usable();
       const double load_now = load.power_at(cur);
       const double net = delivered_pw - oh_drain - (usable ? load_now : 0.0);
       double next = std::min(t1, load.next_burst_edge(cur));
-      const double flip_dt = time_to_usable_flip(net);
-      if (std::isfinite(flip_dt) && cur + flip_dt < next) {
-        // Nudge just past the crossing so usable() actually flips.
-        next = std::min(t1, cur + flip_dt + 1e-9);
-        ++report.events;
+      bool flipped = false;
+      if (hold_until != kNone) {
+        next = std::min(next, t[hold_until]);
+      } else {
+        const double flip_dt = time_to_usable_flip(net);
+        if (std::isfinite(flip_dt) && cur + flip_dt < next) {
+          // Nudge just past the crossing so usable() actually flips.
+          next = std::min(t1, cur + flip_dt + 1e-9);
+          ++report.events;
+          flipped = true;
+        }
       }
       const double len = next - cur;
       store_advance(net, len);
@@ -272,6 +289,13 @@ NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
         report.brownout_time += len;
       }
       cur = next;
+      if (flipped && cur < t1) {
+        held = store_usable();
+        hold_until = static_cast<std::size_t>(
+            std::upper_bound(t.begin() + static_cast<std::ptrdiff_t>(a),
+                             t.begin() + static_cast<std::ptrdiff_t>(b), cur) -
+            t.begin());
+      }
     }
   };
 
@@ -319,7 +343,7 @@ NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
           report.brownout_time += len;
         }
       } else {
-        advance_piece(t[p], t[q], delivered_pw, oh_drain);
+        advance_piece(p, q, delivered_pw, oh_drain);
       }
       if (rec_step != kNone) {
         report.time.push_back(t[rec_step]);
@@ -342,16 +366,27 @@ NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
   // and kExact reads its prepare()d per-step solves. `advance_cs` is
   // false only inside segments whose cold-start supervisor is
   // certified-and-frozen (see below).
+  //
+  // The body is compiled twice from this one source. The `lean`
+  // instantiation (std::true_type) serves runs that use none of its
+  // optional branches: replayed surrogate steps, a supercapacitor, no
+  // cold start, no recording, no bursts and telemetry off. There
+  // `if constexpr` drops those branches, so the every-step loops
+  // (tick_steps below) pay only for the chain itself. Both
+  // instantiations compute the same bits.
   const bool replay_steps = tick_all || law == mppt::MacroLaw::kPerStepOnly;
-  const auto fallback_step = [&](std::size_t i, bool advance_cs) {
+  const bool lean = replay_steps && !exact && !battery && !coldstart && !record && !bursts &&
+                    !obs_on;
+  const auto fallback_step = [&](auto lean_tag, std::size_t i, bool advance_cs) {
+    constexpr bool kLean = decltype(lean_tag)::value;
     const double dt = t[i + 1] - t[i];
     const double lux = s * eq[i];
     CurveCache::StepKey step_key;
     CurveCache::LuxKey lux_key;
     CurveCache::StepCurve curve;
-    if (exact) {
+    if (!kLean && exact) {
       curve = curves.at_step(i);
-    } else if (replay_steps) {
+    } else if (kLean || replay_steps) {
       step_key = curves.step_key(lux);
       curve = curves.at_key(step_key);
     } else {
@@ -363,7 +398,7 @@ NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
     // Cold-start gate: while the supervisor has not fired, the MPPT is
     // unpowered and the PV charges C1 instead of harvesting.
     bool running = true;
-    if (coldstart) {
+    if (!kLean && coldstart) {
       if (advance_cs) {
         coldstart->advance(cell, curves.conditions_at(lux), dt, controller_current);
       }
@@ -384,15 +419,15 @@ NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
       sensed.illuminance_estimate = s * total[i];
       sensed.prev_power = prev_power;
       sensed.prev_voltage = prev_voltage;
-      sensed.store_voltage = store_voltage();
+      sensed.store_voltage = kLean ? supercap.voltage() : store_voltage();
       const mppt::ControlOutput out = controller.step(sensed);
       pv_voltage = out.pv_voltage;
-      const double cell_power = exact          ? curves.power_at_step(i, pv_voltage)
-                                : replay_steps ? curves.power_at_key(step_key, pv_voltage)
-                                               : curves.power_at(lux_key, pv_voltage);
+      const double cell_power = !kLean && exact         ? curves.power_at_step(i, pv_voltage)
+                                : kLean || replay_steps ? curves.power_at_key(step_key, pv_voltage)
+                                                        : curves.power_at(lux_key, pv_voltage);
       pv_power = cell_power * (1.0 - std::min(1.0, out.disconnect_fraction));
       report.overhead_energy += overhead_power * dt;
-      if (obs_on && curve.pmpp > 0.0) {
+      if (!kLean && obs_on && curve.pmpp > 0.0) {
         eff_batch.observe(pv_power / curve.pmpp);
         if (eff_batch.pending() >= kObsFlushEvery) obs::metrics().flush(step_eff_id, eff_batch);
         if (exact_shadow && pv_voltage > 0.0) {  // tick mode, surrogate: a StepKey
@@ -412,26 +447,41 @@ NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
 
     // Store bookkeeping: harvest in, overhead and load out.
     double drain = running ? overhead_power : 0.0;
-    const double step_load = bursts ? load.power_at(t[i]) : load_power;
-    if (store_usable()) {
+    const double step_load = !kLean && bursts ? load.power_at(t[i]) : load_power;
+    if (kLean ? supercap.usable() : store_usable()) {
       drain += step_load;
       report.load_energy_served += step_load * dt;
-      in_brownout = false;
+      if constexpr (!kLean) in_brownout = false;
     } else {
       ++report.brownout_steps;
       report.brownout_time += dt;
-      if (brownout_anomaly && !in_brownout) emit_brownout(t[i], store_voltage(), lux, i);
-      in_brownout = true;
+      if constexpr (!kLean) {
+        if (brownout_anomaly && !in_brownout) emit_brownout(t[i], store_voltage(), lux, i);
+        in_brownout = true;
+      }
     }
-    store_apply(delivered - drain, dt);
+    if constexpr (kLean) {
+      supercap.apply_power(delivered - drain, dt);
+    } else {
+      store_apply(delivered - drain, dt);
+    }
 
-    if (record && i % stride == 0) {
+    if (!kLean && record && i % stride == 0) {
       report.time.push_back(t[i]);
       report.pv_voltage.push_back(pv_voltage);
       report.pv_power.push_back(pv_power);
       report.store_voltage.push_back(store_voltage());
     }
     ++fallback_steps;
+  };
+  // Tick every step of [a, b), through the lean instantiation when the
+  // run qualifies.
+  const auto tick_steps = [&](std::size_t a, std::size_t b) {
+    if (lean) {
+      for (std::size_t i = a; i < b; ++i) fallback_step(std::true_type{}, i, true);
+    } else {
+      for (std::size_t i = a; i < b; ++i) fallback_step(std::false_type{}, i, true);
+    }
   };
 
   // --- analytic macro interval -----------------------------------------
@@ -611,7 +661,7 @@ NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
   const auto process_run = [&](std::size_t a, std::size_t b, bool running, double lo_lux,
                                double hi_lux) {
     if (running && law == mppt::MacroLaw::kPerStepOnly) {
-      for (std::size_t i = a; i < b; ++i) fallback_step(i, true);
+      tick_steps(a, b);
       return;
     }
     std::size_t p = a;
@@ -622,7 +672,7 @@ NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
           // The event lands inside step p: replay that step through the
           // real controller so its mutable state (held sample, astable
           // phase, catch-up after dark) is exactly tick mode's.
-          fallback_step(p, false);
+          fallback_step(std::false_type{}, p, false);
           ++p;
           continue;
         }
@@ -645,7 +695,7 @@ NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
   };
 
   if (tick_all) {
-    for (std::size_t i = 0; i < n_steps; ++i) fallback_step(i, true);
+    tick_steps(0, n_steps);
   } else {
     const double dark_lux = CurveCache::kDarkLux;
     for (const env::Segment& seg : prepared->segments()) {
@@ -668,7 +718,7 @@ NodeReport simulate_node(const env::LightTrace& trace, const NodeConfig& config,
         }
       }
       if (per_step) {
-        for (std::size_t i = seg.first; i < seg.last; ++i) fallback_step(i, true);
+        tick_steps(seg.first, seg.last);
         continue;
       }
 

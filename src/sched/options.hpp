@@ -39,7 +39,10 @@ struct EventOptions {
   /// average. The fixed reference path drains the *average* load power
   /// every step, so burst resolution is a refinement, not an
   /// equivalence target: leave it off (default) when validating against
-  /// kFixed, turn it on to study burst-synchronous store dips.
+  /// kFixed, turn it on to study burst-synchronous store dips. Threshold
+  /// crossings are resolved in continuous time, and a usable() flip holds
+  /// to the next step boundary (tick mode tests usable() at step starts),
+  /// so a store sitting at the brown-out threshold flips once per step.
   bool resolve_load_bursts = false;
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -9,6 +10,8 @@
 #include "core/focv_system.hpp"
 #include "env/profiles.hpp"
 #include "mppt/baselines.hpp"
+#include "mppt/registry.hpp"
+#include "obs/obs.hpp"
 #include "pv/cell_library.hpp"
 
 namespace focv::node {
@@ -367,6 +370,72 @@ TEST(HarvesterNode, FixedStepperIgnoresEventOptions) {
   EXPECT_EQ(tuned.steps, plain.steps);
   EXPECT_EQ(tuned.model_evals, plain.model_evals);
   EXPECT_EQ(tuned.events, 0u);
+}
+
+void expect_same_scalars(const NodeReport& a, const NodeReport& b) {
+  EXPECT_EQ(a.duration, b.duration);
+  EXPECT_EQ(a.harvested_energy, b.harvested_energy);
+  EXPECT_EQ(a.delivered_energy, b.delivered_energy);
+  EXPECT_EQ(a.overhead_energy, b.overhead_energy);
+  EXPECT_EQ(a.load_energy_served, b.load_energy_served);
+  EXPECT_EQ(a.ideal_mpp_energy, b.ideal_mpp_energy);
+  EXPECT_EQ(a.coldstart_time, b.coldstart_time);
+  EXPECT_EQ(a.brownout_steps, b.brownout_steps);
+  EXPECT_EQ(a.brownout_time, b.brownout_time);
+  EXPECT_EQ(a.final_store_voltage, b.final_store_voltage);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.model_evals, b.model_evals);
+  EXPECT_EQ(a.curve_entries, b.curve_entries);
+  EXPECT_EQ(a.events, b.events);
+}
+
+TEST(HarvesterNode, LeanStepBodyMatchesGenericBody) {
+  // The every-step loops run a lean instantiation of the step body when
+  // a run uses none of its optional branches; telemetry (and, under
+  // kFixed, recording) selects the generic one. Both must compute the
+  // same bits for every law, with a full and an empty store. Each day
+  // shares one cache, warmed over the day's whole range, so no run
+  // builds entries the next one would read.
+  struct Day {
+    const char* name;
+    env::LightTrace trace;
+  };
+  const Day days[] = {{"office", env::office_desk_mixed()},
+                      {"outdoor", env::outdoor_day()},
+                      {"desk_sunday", env::desk_sunday_blinds_closed()}};
+  obs::reset_all();
+  for (const Day& day : days) {
+    const std::vector<double> eq = day.trace.equivalent_lux(pv::sanyo_am1815());
+    CurveCache curves(pv::sanyo_am1815(), NodeConfig{}.temperature_k);
+    curves.warm_range(*std::min_element(eq.begin(), eq.end()),
+                      *std::max_element(eq.begin(), eq.end()));
+    for (const std::string& law : mppt::Registry::instance().names()) {
+      for (const Stepper stepper : {Stepper::kFixed, Stepper::kEvent}) {
+        for (const double store_v : {3.0, 0.0}) {
+          SCOPED_TRACE(law + " / " + day.name +
+                       (stepper == Stepper::kFixed ? " / fixed" : " / event") + " / store " +
+                       std::to_string(store_v));
+          NodeConfig cfg = golden_config(law);
+          cfg.stepper = stepper;
+          cfg.storage.initial_voltage = store_v;
+          const NodeReport lean = simulate_node(day.trace, cfg, &curves);
+          NodeReport generic;
+          {
+            obs::ScopedEnable on;
+            generic = simulate_node(day.trace, cfg, &curves);
+          }
+          expect_same_scalars(lean, generic);
+          if (stepper == Stepper::kFixed) {
+            cfg.record_traces = true;
+            const NodeReport recorded = simulate_node(day.trace, cfg, &curves);
+            expect_same_scalars(lean, recorded);
+            EXPECT_FALSE(recorded.time.empty());
+          }
+        }
+      }
+    }
+  }
+  obs::reset_all();
 }
 
 }  // namespace

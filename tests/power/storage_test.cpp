@@ -1,6 +1,9 @@
 #include "power/storage.hpp"
 
 #include <cmath>
+#include <cstddef>
+#include <iterator>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -55,6 +58,32 @@ TEST(Supercapacitor, SelfDischargeDecays) {
   cap.set_voltage(4.0);
   cap.apply_power(0.0, 100.0);
   EXPECT_NEAR(cap.voltage(), 4.0 * std::exp(-1.0), 1e-6);
+}
+
+TEST(Supercapacitor, MemoisedDecayMatchesAFreshStoreAtEveryStep) {
+  // apply_power memoises the self-discharge factor on the last dt. A
+  // long-lived store, and a copy taken mid-run that carries the memo,
+  // must stay bit-equal to a freshly built store set to the same voltage
+  // at every step, also when dt changes.
+  Supercapacitor::Params p;  // default leak: tau = 2e6 s
+  p.initial_voltage = 3.0;
+  Supercapacitor cap(p);
+  std::optional<Supercapacitor> copy;
+  const double dts[] = {1.0, 1.0, 0.5, 1.0, 2.0};
+  const auto expect_step_matches_fresh = [&](Supercapacitor& store, double power, double dt) {
+    Supercapacitor fresh(p);
+    fresh.set_voltage(store.voltage());
+    EXPECT_EQ(store.apply_power(power, dt), fresh.apply_power(power, dt));
+    EXPECT_EQ(store.voltage(), fresh.voltage());
+  };
+  for (std::size_t k = 0; k < std::size(dts); ++k) {
+    SCOPED_TRACE(k);
+    const double power = k % 2 == 0 ? 2e-5 : -7e-6;
+    expect_step_matches_fresh(cap, power, dts[k]);
+    if (copy) expect_step_matches_fresh(*copy, -power, dts[k]);
+    if (k == 2) copy = cap;  // memo at dt = 0.5
+  }
+  EXPECT_NE(cap.voltage(), copy->voltage());
 }
 
 TEST(Supercapacitor, AdvanceConstantPowerMatchesLinearCharge) {

@@ -334,6 +334,31 @@ TEST(SchedEquivalence, FullStoreMacroStepsStoreTrackingLaws) {
   }
 }
 
+// --- Load-burst resolution ----------------------------------------------
+// EventOptions::resolve_load_bursts advances the store in continuous time
+// between load burst edges. On the office day a 3.0 V store drains to the
+// 1.8 V usable() threshold, where the inflow lies between the net power
+// with the load and without it, so each usable() flip would flip back
+// within nanoseconds without end. A flip holds to the next step
+// boundary, as tick mode tests usable() only at step starts, so a step
+// sees at most one flip and the run finishes.
+
+TEST(SchedEquivalence, LoadBurstRunsFinishAtTheUsableThreshold) {
+  const std::size_t trace_steps = office_trace().size() - 1;
+  for (const char* spec : {"direct", "pilot"}) {
+    SCOPED_TRACE(spec);
+    node::NodeConfig cfg = base_config();
+    cfg.use_controller(spec);
+    cfg.stepper = node::Stepper::kEvent;
+    cfg.events.resolve_load_bursts = true;
+    const node::NodeReport r = node::simulate_node(office_trace(), cfg);
+    EXPECT_GT(r.events, 0u);
+    EXPECT_LE(r.events, trace_steps);
+    EXPECT_GT(r.brownout_time, 0.0);  // the store does reach the threshold
+    EXPECT_LT(r.brownout_time, r.duration);
+  }
+}
+
 fleet::FleetSpec fleet_spec(node::Stepper stepper) {
   static const auto trace = std::make_shared<const env::LightTrace>(
       env::office_desk_mixed(env::OfficeDayParams{}));
