@@ -32,12 +32,12 @@
 #define FOCV_SIMD_VECTOR_EXT 1
 #endif
 
-// Hardware-assisted lane ops (vgatherdpd, vroundpd, vmovmskpd) when the
-// TU is compiled for AVX2 at width 4 — the fleet lane kernel's
-// configuration. Each intrinsic used below computes bit-identical
-// results to the per-lane scalar op it replaces: gathers are plain
-// loads, vroundpd rounds toward -inf exactly like std::floor, and
-// movemask only reads sign bits for control flow.
+// Hardware-assisted lane ops (vgatherdpd, vroundpd, vmovmskpd,
+// vpmovmskb) when the TU is compiled for AVX2 at width 4 — the fleet
+// lane kernel's configuration. Each intrinsic used below computes
+// bit-identical results to the per-lane scalar op it replaces: gathers
+// are plain loads, vroundpd rounds toward -inf exactly like std::floor,
+// and the movemasks only read sign bits for control flow.
 #if FOCV_SIMD_VECTOR_EXT && defined(__AVX2__) && FOCV_SIMD_LANES == 4
 #define FOCV_SIMD_X86_GATHER 1
 #include <immintrin.h>
@@ -206,6 +206,34 @@ FOCV_SIMD_INLINE bool all(MVec c) {
 }
 #endif
 
+/// True when every lane of `a` equals lane 0 — the lane kernel's test
+/// for a block whose table reads all hit one slot. Control flow only.
+#if FOCV_SIMD_X86_GATHER
+FOCV_SIMD_INLINE bool uniform(IVec a) {
+  const __m128i x = (__m128i)a.i;
+  return _mm_movemask_epi8(_mm_cmpeq_epi32(x, _mm_shuffle_epi32(x, 0))) == 0xFFFF;
+}
+#elif FOCV_SIMD_LANES == 4
+FOCV_SIMD_INLINE bool uniform(IVec a) {
+  detail::inative s = a.i == (a.i[0] - detail::inative{});
+  s = s & __builtin_shuffle(s, detail::inative{2, 3, 0, 1});
+  return (s[0] & s[1]) != 0;
+}
+#elif FOCV_SIMD_LANES == 8
+FOCV_SIMD_INLINE bool uniform(IVec a) {
+  detail::inative s = a.i == (a.i[0] - detail::inative{});
+  s = s & __builtin_shuffle(s, detail::inative{4, 5, 6, 7, 0, 1, 2, 3});
+  s = s & __builtin_shuffle(s, detail::inative{2, 3, 0, 1, 6, 7, 4, 5});
+  return (s[0] & s[1]) != 0;
+}
+#else
+FOCV_SIMD_INLINE bool uniform(IVec a) {
+  std::int32_t diff = 0;
+  for (int l = 1; l < kLanes; ++l) diff |= a.i[l] ^ a.i[0];
+  return diff == 0;
+}
+#endif
+
 #else  // portable fallback: identical surface, per-lane loops
 
 struct DVec {
@@ -348,6 +376,12 @@ FOCV_SIMD_INLINE bool all(MVec c) {
   std::int64_t acc = -1;
   for (int l = 0; l < kLanes; ++l) acc &= c.m[l];
   return acc != 0;
+}
+
+FOCV_SIMD_INLINE bool uniform(IVec a) {
+  std::int32_t diff = 0;
+  for (int l = 1; l < kLanes; ++l) diff |= a.i[l] ^ a.i[0];
+  return diff == 0;
 }
 
 #endif  // FOCV_SIMD_VECTOR_EXT

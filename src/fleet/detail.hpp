@@ -26,6 +26,18 @@ std::string node_record_jsonl(const FleetSpec& spec, const NodeDraw& draw,
 NodeDraw draw_node_prevalidated(const FleetSpec& spec, const std::vector<PolicyAxis>& policies,
                                 std::size_t index);
 
+/// A node's load burst clock: bursts start at k * period + phase.
+struct BurstClock {
+  double period = 0.0;
+  double phase = 0.0;
+};
+
+/// analyze_load_concurrency() on clocks already drawn (clocks[i] is
+/// node i's report_period and burst_phase), so run_fleet can reuse the
+/// draws its chunks made. The spec must already be validated.
+LoadConcurrency load_concurrency(const FleetSpec& spec, const std::vector<BurstClock>& clocks,
+                                 double window_s);
+
 /// The store voltage a node starts from (battery OCV or supercap
 /// initial voltage) — the energy-neutrality reference.
 double initial_store_voltage(const node::NodeConfig& config);

@@ -1,9 +1,11 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -193,132 +195,179 @@ node::NodeConfig materialize_node(const FleetSpec& spec, const NodeDraw& draw) {
   return config;
 }
 
-LoadConcurrency analyze_load_concurrency(const FleetSpec& spec, double window_s) {
-  validate_draw_inputs(spec);
-  require(spec.node_count > 0, "fleet: node_count must be > 0");
+namespace detail {
+
+LoadConcurrency load_concurrency(const FleetSpec& spec, const std::vector<BurstClock>& clocks,
+                                 double window_s) {
   const power::WsnLoad::Params& load = spec.base.load;
-  const std::vector<PolicyAxis> policies = effective_policies(spec);
   const double burst_energy =
       load.sense_power * load.sense_duration + load.tx_power * load.tx_duration;
-
-  // Only each node's load period, phase and next burst index are kept.
-  struct NodeBursts {
-    double period;
-    double phase;
-    long k;  ///< next burst; -1 catches a burst straddling t = 0
-  };
   LoadConcurrency out;
   double max_period = 0.0;
   double burst_rate = 0.0;  // fleet bursts per second
-  std::vector<NodeBursts> nodes(spec.node_count);
-  for (std::size_t i = 0; i < spec.node_count; ++i) {
-    const NodeDraw d = detail::draw_node_prevalidated(spec, policies, i);
-    nodes[i] = {d.report_period, d.burst_phase, -1};
-    max_period = std::max(max_period, d.report_period);
-    burst_rate += 1.0 / d.report_period;
-    out.average_load_w += load.sleep_power + burst_energy / d.report_period;
+  for (const BurstClock& c : clocks) {
+    max_period = std::max(max_period, c.period);
+    burst_rate += 1.0 / c.period;
+    out.average_load_w += load.sleep_power + burst_energy / c.period;
   }
   out.window_s = window_s > 0.0 ? window_s : 4.0 * max_period;
+  const double w = out.window_s;
+  const double sd = load.sense_duration;
+  const double td = load.tx_duration;
+  constexpr double kNoEdge = std::numeric_limits<double>::infinity();
 
   // Event sweep over [0, window): +/- power and tx-count deltas at each
   // burst edge, in the total order (time, d_power, d_tx) — ends before
-  // starts at equal timestamps. The window is cut into time slabs of
-  // about max(node_count, kMinSlabEdges) expected edges each; a slab's
-  // edges are counting-sorted into about one time bucket per edge and
-  // each bucket is sorted on its own. Slab and bucket indices are
-  // monotone in time, so the sweep visits exactly the globally sorted
-  // sequence while memory stays at one slab's edges.
-  struct Edge {
-    double time;
+  // starts at equal timestamps. A burst starting at s = k * period +
+  // phase contributes four edges, one per stream, each a constant
+  // (d_power, d_tx) and a time that is monotone in s:
+  //   sense start max(0, s)         sense end min(W, s + sd)
+  //   tx start    max(0, s + sd)    tx end    min(W, (s + sd) + td)
+  // (a burst whose sense or tx interval is empty inside the window
+  // adds neither of that interval's edges). So sorting the starts
+  // alone sorts every stream, and a 4-way merge that breaks equal
+  // times by the streams' (d_power, d_tx) rank visits exactly the
+  // globally sorted edge sequence; edges with equal time and rank are
+  // equal, so their order cannot change a bit of the running sums.
+  //
+  // The window is cut into time slabs of about max(node_count,
+  // kMinSlabBursts) expected starts each. A slab's starts are
+  // counting-sorted into about one time bucket per start and each
+  // bucket is sorted on its own; slab and bucket are monotone in s, so
+  // the slabs concatenate into one sorted sequence. Every edge of a
+  // later slab's burst lies at or after that burst's start, in a later
+  // slab, so after slab j the merge emits every edge that falls in
+  // slabs <= j and carries only the starts whose later edges are still
+  // pending: memory stays at one slab of 8-byte keys.
+  struct Stream {
     double d_power;
     int d_tx;
-    std::uint32_t bucket;
+    bool is_tx;
+    bool is_end;
   };
-  const auto edge_less = [](const Edge& a, const Edge& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.d_power != b.d_power) return a.d_power < b.d_power;
-    return a.d_tx < b.d_tx;
-  };
-  constexpr double kMinSlabEdges = 4096.0;
-  const double expected_edges = 4.0 * out.window_s * burst_rate;
+  const std::array<Stream, 4> streams{{{load.sense_power, 0, false, false},
+                                       {-load.sense_power, 0, false, true},
+                                       {load.tx_power, 1, true, false},
+                                       {-load.tx_power, -1, true, true}}};
+  std::array<int, 4> rank{0, 1, 2, 3};
+  std::sort(rank.begin(), rank.end(), [&](int a, int b) {
+    if (streams[a].d_power != streams[b].d_power) return streams[a].d_power < streams[b].d_power;
+    return streams[a].d_tx < streams[b].d_tx;
+  });
+
+  constexpr double kMinSlabBursts = 4096.0;
+  const double expected_bursts = w * burst_rate;
   const auto slabs = static_cast<std::size_t>(std::clamp(
-      std::ceil(expected_edges / std::max(static_cast<double>(spec.node_count), kMinSlabEdges)),
+      std::ceil(expected_bursts / std::max(static_cast<double>(clocks.size()), kMinSlabBursts)),
       1.0, 1e9));
-  const double slab_scale = static_cast<double>(slabs) / out.window_s;
+  const double slab_scale = static_cast<double>(slabs) / w;
   const auto slab_of = [&](double t) {
     return std::min(slabs - 1, static_cast<std::size_t>(t * slab_scale));
   };
 
-  std::vector<Edge> slab_edges;
-  std::vector<Edge> later;  // edges generated ahead of their slab
-  std::vector<Edge> sorted;
+  std::vector<long> next(clocks.size(), -1);  // next burst; -1 catches one straddling t = 0
+  std::vector<double> keys;                   // this slab's starts, unsorted
+  std::vector<std::uint32_t> bucket_of;
   std::vector<std::size_t> bucket_end;
+  std::vector<double> starts;  // sorted: carried starts, then this slab's
+  std::array<std::size_t, 4> cursor{};  // per stream: the start of its head edge
+  std::array<double, 4> head{kNoEdge, kNoEdge, kNoEdge, kNoEdge};  // +inf: drained
+  // The stream's edge time for the burst starting at s, or +inf when
+  // the burst has no such edge in the window (add_interval's a >= b).
+  const auto edge_time = [&](const Stream& st, double s) {
+    const double from = st.is_tx ? s + sd : s;
+    const double a = std::max(0.0, from);
+    const double b = std::min(w, from + (st.is_tx ? td : sd));
+    if (a >= b) return kNoEdge;
+    return st.is_end ? b : a;
+  };
+  const auto seek = [&](int q) {
+    for (; cursor[q] < starts.size(); ++cursor[q]) {
+      head[q] = edge_time(streams[q], starts[cursor[q]]);
+      if (head[q] != kNoEdge) return;
+    }
+    head[q] = kNoEdge;
+  };
+
   const double sleep_w = static_cast<double>(spec.node_count) * load.sleep_power;
   double burst_w = 0.0;
   long tx = 0;
   out.peak_load_w = sleep_w;
   for (std::size_t j = 0; j < slabs; ++j) {
-    slab_edges.clear();
-    std::size_t kept = 0;
-    for (const Edge& e : later) {
-      if (slab_of(e.time) == j) {
-        slab_edges.push_back(e);
-      } else {
-        later[kept++] = e;
-      }
-    }
-    later.resize(kept);
-    const auto place = [&](const Edge& e) {
-      (slab_of(e.time) == j ? slab_edges : later).push_back(e);
-    };
-    const auto add_interval = [&](double start, double end, double watts, bool is_tx) {
-      const double a = std::max(0.0, start);
-      const double b = std::min(out.window_s, end);
-      if (a >= b) return;
-      place({a, watts, is_tx ? 1 : 0, 0});
-      place({b, -watts, is_tx ? -1 : 0, 0});
-    };
-    // Every burst starting in this slab; a burst's edges never precede
-    // its start, so none belongs to an earlier slab.
-    for (NodeBursts& nb : nodes) {
-      for (;; ++nb.k) {
-        const double s = static_cast<double>(nb.k) * nb.period + nb.phase;
-        if (!(s < out.window_s) || slab_of(std::max(0.0, s)) > j) break;
-        add_interval(s, s + load.sense_duration, load.sense_power, /*is_tx=*/false);
-        add_interval(s + load.sense_duration, s + load.sense_duration + load.tx_duration,
-                     load.tx_power, /*is_tx=*/true);
+    keys.clear();
+    for (std::size_t i = 0; i < clocks.size(); ++i) {
+      for (long& k = next[i];; ++k) {
+        const double s = static_cast<double>(k) * clocks[i].period + clocks[i].phase;
+        if (!(s < w) || slab_of(std::max(0.0, s)) > j) break;
+        keys.push_back(s);
       }
     }
 
-    const std::size_t n = slab_edges.size();
-    if (n == 0) continue;
-    const double slab_lo = static_cast<double>(j);
-    const double buckets = static_cast<double>(n);
-    bucket_end.assign(n + 1, 0);
-    for (Edge& e : slab_edges) {
-      e.bucket = static_cast<std::uint32_t>(
-          std::min(n - 1, static_cast<std::size_t>((e.time * slab_scale - slab_lo) * buckets)));
-      ++bucket_end[e.bucket + 1];
-    }
-    for (std::size_t b = 1; b <= n; ++b) bucket_end[b] += bucket_end[b - 1];
-    sorted.resize(n);
-    for (const Edge& e : slab_edges) sorted[bucket_end[e.bucket]++] = e;
-    // bucket_end[b] now ends bucket b, which begins where b - 1 ends.
-    for (std::size_t b = 0, lo = 0; b < n; lo = bucket_end[b++]) {
-      if (bucket_end[b] - lo > 1) {
-        std::sort(sorted.begin() + static_cast<std::ptrdiff_t>(lo),
-                  sorted.begin() + static_cast<std::ptrdiff_t>(bucket_end[b]), edge_less);
+    const std::size_t n = keys.size();
+    const std::size_t carried = starts.size();
+    starts.resize(carried + n);
+    if (n > 0) {
+      const double slab_lo = static_cast<double>(j);
+      const double buckets = static_cast<double>(n);
+      bucket_of.resize(n);
+      bucket_end.assign(n + 1, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double t = std::max(0.0, keys[i]);
+        bucket_of[i] = static_cast<std::uint32_t>(
+            std::min(n - 1, static_cast<std::size_t>((t * slab_scale - slab_lo) * buckets)));
+        ++bucket_end[bucket_of[i] + 1];
+      }
+      for (std::size_t b = 1; b <= n; ++b) bucket_end[b] += bucket_end[b - 1];
+      double* out_keys = starts.data() + carried;
+      for (std::size_t i = 0; i < n; ++i) out_keys[bucket_end[bucket_of[i]]++] = keys[i];
+      // bucket_end[b] now ends bucket b, which begins where b - 1 ends.
+      for (std::size_t b = 0, lo = 0; b < n; lo = bucket_end[b++]) {
+        if (bucket_end[b] - lo > 1) std::sort(out_keys + lo, out_keys + bucket_end[b]);
       }
     }
-    for (const Edge& e : sorted) {
-      burst_w += e.d_power;
-      tx += e.d_tx;
+    for (int q = 0; q < 4; ++q) {
+      if (head[q] == kNoEdge) seek(q);  // drained streams resume on the new starts
+    }
+
+    // Emit every edge of slabs <= j: t * slab_scale < j + 1, or all on
+    // the last slab. A drained stream's +inf head never passes.
+    const double cut = j + 1 < slabs ? static_cast<double>(j + 1) : kNoEdge;
+    for (;;) {
+      int q = rank[0];
+      for (int r = 1; r < 4; ++r) {
+        if (head[rank[r]] < head[q]) q = rank[r];
+      }
+      if (!(head[q] * slab_scale < cut)) break;
+      burst_w += streams[q].d_power;
+      tx += streams[q].d_tx;
       out.peak_load_w = std::max(out.peak_load_w, sleep_w + burst_w);
       out.peak_concurrent_tx =
           std::max(out.peak_concurrent_tx, static_cast<std::uint64_t>(std::max(0l, tx)));
+      ++cursor[q];
+      seek(q);
     }
+
+    // Carry only the starts some stream still needs.
+    const std::size_t done = *std::min_element(cursor.begin(), cursor.end());
+    starts.erase(starts.begin(), starts.begin() + static_cast<std::ptrdiff_t>(done));
+    for (std::size_t& c : cursor) c -= done;
   }
   return out;
+}
+
+}  // namespace detail
+
+LoadConcurrency analyze_load_concurrency(const FleetSpec& spec, double window_s) {
+  validate_draw_inputs(spec);
+  require(spec.node_count > 0, "fleet: node_count must be > 0");
+  const std::vector<PolicyAxis> policies = effective_policies(spec);
+  // Only each node's load period and phase are kept.
+  std::vector<detail::BurstClock> clocks(spec.node_count);
+  for (std::size_t i = 0; i < spec.node_count; ++i) {
+    const NodeDraw d = detail::draw_node_prevalidated(spec, policies, i);
+    clocks[i] = {d.report_period, d.burst_phase};
+  }
+  return detail::load_concurrency(spec, clocks, window_s);
 }
 
 namespace {
@@ -411,6 +460,10 @@ FleetReport run_fleet(const FleetSpec& spec, const FleetOptions& options) {
     soa_plan = soa::build_plan(spec, policies, prepared, *warm_cache);
   }
 
+  // Each chunk records its nodes' load period and phase, so the load
+  // pass does not draw every node a second time.
+  std::vector<detail::BurstClock> clocks(options.analyze_load ? spec.node_count : 0);
+
   std::vector<FleetReport> partials(plan.count);
   for (FleetReport& p : partials) p = detail::make_skeleton(spec, policies);
   const bool want_jsonl = !options.jsonl_path.empty();
@@ -448,7 +501,8 @@ FleetReport run_fleet(const FleetSpec& spec, const FleetOptions& options) {
     std::vector<NodeDraw> draws;
     draws.reserve(n);
     for (std::size_t node = first; node < last; ++node) {
-      draws.push_back(detail::draw_node_prevalidated(spec, policies, node));
+      const NodeDraw& d = draws.emplace_back(detail::draw_node_prevalidated(spec, policies, node));
+      if (options.analyze_load) clocks[node] = {d.report_period, d.burst_phase};
     }
 
     // Pass 1: simulate. Batchable nodes are collected and advanced in
@@ -578,7 +632,7 @@ FleetReport run_fleet(const FleetSpec& spec, const FleetOptions& options) {
   // floating-point accumulation order never depends on the schedule.
   FleetReport result = detail::make_skeleton(spec, policies);
   for (const FleetReport& p : partials) result.merge(p);
-  if (options.analyze_load) result.load = analyze_load_concurrency(spec);
+  if (options.analyze_load) result.load = detail::load_concurrency(spec, clocks, 0.0);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   result.jobs_used = jobs_used;

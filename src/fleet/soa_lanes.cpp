@@ -41,7 +41,12 @@
 //     selects preserve it), then internal::advance_slow — the same
 //     function the scalar kernel calls — replays that one node's
 //     interval in lane order.
-//  5. Fixed-order merges. Per-node accumulators live in per-node array
+//  5. Reads are reads. A block whose lanes all resolved one table slot
+//     (the common case: run_env sorts each axis run by illuminance
+//     scale) loads that slot's Voc/Pmpp/1/Voc once and broadcasts it;
+//     a block straddling two slots gathers per lane. Both hand every
+//     lane the same double from the same table entry.
+//  6. Fixed-order merges. Per-node accumulators live in per-node array
 //     slots; nothing is summed across lanes. Reports are written per
 //     member index exactly as the scalar kernel writes them.
 //
@@ -78,10 +83,13 @@ constexpr int W = simd::kLanes;
 /// and the lit mask. Dark lanes are sanitized to a finite in-range
 /// coordinate before floor/cast; their slot is forced to 0 so gathers
 /// stay in bounds, and the lit mask voids everything read through them.
+/// `uniform` marks a block whose lanes all resolved the same slot — the
+/// common case, since run_env sorts each axis run by illuminance scale.
 struct SlotLanes {
   simd::IVec k;
   DVec f;
   MVec lit;
+  bool uniform;
 };
 
 FOCV_LANES_INLINE SlotLanes slot_lanes(const DenseTables& tb, DVec x) {
@@ -102,7 +110,14 @@ FOCV_LANES_INLINE SlotLanes slot_lanes(const DenseTables& tb, DVec x) {
   const DVec kd = simd::select(s.lit, jc - lo, simd::broadcast(0.0));
   s.k = simd::to_int(kd);
   s.f = simd::select(s.lit, f, simd::broadcast(0.0));
+  s.uniform = simd::uniform(s.k);
   return s;
+}
+
+/// Slot k's entry and its upper neighbour, read once for a uniform block.
+FOCV_LANES_INLINE const DenseTables::SlotF* uniform_slot(const DenseTables& tb,
+                                                         const SlotLanes& s) {
+  return tb.slot_f.data() + static_cast<std::size_t>(s.k[0]);
 }
 
 struct CurveLanes {
@@ -110,18 +125,31 @@ struct CurveLanes {
   DVec pmpp;
 };
 
-/// curve_from() on W lanes: gathers of the two bracketing slot entries,
-/// lane-wide interpolation, dark lanes voided to {0, 0}. Slot entries
-/// are gathered as strided scalar fields off the first member (SlotF is
-/// 3 doubles {voc, pmpp, inv_voc}), reproducing curve_from's reads of
-/// soa_internal.hpp load for load.
+/// curve_from() on W lanes: the two bracketing slot entries, lane-wide
+/// interpolation, dark lanes voided to {0, 0}. A uniform block loads
+/// the entries once and broadcasts them; otherwise they are gathered as
+/// strided scalar fields off the first member (SlotF is 3 doubles
+/// {voc, pmpp, inv_voc}). Either way every lane reads curve_from's
+/// doubles of soa_internal.hpp.
 FOCV_LANES_INLINE CurveLanes curve_lanes(const DenseTables& tb, const SlotLanes& s) {
-  const double* fb = &tb.slot_f[0].voc;
-  const IVec j = s.k * simd::broadcast_i(3);
-  const DVec voc0 = simd::gather(fb, j);
-  const DVec voc1 = simd::gather(fb, j + simd::broadcast_i(3));
-  const DVec pm0 = simd::gather(fb, j + simd::broadcast_i(1));
-  const DVec pm1 = simd::gather(fb, j + simd::broadcast_i(4));
+  DVec voc0;
+  DVec voc1;
+  DVec pm0;
+  DVec pm1;
+  if (s.uniform) {
+    const DenseTables::SlotF* e = uniform_slot(tb, s);
+    voc0 = simd::broadcast(e[0].voc);
+    voc1 = simd::broadcast(e[1].voc);
+    pm0 = simd::broadcast(e[0].pmpp);
+    pm1 = simd::broadcast(e[1].pmpp);
+  } else {
+    const double* fb = &tb.slot_f[0].voc;
+    const IVec j = s.k * simd::broadcast_i(3);
+    voc0 = simd::gather(fb, j);
+    voc1 = simd::gather(fb, j + simd::broadcast_i(3));
+    pm0 = simd::gather(fb, j + simd::broadcast_i(1));
+    pm1 = simd::gather(fb, j + simd::broadcast_i(4));
+  }
   const DVec zero = simd::broadcast(0.0);
   CurveLanes c;
   c.voc = simd::select(s.lit, voc0 + s.f * (voc1 - voc0), zero);
@@ -148,9 +176,14 @@ FOCV_LANES_INLINE DVec power_lanes(const DenseTables& tb, const SlotLanes& s, DV
   DVec row1;
   for (int off = 0; off < 2; ++off) {
     const IVec ko = s.k + simd::broadcast_i(off);
-    // SlotF::inv_voc: stride 3 doubles at field offset 2.
+    // SlotF::inv_voc: stride 3 doubles at field offset 2. (The power
+    // rows below stay gathered even in a uniform block: their position
+    // follows each lane's v, so a uniformity test there rarely passes
+    // and its branch mispredicts.)
     const DVec inv =
-        simd::gather(&tb.slot_f[0].voc, ko * simd::broadcast_i(3) + simd::broadcast_i(2));
+        s.uniform ? simd::broadcast(uniform_slot(tb, s)[off].inv_voc)
+                  : simd::gather(&tb.slot_f[0].voc,
+                                 ko * simd::broadcast_i(3) + simd::broadcast_i(2));
     const DVec rel = v * inv;
     const MVec ok = rel < one;
     const DVec pos = rel * nscale;

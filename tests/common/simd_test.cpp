@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -95,6 +96,28 @@ TEST(Simd, MaskOpsAndReductions) {
   EXPECT_FALSE(all(fin));  // the NaN lane fails both ordered compares
   EXPECT_TRUE(all(fin | ~fin));
   EXPECT_FALSE(any(fin & ~fin));
+}
+
+TEST(Simd, UniformDetectsAnyDifferingLane) {
+  EXPECT_TRUE(uniform(broadcast_i(7)));
+  EXPECT_TRUE(uniform(broadcast_i(-1)));
+  // One differing lane at each position, including lane 0 itself and
+  // differences confined to the sign bit or the lowest bit.
+  for (int l = 0; l < kLanes; ++l) {
+    for (const std::int32_t other : {8, 6, -7, 7 | INT32_MIN}) {
+      double tmp[kLanes];
+      for (int q = 0; q < kLanes; ++q) tmp[q] = 7.0;
+      const IVec base = to_int(load(tmp));
+      ASSERT_TRUE(uniform(base));
+      std::int32_t lanes[kLanes];
+      store(lanes, base);
+      lanes[l] = other;
+      for (int q = 0; q < kLanes; ++q) tmp[q] = static_cast<double>(lanes[q]);
+      EXPECT_FALSE(uniform(to_int(load(tmp)))) << "lane " << l << " = " << other;
+    }
+  }
+  // Index arithmetic as the lane kernel forms it keeps uniformity.
+  EXPECT_TRUE(uniform(broadcast_i(5) * broadcast_i(3) + broadcast_i(2)));
 }
 
 TEST(Simd, ClampMatchesStdClampBitwise) {

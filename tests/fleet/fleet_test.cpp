@@ -358,6 +358,13 @@ TEST(Fleet, LoadConcurrencyMatchesGlobalSortOracle) {
 
 TEST(Fleet, LoadConcurrencyMatchesOracleAtFleetScale) {
   expect_load_matches_oracle(small_spec(100000));
+  // Sense louder and longer than tx: at this scale edges of different
+  // streams coincide, and merging them in stream order rather than the
+  // (d_power, d_tx) rank order moves the peak's last bit.
+  FleetSpec loud = small_spec(100000);
+  loud.base.load.sense_power = 4.0 * loud.base.load.tx_power;
+  loud.base.load.sense_duration = 0.05;
+  expect_load_matches_oracle(loud);
 }
 
 TEST(Fleet, LoadConcurrencyMatchesOracleWhenSenseAndTxPowerTie) {
@@ -371,6 +378,52 @@ TEST(Fleet, LoadConcurrencyMatchesOracleWhenSenseAndTxPowerTie) {
   const LoadConcurrency lockstep = analyze_load_concurrency(spec);
   EXPECT_EQ(lockstep.peak_concurrent_tx, 4097u);
   expect_load_matches_oracle(spec);
+}
+
+TEST(Fleet, LoadConcurrencyMatchesOracleOnEdgeStreamCorners) {
+  // The load pass derives four sorted edge streams (sense start/end, tx
+  // start/end) from the sorted burst starts and merges them by rank;
+  // these are the shapes that argument leans on.
+  FleetSpec no_tx = small_spec(3000);
+  no_tx.base.load.tx_duration = 0.0;  // tx intervals empty: two streams never fill
+  expect_load_matches_oracle(no_tx);
+  EXPECT_EQ(analyze_load_concurrency(no_tx).peak_concurrent_tx, 0u);
+
+  FleetSpec no_sense = small_spec(3000);
+  no_sense.base.load.sense_duration = 0.0;  // tx starts at the burst start
+  expect_load_matches_oracle(no_sense);
+
+  FleetSpec loud_sense = small_spec(3000);  // ends/starts swap rank order
+  loud_sense.base.load.sense_power = 4.0 * loud_sense.base.load.tx_power;
+  expect_load_matches_oracle(loud_sense);
+  loud_sense.heterogeneity.randomize_load_phase = false;
+  loud_sense.heterogeneity.load_period_jitter = 0.0;
+  expect_load_matches_oracle(loud_sense);
+
+  // Windows that end inside node 0's sense and inside its tx interval:
+  // the clipped end edges sit at exactly W, coincident across streams.
+  FleetSpec cut = small_spec(3000);
+  const power::WsnLoad::Params& load = cut.base.load;
+  const double s0 = draw_node(cut, 0).burst_phase;
+  expect_load_matches_oracle(cut, s0 + 0.5 * load.sense_duration);
+  expect_load_matches_oracle(cut, s0 + load.sense_duration + 0.5 * load.tx_duration);
+  cut.heterogeneity.randomize_load_phase = false;
+  cut.heterogeneity.load_period_jitter = 0.0;
+  expect_load_matches_oracle(cut, 2.0 * load.report_period + 0.5 * load.sense_duration);
+}
+
+TEST(Fleet, RunFleetLoadPassMatchesTheStandaloneOne) {
+  // run_fleet hands the load pass the periods and phases its chunks
+  // drew; the result must be the one analyze_load_concurrency draws.
+  FleetSpec spec = small_spec(26);
+  const LoadConcurrency want = analyze_load_concurrency(spec);
+  FleetOptions opt = serial_options();
+  opt.jobs = 3;
+  const FleetReport report = run_fleet(spec, opt);
+  EXPECT_EQ(report.load.window_s, want.window_s);
+  EXPECT_EQ(report.load.peak_concurrent_tx, want.peak_concurrent_tx);
+  EXPECT_EQ(report.load.peak_load_w, want.peak_load_w);
+  EXPECT_EQ(report.load.average_load_w, want.average_load_w);
 }
 
 TEST(Fleet, RejectsInvalidSpecs) {

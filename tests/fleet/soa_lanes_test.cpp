@@ -6,6 +6,9 @@
 // every lane-tail / fallback edge the blocking can hit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "env/profiles.hpp"
@@ -38,11 +41,24 @@ FleetSpec lanes_spec(std::size_t nodes) {
   return spec;
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream out;
+  out << f.rdbuf();
+  return out.str();
+}
+
+/// The fleet report JSON followed by the per-node JSONL export.
 std::string run_kernel(FleetSpec spec, SoaKernel kernel, int jobs) {
   spec.soa_kernel = kernel;
   FleetOptions opt;
   opt.jobs = jobs;
-  return run_fleet(spec, opt).to_json();
+  opt.jsonl_path = ::testing::TempDir() + "/soa_lanes_nodes.jsonl";
+  const std::string json = run_fleet(spec, opt).to_json();
+  const std::string jsonl = slurp(opt.jsonl_path);
+  EXPECT_EQ(static_cast<std::size_t>(std::count(jsonl.begin(), jsonl.end(), '\n')),
+            spec.node_count);
+  return json + jsonl;
 }
 
 /// The whole contract in one assertion: scalar jobs=1 is the reference;
@@ -80,6 +96,33 @@ TEST(FleetSoaLanes, SlowPathCrossingsinsideLanesByteIdentical) {
   spec.base.storage.initial_voltage = spec.base.storage.min_useful_voltage;
   spec.base.load.report_period = 30.0;  // heavier load: more crossings
   expect_kernels_identical(spec, "slow-path crossings");
+}
+
+TEST(FleetSoaLanes, ZeroHeterogeneityEveryBlockUniform) {
+  // Every node of an environment has the same illuminance scale, so
+  // every lane of every block resolves the same table slot: the
+  // broadcast branch of the slot reads runs everywhere.
+  FleetSpec spec = lanes_spec(150);
+  spec.heterogeneity.attenuation_min = 0.7;
+  spec.heterogeneity.attenuation_max = 0.7;
+  spec.heterogeneity.cell_tolerance_sigma = 0.0;
+  spec.heterogeneity.divider_spread_sigma = 0.0;
+  expect_kernels_identical(spec, "zero heterogeneity");
+}
+
+TEST(FleetSoaLanes, SortedNeighboursStraddlingGridNodesByteIdentical) {
+  // Long axis runs over a narrow scale span (~3 grid nodes of 1/32
+  // ln-lux each): most blocks share one slot, and at every grid node
+  // the sorted scales cross, one block straddles two. Both the
+  // broadcast and the gather branch of the slot reads run within the
+  // same axis run, and a block flips between them as the interval's
+  // illuminance moves its lanes across a node.
+  FleetSpec spec = lanes_spec(1500);
+  spec.chunk_size = 1500;
+  spec.heterogeneity.attenuation_min = 0.9;
+  spec.heterogeneity.attenuation_max = 1.0;
+  spec.heterogeneity.cell_tolerance_sigma = 0.0;
+  expect_kernels_identical(spec, "straddling neighbours");
 }
 
 TEST(FleetSoaLanes, LanesKernelIsTheDefault) {
