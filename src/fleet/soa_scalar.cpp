@@ -14,6 +14,44 @@
 
 namespace focv::fleet::soa::internal {
 
+void advance_slow(const EnvContext& cx, const sched::BatchInterval& iv, double load_w,
+                  double delivered, double oh_drain, double dec_full, SlowRefs s) {
+  ++s.slow;
+  const double* t = cx.t;
+  std::uint32_t p = iv.a;
+  double e = s.e;
+  while (p < iv.b) {
+    const bool usable = e >= cx.e_use;
+    const double net = delivered - oh_drain - (usable ? load_w : 0.0);
+    const double e_inf = 0.5 * net * cx.tau;
+    std::uint32_t q = iv.b;
+    double flip_dt = kInf;
+    if (e == cx.e_use) {
+      flip_dt = 0.0;
+    } else if ((e - cx.e_use) * (e_inf - cx.e_use) < 0.0) {
+      flip_dt = -0.5 * cx.tau * std::log((cx.e_use - e_inf) / (e - e_inf));
+    }
+    if (t[p] + flip_dt < t[q]) {
+      const double* it = std::upper_bound(t + p, t + q + 1, t[p] + flip_dt);
+      auto qf = static_cast<std::uint32_t>(it - t);
+      if (qf <= p) qf = p + 1;
+      if (qf < q) q = qf;
+      ++s.flips;
+    }
+    const double len = t[q] - t[p];
+    const double dec = (p == iv.a && q == iv.b) ? dec_full : std::exp(-2.0 * len / cx.tau);
+    e = std::clamp(e_inf + (e - e_inf) * dec, 0.0, cx.e_max);
+    if (usable) {
+      s.served += load_w * len;
+    } else {
+      s.brown_steps += q - p;
+      s.brown_t += len;
+    }
+    p = q;
+  }
+  s.e = e;
+}
+
 KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
                              const sched::EdgeOverlay::Interval* ovs,
                              const std::vector<NodeDraw>& draws, const std::uint32_t* members,

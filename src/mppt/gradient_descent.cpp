@@ -1,8 +1,5 @@
 #include "mppt/gradient_descent.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/require.hpp"
 
 namespace focv::mppt {
@@ -19,43 +16,6 @@ GradientDescentController::GradientDescentController(Params params)
           "GradientDescentController: update_period must be > 0");
   require(params_.max_step > 0.0 && params_.probe_step > 0.0,
           "GradientDescentController: step bounds must be > 0");
-}
-
-ControlOutput GradientDescentController::step(const SensedInputs& inputs) {
-  if (inputs.time >= next_update_) {
-    next_update_ = inputs.time + params_.update_period;
-    const double power = inputs.prev_power;
-    const double voltage = inputs.prev_voltage;
-    if (!has_prev_) {
-      // Bootstrap: perturb once so the first gradient is defined.
-      voltage_ = std::clamp(voltage_ + params_.probe_step, 0.0, params_.max_voltage);
-    } else {
-      const double dv = voltage - prev_voltage_;
-      if (std::fabs(dv) < 1e-9) {
-        // Command saturated or unchanged: probe toward the rail with
-        // room left, so the next decision sees a real voltage delta.
-        const double direction = voltage_ > 0.5 * params_.max_voltage ? -1.0 : 1.0;
-        voltage_ =
-            std::clamp(voltage_ + direction * params_.probe_step, 0.0, params_.max_voltage);
-      } else {
-        const double gradient = (power - prev_power_) / dv;
-        if (has_gradient_ && gradient * prev_gradient_ < 0.0) {
-          // Overshot the MPP: anneal the learning rate (the adaptive
-          // part — big strides far out, fine steps at the summit).
-          lr_ = std::max(params_.lr_min, lr_ * params_.decay);
-        }
-        const double raw = lr_ * gradient;
-        const double bounded = std::clamp(raw, -params_.max_step, params_.max_step);
-        voltage_ = std::clamp(voltage_ + bounded, 0.0, params_.max_voltage);
-        prev_gradient_ = gradient;
-        has_gradient_ = true;
-      }
-    }
-    prev_power_ = power;
-    prev_voltage_ = voltage;
-    has_prev_ = true;
-  }
-  return {voltage_, 0.0};
 }
 
 void GradientDescentController::reset() {

@@ -5,6 +5,9 @@
 // the fixed-step dithering loss of plain P&O.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+
 #include "mppt/controller.hpp"
 
 namespace focv::mppt {
@@ -21,7 +24,12 @@ namespace focv::mppt {
 /// the MPP and shrinks near it — the complexity/performance trade the
 /// source paper benchmarks). A zero voltage delta falls back to a small
 /// probe perturbation so the gradient estimate stays defined.
-class GradientDescentController : public MpptController {
+///
+/// `final`, with step() inline below: simulate_node's lean tick loop
+/// calls it through the concrete type, so the compiler inlines it into
+/// the per-step chain instead of spilling every live double around a
+/// virtual call.
+class GradientDescentController final : public MpptController {
  public:
   struct Params {
     double learning_rate = 0.05;  ///< initial step gain [V^2/W]
@@ -65,5 +73,42 @@ class GradientDescentController : public MpptController {
   bool has_gradient_ = false;
   double next_update_ = 0.0;
 };
+
+inline ControlOutput GradientDescentController::step(const SensedInputs& inputs) {
+  if (inputs.time >= next_update_) {
+    next_update_ = inputs.time + params_.update_period;
+    const double power = inputs.prev_power;
+    const double voltage = inputs.prev_voltage;
+    if (!has_prev_) {
+      // Bootstrap: perturb once so the first gradient is defined.
+      voltage_ = std::clamp(voltage_ + params_.probe_step, 0.0, params_.max_voltage);
+    } else {
+      const double dv = voltage - prev_voltage_;
+      if (std::fabs(dv) < 1e-9) {
+        // Command saturated or unchanged: probe toward the rail with
+        // room left, so the next decision sees a real voltage delta.
+        const double direction = voltage_ > 0.5 * params_.max_voltage ? -1.0 : 1.0;
+        voltage_ =
+            std::clamp(voltage_ + direction * params_.probe_step, 0.0, params_.max_voltage);
+      } else {
+        const double gradient = (power - prev_power_) / dv;
+        if (has_gradient_ && gradient * prev_gradient_ < 0.0) {
+          // Overshot the MPP: anneal the learning rate (the adaptive
+          // part — big strides far out, fine steps at the summit).
+          lr_ = std::max(params_.lr_min, lr_ * params_.decay);
+        }
+        const double raw = lr_ * gradient;
+        const double bounded = std::clamp(raw, -params_.max_step, params_.max_step);
+        voltage_ = std::clamp(voltage_ + bounded, 0.0, params_.max_voltage);
+        prev_gradient_ = gradient;
+        has_gradient_ = true;
+      }
+    }
+    prev_power_ = power;
+    prev_voltage_ = voltage;
+    has_prev_ = true;
+  }
+  return {voltage_, 0.0};
+}
 
 }  // namespace focv::mppt

@@ -53,7 +53,12 @@ std::string run_kernel(FleetSpec spec, SoaKernel kernel, int jobs) {
   spec.soa_kernel = kernel;
   FleetOptions opt;
   opt.jobs = jobs;
-  opt.jsonl_path = ::testing::TempDir() + "/soa_lanes_nodes.jsonl";
+  // One file per test, kernel and jobs count: `ctest -j` runs each test
+  // in its own process, and a shared path lets them overwrite each other.
+  const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  opt.jsonl_path = ::testing::TempDir() + "/soa_lanes_" + info->name() + "_" +
+                   (kernel == SoaKernel::kLanes ? "lanes" : "scalar") + "_j" +
+                   std::to_string(jobs) + ".jsonl";
   const std::string json = run_fleet(spec, opt).to_json();
   const std::string jsonl = slurp(opt.jsonl_path);
   EXPECT_EQ(static_cast<std::size_t>(std::count(jsonl.begin(), jsonl.end(), '\n')),

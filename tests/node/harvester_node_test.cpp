@@ -4,12 +4,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/focv_system.hpp"
 #include "env/profiles.hpp"
 #include "mppt/baselines.hpp"
+#include "mppt/gradient_descent.hpp"
 #include "mppt/registry.hpp"
 #include "obs/obs.hpp"
 #include "pv/cell_library.hpp"
@@ -393,9 +397,10 @@ TEST(HarvesterNode, LeanStepBodyMatchesGenericBody) {
   // The every-step loops run a lean instantiation of the step body when
   // a run uses none of its optional branches; telemetry (and, under
   // kFixed, recording) selects the generic one. Both must compute the
-  // same bits for every law, with a full and an empty store. Each day
-  // shares one cache, warmed over the day's whole range, so no run
-  // builds entries the next one would read.
+  // same bits for every law, with a full and an empty store, and for
+  // non-default parameters at scaled light. Each day shares one cache,
+  // warmed over the day's whole scaled range, so no run builds entries
+  // the next one would read.
   struct Day {
     const char* name;
     env::LightTrace trace;
@@ -403,19 +408,29 @@ TEST(HarvesterNode, LeanStepBodyMatchesGenericBody) {
   const Day days[] = {{"office", env::office_desk_mixed()},
                       {"outdoor", env::outdoor_day()},
                       {"desk_sunday", env::desk_sunday_blinds_closed()}};
+  struct Case {
+    std::string law;
+    double lux_scale;
+  };
+  std::vector<Case> cases;
+  for (const std::string& law : mppt::Registry::instance().names()) cases.push_back({law, 1.0});
+  for (const char* law : {"graddesc[lr=0.2]", "pando[step=0.02]"}) {
+    for (const double scale : {0.65, 1.31}) cases.push_back({law, scale});
+  }
   obs::reset_all();
   for (const Day& day : days) {
     const std::vector<double> eq = day.trace.equivalent_lux(pv::sanyo_am1815());
     CurveCache curves(pv::sanyo_am1815(), NodeConfig{}.temperature_k);
-    curves.warm_range(*std::min_element(eq.begin(), eq.end()),
-                      *std::max_element(eq.begin(), eq.end()));
-    for (const std::string& law : mppt::Registry::instance().names()) {
+    curves.warm_range(0.65 * *std::min_element(eq.begin(), eq.end()),
+                      1.31 * *std::max_element(eq.begin(), eq.end()));
+    for (const Case& c : cases) {
       for (const Stepper stepper : {Stepper::kFixed, Stepper::kEvent}) {
         for (const double store_v : {3.0, 0.0}) {
-          SCOPED_TRACE(law + " / " + day.name +
+          SCOPED_TRACE(c.law + " x" + std::to_string(c.lux_scale) + " / " + day.name +
                        (stepper == Stepper::kFixed ? " / fixed" : " / event") + " / store " +
                        std::to_string(store_v));
-          NodeConfig cfg = golden_config(law);
+          NodeConfig cfg = golden_config(c.law);
+          cfg.lux_scale = c.lux_scale;
           cfg.stepper = stepper;
           cfg.storage.initial_voltage = store_v;
           const NodeReport lean = simulate_node(day.trace, cfg, &curves);
@@ -436,6 +451,64 @@ TEST(HarvesterNode, LeanStepBodyMatchesGenericBody) {
     }
   }
   obs::reset_all();
+}
+
+/// Registry `graddesc` behind a class that is not `final`: the lean tick
+/// loop reaches it through the MpptController vtable, as it does every
+/// controller outside the closed set it calls directly.
+class VirtualGradDesc : public mppt::MpptController {
+ public:
+  explicit VirtualGradDesc(std::unique_ptr<mppt::MpptController> inner)
+      : inner_(std::move(inner)) {}
+  [[nodiscard]] std::string name() const override { return "graddesc behind a vtable"; }
+  [[nodiscard]] std::unique_ptr<mppt::MpptController> clone() const override {
+    return std::make_unique<VirtualGradDesc>(inner_->clone());
+  }
+  [[nodiscard]] mppt::ControlOutput step(const mppt::SensedInputs& inputs) override {
+    return inner_->step(inputs);
+  }
+  [[nodiscard]] double overhead_power() const override { return inner_->overhead_power(); }
+  [[nodiscard]] double minimum_operating_lux() const override {
+    return inner_->minimum_operating_lux();
+  }
+  void reset() override { inner_->reset(); }
+
+ private:
+  std::unique_ptr<mppt::MpptController> inner_;
+};
+
+TEST(HarvesterNode, DevirtualisedGradDescMatchesVirtualCall) {
+  // Registry graddesc ticks through its final type; the wrapper, a
+  // kPerStepOnly law the stepper cannot name, through the vtable. Same
+  // law, so every scalar must match.
+  static_assert(std::is_final_v<mppt::GradientDescentController>);
+  static_assert(!std::is_final_v<VirtualGradDesc>);
+  const VirtualGradDesc wrapped(mppt::Registry::instance().make("graddesc"));
+  ASSERT_EQ(wrapped.macro_law(), mppt::MacroLaw::kPerStepOnly);
+  struct Day {
+    const char* name;
+    env::LightTrace trace;
+  };
+  const Day days[] = {{"office", env::office_desk_mixed()},
+                      {"outdoor", env::outdoor_day()},
+                      {"desk_sunday", env::desk_sunday_blinds_closed()}};
+  for (const Day& day : days) {
+    for (const Stepper stepper : {Stepper::kFixed, Stepper::kEvent}) {
+      for (const double store_v : {3.0, 0.0}) {
+        SCOPED_TRACE(std::string(day.name) +
+                     (stepper == Stepper::kFixed ? " / fixed" : " / event") + " / store " +
+                     std::to_string(store_v));
+        NodeConfig cfg = golden_config("graddesc");
+        cfg.stepper = stepper;
+        cfg.storage.initial_voltage = store_v;
+        const NodeReport direct = simulate_node(day.trace, cfg);
+        cfg.use_controller(wrapped);
+        const NodeReport virtual_call = simulate_node(day.trace, cfg);
+        expect_same_scalars(direct, virtual_call);
+        EXPECT_GT(direct.harvested_energy, 0.0);
+      }
+    }
+  }
 }
 
 }  // namespace
