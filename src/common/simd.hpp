@@ -32,23 +32,41 @@
 #define FOCV_SIMD_VECTOR_EXT 1
 #endif
 
-// Hardware-assisted lane ops (vgatherdpd, vroundpd, vmovmskpd,
-// vpmovmskb) when the TU is compiled for AVX2 at width 4 — the fleet
-// lane kernel's configuration. Each intrinsic used below computes
-// bit-identical results to the per-lane scalar op it replaces: gathers
-// are plain loads, vroundpd rounds toward -inf exactly like std::floor,
-// and the movemasks only read sign bits for control flow.
+// Hardware-assisted lane ops for the fleet lane kernel's two x86-64
+// instances (src/fleet/CMakeLists.txt): W = 4 compiled for AVX2
+// (vgatherdpd, vroundpd, vmovmskpd, vpmovmskb) and W = 8 compiled for
+// AVX-512 F/DQ/VL/BW (zmm vgatherdpd, vrndscalepd, vpmovq2m, and the
+// AVX2 vpcmpeqd/vpmovmskb over the 8 int32 index slots). Each
+// intrinsic used below computes bit-identical results to the per-lane
+// scalar op it replaces: gathers are plain loads, round-toward-minus-
+// infinity equals std::floor, and the mask moves only read sign bits
+// for control flow.
 #if FOCV_SIMD_VECTOR_EXT && defined(__AVX2__) && FOCV_SIMD_LANES == 4
-#define FOCV_SIMD_X86_GATHER 1
+#define FOCV_SIMD_X86_AVX2 1
+#include <immintrin.h>
+#elif FOCV_SIMD_VECTOR_EXT && defined(__AVX512F__) && defined(__AVX512DQ__) && \
+    defined(__AVX512VL__) && defined(__AVX512BW__) && FOCV_SIMD_LANES == 8
+#define FOCV_SIMD_X86_AVX512 1
 #include <immintrin.h>
 #endif
 
+// Each lane width is its own ABI: the fleet links a 4-lane and an
+// 8-lane build of the same kernel into one program, so every type and
+// template here mangles per width (focv::simd::w4::DVec vs
+// focv::simd::w8::DVec). Otherwise a weak out-of-line copy of a helper
+// instantiated on DVec in one object could be bound to the other
+// width's callers.
+#define FOCV_SIMD_NS_CAT2(a, b) a##b
+#define FOCV_SIMD_NS_CAT(a, b) FOCV_SIMD_NS_CAT2(a, b)
+
 namespace focv::simd {
+inline namespace FOCV_SIMD_NS_CAT(w, FOCV_SIMD_LANES) {
 
 /// Every function here must inline into its caller: an out-of-line
 /// copy compiled for the baseline ISA returns/passes W-wide vectors
-/// with a different ABI than an AVX2-targeted caller assumes (memory
-/// sret vs register), which scrambles arguments at the call boundary.
+/// with a different ABI than an AVX2- or AVX-512-targeted caller
+/// assumes (memory sret vs register), which scrambles arguments at the
+/// call boundary.
 /// always_inline makes the helpers vanish into the kernel that uses
 /// them, whatever target attribute that kernel carries.
 #define FOCV_SIMD_INLINE __attribute__((always_inline)) inline
@@ -122,8 +140,14 @@ FOCV_SIMD_INLINE DVec from_lanes(F&& f) {
 /// otherwise register-inserted scalar loads. Either way each lane is
 /// the identical memory read — a gather cannot change a bit.
 FOCV_SIMD_INLINE DVec gather(const double* base, IVec idx) {
-#if FOCV_SIMD_X86_GATHER
+#if FOCV_SIMD_X86_AVX2
   return {(detail::dnative)_mm256_i32gather_pd(base, (__m128i)idx.i, 8)};
+#elif FOCV_SIMD_X86_AVX512
+  // Merge form with a full mask: the same gather as the unmasked
+  // wrapper, which GCC 12 seeds with _mm512_undefined_pd() and so
+  // trips -Wmaybe-uninitialized under -Wall.
+  return {(detail::dnative)_mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xFF,
+                                                    (__m256i)idx.i, base, 8)};
 #else
   return from_lanes([&](int l) { return base[idx[l]]; });
 #endif
@@ -170,9 +194,12 @@ FOCV_SIMD_INLINE DVec abs(DVec x) {
 /// any/all reduce by shuffle-folding halves — a handful of vector ops
 /// and one lane read instead of kLanes sequential extractions. Control
 /// flow only; never on the arithmetic state path.
-#if FOCV_SIMD_X86_GATHER
+#if FOCV_SIMD_X86_AVX2
 FOCV_SIMD_INLINE bool any(MVec c) { return _mm256_movemask_pd((__m256d)c.m) != 0; }
 FOCV_SIMD_INLINE bool all(MVec c) { return _mm256_movemask_pd((__m256d)c.m) == 0xF; }
+#elif FOCV_SIMD_X86_AVX512
+FOCV_SIMD_INLINE bool any(MVec c) { return _mm512_movepi64_mask((__m512i)c.m) != 0; }
+FOCV_SIMD_INLINE bool all(MVec c) { return _mm512_movepi64_mask((__m512i)c.m) == 0xFF; }
 #elif FOCV_SIMD_LANES == 4
 FOCV_SIMD_INLINE bool any(MVec c) {
   const detail::mnative s = c.m | __builtin_shuffle(c.m, detail::mnative{2, 3, 0, 1});
@@ -208,10 +235,16 @@ FOCV_SIMD_INLINE bool all(MVec c) {
 
 /// True when every lane of `a` equals lane 0 — the lane kernel's test
 /// for a block whose table reads all hit one slot. Control flow only.
-#if FOCV_SIMD_X86_GATHER
+#if FOCV_SIMD_X86_AVX2
 FOCV_SIMD_INLINE bool uniform(IVec a) {
   const __m128i x = (__m128i)a.i;
   return _mm_movemask_epi8(_mm_cmpeq_epi32(x, _mm_shuffle_epi32(x, 0))) == 0xFFFF;
+}
+#elif FOCV_SIMD_X86_AVX512
+FOCV_SIMD_INLINE bool uniform(IVec a) {
+  const __m256i x = (__m256i)a.i;
+  const __m256i x0 = _mm256_broadcastd_epi32(_mm256_castsi256_si128(x));
+  return _mm256_movemask_epi8(_mm256_cmpeq_epi32(x, x0)) == -1;
 }
 #elif FOCV_SIMD_LANES == 4
 FOCV_SIMD_INLINE bool uniform(IVec a) {
@@ -393,9 +426,17 @@ FOCV_SIMD_INLINE DVec clamp(DVec x, DVec lo, DVec hi) {
 }
 
 /// std::floor per lane.
-#if FOCV_SIMD_X86_GATHER
+#if FOCV_SIMD_X86_AVX2
 FOCV_SIMD_INLINE DVec floor(DVec x) {
   return {(detail::dnative)_mm256_floor_pd((__m256d)x.v)};
+}
+#elif FOCV_SIMD_X86_AVX512
+// vrndscalepd, all 8 lanes written. The zero-masked form with a full
+// mask is the plain op; GCC 12's unmasked wrapper seeds its result
+// with _mm512_undefined_pd() and trips -Wuninitialized under -Wall.
+FOCV_SIMD_INLINE DVec floor(DVec x) {
+  return {(detail::dnative)_mm512_maskz_roundscale_pd(
+      0xFF, (__m512d)x.v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC)};
 }
 #elif FOCV_SIMD_VECTOR_EXT
 FOCV_SIMD_INLINE DVec floor(DVec x) {
@@ -412,4 +453,8 @@ FOCV_SIMD_INLINE DVec floor(DVec x) {
 
 #undef FOCV_SIMD_INLINE
 
+}  // namespace FOCV_SIMD_NS_CAT(w, FOCV_SIMD_LANES)
 }  // namespace focv::simd
+
+#undef FOCV_SIMD_NS_CAT
+#undef FOCV_SIMD_NS_CAT2

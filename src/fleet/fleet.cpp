@@ -67,14 +67,31 @@ void FleetSpec::add_policy(const std::string& spec, double weight) {
   policies.push_back(make_policy_axis(spec, weight));
 }
 
-std::vector<PolicyAxis> effective_policies(const FleetSpec& spec) {
-  if (spec.policies.empty()) {
-    PolicyAxis axis = make_policy_axis("focv", 1.0);
+namespace {
+
+/// The axis a spec without policies deploys, built once per process.
+const PolicyAxis& default_policy() {
+  static const PolicyAxis axis = [] {
+    PolicyAxis a = make_policy_axis("focv", 1.0);
     // The pre-registry name of the paper controller: keeps the default
     // mixture's focv-fleet/v1 report and JSONL bytes stable.
-    axis.label = "focv_sample_hold";
-    return {std::move(axis)};
-  }
+    a.label = "focv_sample_hold";
+    return a;
+  }();
+  return axis;
+}
+
+/// effective_policies(spec)[index] without copying the mixture.
+const PolicyAxis& effective_policy(const FleetSpec& spec, std::size_t index) {
+  const std::size_t n = spec.policies.empty() ? 1 : spec.policies.size();
+  require(index < n, "fleet: draw's policy index does not match this spec's mixture");
+  return spec.policies.empty() ? default_policy() : spec.policies[index];
+}
+
+}  // namespace
+
+std::vector<PolicyAxis> effective_policies(const FleetSpec& spec) {
+  if (spec.policies.empty()) return {default_policy()};
   return spec.policies;
 }
 
@@ -172,10 +189,7 @@ node::NodeConfig materialize_node(const FleetSpec& spec, const NodeDraw& draw) {
   config.load.burst_phase = draw.burst_phase;
   // Bounded memory at fleet scale: per-node waveforms are never kept.
   config.record_traces = false;
-  const std::vector<PolicyAxis> policies = effective_policies(spec);
-  require(draw.policy_index < policies.size(),
-          "fleet: draw's policy index does not match this spec's mixture");
-  const PolicyAxis& axis = policies[draw.policy_index];
+  const PolicyAxis& axis = effective_policy(spec, draw.policy_index);
   if (axis.prototype != nullptr) {
     config.controller_prototype = axis.prototype;  // shared; cloned per run
   } else {

@@ -5,12 +5,15 @@
 // byte — the kernels are byte-identical by construction and verified by
 // tests/fleet/soa_lanes_test.cpp — so the dispatch is free to pick per
 // axis: closed-form axes default to lanes, kPrototype axes (virtual
-// step()) always run scalar, and pre-AVX2 x86-64 hosts fall back to
-// scalar at runtime.
+// step()) always run scalar. The lane kernel is built once per width;
+// the host is probed once and runs the widest instance it can execute
+// (8 lanes on AVX-512 x86-64, 4 on AVX2), pre-AVX2 x86-64 hosts fall
+// back to scalar.
 
 #include "fleet/soa.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -24,14 +27,66 @@ namespace focv::fleet::soa {
 namespace internal {
 
 // Lives in this baseline-compiled TU (not soa_lanes.cpp) so probing for
-// the ISA never itself executes AVX2 code.
-bool lanes_supported() {
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(FOCV_SIMD_PORTABLE)
-  return __builtin_cpu_supports("avx2") != 0;
+// the ISA never itself executes wide-ISA code. The probe holds for the
+// vector-extension and the portable lowering alike: both objects are
+// compiled with the ISA flags, so either may contain AVX2/AVX-512 code.
+bool lanes_runnable(int width) {
+  switch (width) {
+    case 4:
+#if defined(__x86_64__) && defined(__GNUC__)
+      return __builtin_cpu_supports("avx2") != 0;
 #else
-  return true;
+      return true;
 #endif
+    case 8:
+#if FOCV_FLEET_LANES8
+      return __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512dq") != 0 &&
+             __builtin_cpu_supports("avx512vl") != 0 && __builtin_cpu_supports("avx512bw") != 0;
+#else
+      return false;
+#endif
+    default:
+      return false;
+  }
 }
+
+const char* lanes_requirement(int width) {
+  switch (width) {
+    case 4:
+      return "AVX2 (x86-64)";
+    case 8:
+      return "AVX-512 F/DQ/VL/BW (x86-64 builds only)";
+    default:
+      return "a width soa_lanes.cpp is not built at";
+  }
+}
+
+namespace {
+/// -1: no pin, lanes_width() reports the probe.
+std::atomic<int> pinned_width{-1};
+}  // namespace
+
+int lanes_width() {
+  const int pinned = pinned_width.load(std::memory_order_relaxed);
+  if (pinned >= 0) return pinned;
+  static const int probed = [] {
+    int widest = 0;
+    for (const int w : kLaneWidths) {
+      if (lanes_runnable(w)) widest = w;
+    }
+    return widest;
+  }();
+  return probed;
+}
+
+ScopedLanesWidth::ScopedLanesWidth(int width)
+    : previous_(pinned_width.load(std::memory_order_relaxed)) {
+  require(width == 0 || lanes_runnable(width),
+          "ScopedLanesWidth: this host cannot run that lane width");
+  pinned_width.store(width, std::memory_order_relaxed);
+}
+
+ScopedLanesWidth::~ScopedLanesWidth() { pinned_width.store(previous_, std::memory_order_relaxed); }
 
 }  // namespace internal
 
@@ -123,9 +178,10 @@ void run_env(const SoaPlan& plan, const EnvPlan& env, const FleetSpec& spec,
 
   // tables.slots >= 2 guards the degenerate always-dark env, where the
   // lane kernel's in-bounds gather invariant has no table to stand on
-  // (the scalar kernel's slot_of handles it per lookup).
-  const bool lanes_ok = spec.soa_kernel == SoaKernel::kLanes && env.tables.slots >= 2 &&
-                        internal::lanes_supported();
+  // (the scalar kernel's slot_of handles it per lookup). 0 = scalar.
+  const int lanes = spec.soa_kernel == SoaKernel::kLanes && env.tables.slots >= 2
+                        ? internal::lanes_width()
+                        : 0;
 
   for (const AxisRun& run : runs) {
     const AxisPlan& ax = plan.axes[run.axis];
@@ -139,14 +195,23 @@ void run_env(const SoaPlan& plan, const EnvPlan& env, const FleetSpec& spec,
             : nullptr;
     const std::uint32_t* run_members = members.data() + run.lo;
     const std::size_t count = run.hi - run.lo;
-    const bool use_lanes = lanes_ok && ax.eval != AxisEval::kPrototype;
+    const int width = ax.eval != AxisEval::kPrototype ? lanes : 0;
     internal::KernelTotals totals;
-    if (use_lanes) {
-      totals = internal::run_axis_lanes(cx, ax, ovs, draws, run_members, count, reports);
-    } else {
-      mppt::MpptController* proto =
-          clones[run.axis] != nullptr ? clones[run.axis].get() : nullptr;
-      totals = internal::run_axis_scalar(cx, ax, ovs, draws, run_members, count, proto, reports);
+    switch (width) {
+#if FOCV_FLEET_LANES8
+      case 8:
+        totals = internal::run_axis_lanes<8>(cx, ax, ovs, draws, run_members, count, reports);
+        break;
+#endif
+      case 4:
+        totals = internal::run_axis_lanes<4>(cx, ax, ovs, draws, run_members, count, reports);
+        break;
+      default: {
+        mppt::MpptController* proto =
+            clones[run.axis] != nullptr ? clones[run.axis].get() : nullptr;
+        totals =
+            internal::run_axis_scalar(cx, ax, ovs, draws, run_members, count, proto, reports);
+      }
     }
 
     if (obs_on) {
@@ -162,7 +227,8 @@ void run_env(const SoaPlan& plan, const EnvPlan& env, const FleetSpec& spec,
       obs::metrics().add(flips_id, static_cast<double>(totals.flips));
       axis_span->arg("axis", static_cast<double>(run.axis));
       axis_span->arg("law", ax.law == mppt::MacroLaw::kSampleHold ? "sample_hold" : "memoryless");
-      axis_span->arg("kernel", use_lanes ? "lanes" : "scalar");
+      axis_span->arg("kernel", width != 0 ? "lanes" : "scalar");
+      axis_span->arg("lanes", static_cast<double>(width != 0 ? width : 1));
       axis_span->arg("nodes", nodes);
       axis_span->arg("intervals", intervals);
       axis_span->arg("slow_advances", static_cast<double>(totals.slow));

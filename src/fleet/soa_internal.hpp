@@ -2,7 +2,8 @@
 //
 //   soa_plan.cpp    — plan construction (tables, schedules, axis forms)
 //   soa_scalar.cpp  — node-major scalar sweep kernels (the reference)
-//   soa_lanes.cpp   — interval-major width-W lane kernels
+//   soa_lanes.cpp   — interval-major width-W lane kernels (one source,
+//                     one object per lane width)
 //   soa.cpp         — run_batch dispatch, axis grouping, telemetry
 //
 // Everything here is arithmetic both kernels must execute IDENTICALLY:
@@ -218,8 +219,8 @@ inline auto closed_form_ok(V e, V e_inf, V z, V e_use, V guard) {
 /// MacroStepper::advance_store_span does. Kept out of the kernels' fast
 /// paths — closed_form_ok() sends them virtually every interval.
 /// Defined once, in the baseline-ISA soa_scalar.cpp: an inline body
-/// would leave the -mavx2 lanes TU a weak copy the linker may keep for
-/// every caller.
+/// would leave each wide-ISA lanes object a weak copy the linker may
+/// keep for every caller.
 void advance_slow(const EnvContext& cx, const sched::BatchInterval& iv, double load_w,
                   double delivered, double oh_drain, double dec_full, SlowRefs s);
 
@@ -238,31 +239,71 @@ KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
                              std::size_t count, mppt::MpptController* proto,
                              std::vector<node::NodeReport>& reports);
 
-/// Interval-major lane-batched sweep over one axis run. Only valid for
-/// closed-form axes (eval != kPrototype). Byte-identical to
-/// run_axis_scalar by construction (see soa_lanes.cpp).
+/// Interval-major lane-batched sweep over one axis run, W lanes wide.
+/// Only valid for closed-form axes (eval != kPrototype). Byte-identical
+/// to run_axis_scalar by construction (see soa_lanes.cpp).
 ///
-/// On x86-64 the defining TU (soa_lanes.cpp) is compiled with a
-/// TU-level -mavx2 so the simd.hpp gather/floor/movemask intrinsics are
-/// usable everywhere in it, including inside lambdas — a per-function
-/// target attribute cannot reach those and blocks always_inline
-/// helpers. Two guards keep the AVX2 code from leaking into baseline
-/// TUs through COMDAT selection: every simd.hpp helper is
-/// always_inline (no out-of-line copies exist), and the lanes TU
-/// suppresses its AlignedBuffer instantiations with extern template —
-/// the baseline definitions come from soa_plan.cpp. The entry points
-/// below exchange only scalar/pointer/reference arguments, so the
-/// cross-TU call ABI is ISA-independent, and the dispatcher gates every
-/// call through lanes_supported().
+/// soa_lanes.cpp is one source compiled once per width, each object
+/// defining its own specialisation: W = 4 everywhere (on x86-64 with a
+/// TU-level -mavx2) and, on x86-64, W = 8 with -mavx512f -mavx512dq
+/// -mavx512vl -mavx512bw (src/fleet/CMakeLists.txt). TU-level flags
+/// make the simd.hpp intrinsics usable everywhere in the kernel,
+/// including inside lambdas — a per-function target attribute cannot
+/// reach those and blocks always_inline helpers. Two guards keep the
+/// wide-ISA code from leaking into baseline TUs through COMDAT
+/// selection: every simd.hpp helper is always_inline (no out-of-line
+/// copies exist), and the lanes TU suppresses its AlignedBuffer
+/// instantiations with extern template — the baseline definitions come
+/// from soa_plan.cpp. simd.hpp's per-width inline namespace keeps the
+/// two widths' DVec instantiations (closed_form_ok) apart. The entry
+/// points exchange only scalar/pointer/reference arguments, so the
+/// cross-TU call ABI is ISA-independent, and the dispatcher only calls
+/// an instance lanes_runnable() admits.
+template <int W>
 KernelTotals run_axis_lanes(const EnvContext& cx, const AxisPlan& ax,
                             const sched::EdgeOverlay::Interval* ovs,
                             const std::vector<NodeDraw>& draws, const std::uint32_t* members,
                             std::size_t count, std::vector<node::NodeReport>& reports);
+template <>
+KernelTotals run_axis_lanes<4>(const EnvContext& cx, const AxisPlan& ax,
+                               const sched::EdgeOverlay::Interval* ovs,
+                               const std::vector<NodeDraw>& draws, const std::uint32_t* members,
+                               std::size_t count, std::vector<node::NodeReport>& reports);
+template <>
+KernelTotals run_axis_lanes<8>(const EnvContext& cx, const AxisPlan& ax,
+                               const sched::EdgeOverlay::Interval* ovs,
+                               const std::vector<NodeDraw>& draws, const std::uint32_t* members,
+                               std::size_t count, std::vector<node::NodeReport>& reports);
 
-/// True when this build/host can run the lane kernels (always true off
-/// x86-64; on x86-64 the kernels are compiled for AVX2 and the dispatch
-/// falls back to the scalar kernel on older hardware — results are
-/// byte-identical either way, only throughput differs).
-[[nodiscard]] bool lanes_supported();
+/// Every lane width soa_lanes.cpp can be built at, narrowest first.
+inline constexpr int kLaneWidths[] = {4, 8};
+
+/// True when this build has the W-lane instance and this host can
+/// execute it: W = 4 needs AVX2 on x86-64 (any host elsewhere), W = 8
+/// exists only in x86-64 builds and needs AVX-512 F/DQ/VL/BW. Reports
+/// are byte-identical whichever instance runs; only throughput differs.
+[[nodiscard]] bool lanes_runnable(int width);
+
+/// What the W-lane instance needs, for skip and log messages.
+[[nodiscard]] const char* lanes_requirement(int width);
+
+/// The lane width run_env dispatches closed-form axes to: the widest
+/// runnable instance, probed once per process, or 0 when none runs
+/// (the scalar kernel takes every axis).
+[[nodiscard]] int lanes_width();
+
+/// Pins lanes_width() to `width` (a runnable width, or 0 for the scalar
+/// kernel) until destroyed, so tests can byte-compare every instance
+/// the host runs. Not for concurrent use with a running fleet.
+class ScopedLanesWidth {
+ public:
+  explicit ScopedLanesWidth(int width);
+  ~ScopedLanesWidth();
+  ScopedLanesWidth(const ScopedLanesWidth&) = delete;
+  ScopedLanesWidth& operator=(const ScopedLanesWidth&) = delete;
+
+ private:
+  int previous_;
+};
 
 }  // namespace focv::fleet::soa::internal

@@ -50,14 +50,18 @@
 //     slots; nothing is summed across lanes. Reports are written per
 //     member index exactly as the scalar kernel writes them.
 //
-// ISA: on x86-64 this TU is compiled with -mavx2 (see
-// src/fleet/CMakeLists.txt) so the table gathers lower to vgatherdpd
-// instead of serial insert chains; the dispatcher gates every call
-// through lanes_supported() and falls back to the scalar kernel on
-// pre-AVX2 hardware (same bytes, less throughput). -mavx2 does NOT
-// enable FMA, matching -ffp-contract=off. The extern template
-// declarations below keep this TU from emitting AVX2-compiled COMDAT
-// copies of shared helpers that baseline TUs could link against.
+// ISA: this one source is compiled once per lane width (see
+// src/fleet/CMakeLists.txt), each object defining run_axis_lanes<W>
+// for its own W = simd::kLanes. On x86-64 the W = 4 object is built
+// with -mavx2 and the W = 8 object with -mavx512f -mavx512dq
+// -mavx512vl -mavx512bw, so the table gathers lower to one vgatherdpd
+// per lane vector instead of serial insert chains. The dispatcher
+// (soa.cpp) probes the host once and runs the widest instance it can
+// execute, falling back to the scalar kernel (same bytes, less
+// throughput). Neither flag set enables FMA, matching
+// -ffp-contract=off. The extern template declarations below keep this
+// TU from emitting wide-ISA COMDAT copies of shared helpers that
+// baseline TUs could link against.
 
 #include "common/simd.hpp"
 #include "fleet/soa_internal.hpp"
@@ -76,6 +80,7 @@ using simd::IVec;
 using simd::MVec;
 
 constexpr int W = simd::kLanes;
+static_assert(W == 4 || W == 8, "soa_internal.hpp declares run_axis_lanes<4> and <8> only");
 
 #define FOCV_LANES_INLINE __attribute__((always_inline)) inline
 
@@ -231,10 +236,11 @@ FOCV_LANES_INLINE DVec conv_lanes(const power::BuckBoostConverter::Params& cp,
 
 }  // namespace
 
-KernelTotals run_axis_lanes(const EnvContext& cx, const AxisPlan& ax,
-                            const sched::EdgeOverlay::Interval* ovs,
-                            const std::vector<NodeDraw>& draws, const std::uint32_t* members,
-                            std::size_t count, std::vector<node::NodeReport>& reports) {
+template <>
+KernelTotals run_axis_lanes<W>(const EnvContext& cx, const AxisPlan& ax,
+                               const sched::EdgeOverlay::Interval* ovs,
+                               const std::vector<NodeDraw>& draws, const std::uint32_t* members,
+                               std::size_t count, std::vector<node::NodeReport>& reports) {
   const DenseTables& tb = *cx.tb;
   const power::BuckBoostConverter::Params& cp = cx.conv->params();
   const std::size_t blocks = (count + static_cast<std::size_t>(W) - 1) / static_cast<std::size_t>(W);

@@ -17,8 +17,9 @@
 #include "obs/obs.hpp"
 
 // Baseline-compiled homes for the AlignedBuffer members that the AVX2
-// lane kernel TU declares extern (see soa_lanes.cpp): COMDAT selection
-// can then never pick an AVX2-compiled copy for a baseline caller.
+// and AVX-512 lane kernel objects declare extern (see soa_lanes.cpp):
+// COMDAT selection can then never pick a wide-ISA copy for a baseline
+// caller.
 template class focv::AlignedBuffer<double>;
 template class focv::AlignedBuffer<std::uint32_t>;
 

@@ -145,6 +145,78 @@ TEST(Simd, FloorMatchesStdFloor) {
   }
 }
 
+// The hardware lowerings (AVX2 at 4 lanes, AVX-512 at 8) against
+// plain scalar loads and loops, over every lane position.
+
+TEST(Simd, GatherMatchesScalarLoads) {
+  double table[64];
+  for (int i = 0; i < 64; ++i) table[i] = (i % 7 == 3) ? kVals[i % 8] : 0.125 * i - 3.0;
+  // Repeats, both table ends and descending runs, shifted through
+  // every lane position.
+  const std::int32_t pattern[] = {0, 63, 5, 5, 62, 1, 31, 32, 17, 3, 3, 60, 7, 44, 0, 63};
+  for (int shift = 0; shift < 8; ++shift) {
+    std::int32_t idx[kLanes];
+    for (int l = 0; l < kLanes; ++l) idx[l] = pattern[(l + shift) % 16];
+    double as_double[kLanes];
+    for (int l = 0; l < kLanes; ++l) as_double[l] = static_cast<double>(idx[l]);
+    const IVec iv = to_int(load(as_double));
+    const DVec r = gather(table, iv);
+    for (int l = 0; l < kLanes; ++l) {
+      EXPECT_TRUE(lane_bits_equal(r[l], table[idx[l]])) << "shift " << shift << " lane " << l;
+    }
+  }
+}
+
+TEST(Simd, FloorMatchesStdFloorAcrossRanges) {
+  // Halves and near-integers of both signs, signed zeros, denormals
+  // (floor(-denormal) is -1), the 2^52 edge where every double is an
+  // integer, and infinities.
+  const double vals[] = {-2.5, -2.0, -1.5, -0.5, -0.0, 0.0, 0.5, 1.5, 2.5, 2.0,
+                         0.9999999999999999, -0.9999999999999999, 1e-320, -1e-320,
+                         4503599627370495.5, -4503599627370495.5, 4503599627370496.0,
+                         -4503599627370497.0, 1e300, -1e300, kInf, -kInf, 123.456, -123.456};
+  constexpr int n = sizeof(vals) / sizeof(vals[0]);
+  for (int base = 0; base < n; base += kLanes) {
+    double in[kLanes];
+    for (int l = 0; l < kLanes; ++l) in[l] = vals[(base + l) % n];
+    const DVec r = floor(load(in));
+    for (int l = 0; l < kLanes; ++l) {
+      EXPECT_TRUE(lane_bits_equal(r[l], std::floor(in[l]))) << in[l];
+    }
+  }
+}
+
+TEST(Simd, AnyAllMatchLaneLoopsOnEveryMask) {
+  for (unsigned bits = 0; bits < (1u << kLanes); ++bits) {
+    double tmp[kLanes];
+    for (int l = 0; l < kLanes; ++l) tmp[l] = ((bits >> l) & 1u) != 0 ? 1.0 : 0.0;
+    const MVec m = load(tmp) > broadcast(0.5);
+    bool any_loop = false;
+    bool all_loop = true;
+    for (int l = 0; l < kLanes; ++l) {
+      any_loop = any_loop || m.lane(l);
+      all_loop = all_loop && m.lane(l);
+    }
+    EXPECT_EQ(any(m), any_loop) << "mask " << bits;
+    EXPECT_EQ(all(m), all_loop) << "mask " << bits;
+  }
+}
+
+TEST(Simd, UniformMatchesLaneLoopOnEveryPattern) {
+  // Lane l holds 7, or 7 + 2^l when bit l of the pattern is set, so
+  // only the all-clear pattern is uniform.
+  for (unsigned bits = 0; bits < (1u << kLanes); ++bits) {
+    double tmp[kLanes];
+    for (int l = 0; l < kLanes; ++l) {
+      tmp[l] = ((bits >> l) & 1u) != 0 ? 7.0 + static_cast<double>(1 << l) : 7.0;
+    }
+    const IVec v = to_int(load(tmp));
+    bool same = true;
+    for (int l = 1; l < kLanes; ++l) same = same && v[l] == v[0];
+    EXPECT_EQ(uniform(v), same) << "pattern " << bits;
+  }
+}
+
 TEST(Simd, AbsMatchesStdFabsBitwise) {
   const DVec r = abs(awkward());
   for (int l = 0; l < kLanes; ++l) {

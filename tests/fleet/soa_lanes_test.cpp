@@ -3,7 +3,9 @@
 // EXACTLY the bytes of the node-major scalar sweep (soa_scalar.cpp) —
 // same IEEE op sequence per lane, selects in place of branches, shared
 // slow-path routine — at any worker count, and at
-// every lane-tail / fallback edge the blocking can hit.
+// every lane-tail / fallback edge the blocking can hit. soa_lanes.cpp
+// is built once per lane width; every instance this host can run is
+// pinned in turn (soa_internal.hpp) and held to the scalar bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,8 @@
 
 #include "env/profiles.hpp"
 #include "fleet/fleet.hpp"
+#include "fleet/soa_internal.hpp"
+#include "obs/obs.hpp"
 #include "pv/cell_library.hpp"
 
 namespace focv::fleet {
@@ -49,16 +53,19 @@ std::string slurp(const std::string& path) {
 }
 
 /// The fleet report JSON followed by the per-node JSONL export.
-std::string run_kernel(FleetSpec spec, SoaKernel kernel, int jobs) {
-  spec.soa_kernel = kernel;
+/// `lanes` is the pinned lane width (0 = the scalar kernel).
+std::string run_kernel(FleetSpec spec, int lanes, int jobs) {
+  spec.soa_kernel = lanes != 0 ? SoaKernel::kLanes : SoaKernel::kScalar;
+  const soa::internal::ScopedLanesWidth pin(lanes);
   FleetOptions opt;
   opt.jobs = jobs;
   // One file per test, kernel and jobs count: `ctest -j` runs each test
   // in its own process, and a shared path lets them overwrite each other.
   const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  opt.jsonl_path = ::testing::TempDir() + "/soa_lanes_" + info->name() + "_" +
-                   (kernel == SoaKernel::kLanes ? "lanes" : "scalar") + "_j" +
-                   std::to_string(jobs) + ".jsonl";
+  std::string name = info->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  opt.jsonl_path = ::testing::TempDir() + "/soa_lanes_" + name + "_w" + std::to_string(lanes) +
+                   "_j" + std::to_string(jobs) + ".jsonl";
   const std::string json = run_fleet(spec, opt).to_json();
   const std::string jsonl = slurp(opt.jsonl_path);
   EXPECT_EQ(static_cast<std::size_t>(std::count(jsonl.begin(), jsonl.end(), '\n')),
@@ -67,12 +74,17 @@ std::string run_kernel(FleetSpec spec, SoaKernel kernel, int jobs) {
 }
 
 /// The whole contract in one assertion: scalar jobs=1 is the reference;
-/// lanes jobs=1, lanes jobs=4 and scalar jobs=4 must all match it.
+/// scalar jobs=4 and every lane instance the host runs, at jobs=1 and
+/// jobs=4, must all match it. (FleetSoaLaneWidths.InstanceRunsOnHost
+/// reports a width this host cannot run as skipped.)
 void expect_kernels_identical(const FleetSpec& spec, const std::string& label) {
-  const std::string ref = run_kernel(spec, SoaKernel::kScalar, 1);
-  EXPECT_EQ(ref, run_kernel(spec, SoaKernel::kLanes, 1)) << label << " lanes jobs=1";
-  EXPECT_EQ(ref, run_kernel(spec, SoaKernel::kLanes, 4)) << label << " lanes jobs=4";
-  EXPECT_EQ(ref, run_kernel(spec, SoaKernel::kScalar, 4)) << label << " scalar jobs=4";
+  const std::string ref = run_kernel(spec, 0, 1);
+  EXPECT_EQ(ref, run_kernel(spec, 0, 4)) << label << " scalar jobs=4";
+  for (const int w : soa::internal::kLaneWidths) {
+    if (!soa::internal::lanes_runnable(w)) continue;
+    EXPECT_EQ(ref, run_kernel(spec, w, 1)) << label << " W=" << w << " jobs=1";
+    EXPECT_EQ(ref, run_kernel(spec, w, 4)) << label << " W=" << w << " jobs=4";
+  }
 }
 
 TEST(FleetSoaLanes, ByteIdenticalToScalar) {
@@ -84,7 +96,7 @@ TEST(FleetSoaLanes, LaneTailSizesByteIdentical) {
   // residue mod the lane width: single-node runs, W-1 / W+1 tails, and
   // runs that fill whole blocks exactly. Tail blocks pad with replicas
   // of the last real node; any padding leak would corrupt these bytes.
-  for (const std::size_t nodes : {1u, 3u, 7u, 8u, 9u, 63u, 64u, 65u, 130u}) {
+  for (const std::size_t nodes : {1u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 63u, 64u, 65u, 130u}) {
     FleetSpec spec = lanes_spec(nodes);
     spec.chunk_size = 32;
     expect_kernels_identical(spec, "nodes=" + std::to_string(nodes));
@@ -134,6 +146,54 @@ TEST(FleetSoaLanes, LanesKernelIsTheDefault) {
   FleetSpec spec;
   EXPECT_EQ(spec.soa_kernel, SoaKernel::kLanes);
 }
+
+/// One case per lane width soa_lanes.cpp is built at: a width this host
+/// cannot run is skipped with the ISA it lacks named, so a run that
+/// never exercised an instance says so instead of passing silently.
+class FleetSoaLaneWidths : public ::testing::TestWithParam<int> {};
+
+TEST_P(FleetSoaLaneWidths, InstanceRunsOnHost) {
+  const int w = GetParam();
+  if (!soa::internal::lanes_runnable(w)) {
+    GTEST_SKIP() << "the " << w << "-lane instance needs " << soa::internal::lanes_requirement(w)
+                 << ", which this host or build lacks; FleetSoaLanes.* compared the others";
+  }
+  // Unpinned, the dispatcher runs the widest instance the host has.
+  EXPECT_GE(soa::internal::lanes_width(), w);
+  // Pinned, each soa_axis_run span names the kernel and the lane width
+  // that ran it (1 for the scalar kernel, which takes the always-dark
+  // sunday env: its table has no slots to gather from), and the bytes
+  // still match the scalar kernel.
+  const FleetSpec spec = lanes_spec(40);
+  obs::reset_all();
+  std::string traced;
+  {
+    obs::ScopedEnable scoped;
+    traced = run_kernel(spec, w, 1);
+  }
+  std::size_t lane_spans = 0;
+  for (const obs::TraceEvent& e : obs::tracer().events()) {
+    if (e.name != "soa_axis_run") continue;
+    std::string kernel;
+    double lanes = 0.0;
+    for (const obs::TraceArg& a : e.args) {
+      if (a.name == "kernel") kernel = a.text;
+      if (a.name == "lanes") lanes = a.number;
+    }
+    ASSERT_TRUE(kernel == "lanes" || kernel == "scalar") << kernel;
+    EXPECT_EQ(lanes, kernel == "lanes" ? static_cast<double>(w) : 1.0) << kernel;
+    lane_spans += kernel == "lanes" ? 1 : 0;
+  }
+  obs::reset_all();
+  EXPECT_GT(lane_spans, 0u);
+  EXPECT_EQ(run_kernel(spec, 0, 1), traced);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, FleetSoaLaneWidths,
+                         ::testing::ValuesIn(soa::internal::kLaneWidths),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "w" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace focv::fleet
