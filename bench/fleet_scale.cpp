@@ -23,6 +23,8 @@
 //   ./build/bench/fleet_scale --jobs N    # threaded-leg worker count
 //                                         # (0 = hardware concurrency;
 //                                         # default max(8, hardware))
+//   ./build/bench/fleet_scale --help      # usage; any unknown argument
+//                                         # prints it and exits 2
 //
 // The shared telemetry flags (--trace/--metrics/--snapshot/--flight)
 // record the ladder under focv::obs: fleet_chunk/soa_axis_run spans,
@@ -140,6 +142,11 @@ std::size_t plan_table_bytes(const focv::fleet::FleetSpec& spec) {
   return bytes;
 }
 
+void print_usage(std::FILE* out, const char* argv0) {
+  std::fprintf(out, "usage: %s [--smoke | --gate100k] [--jobs N] %s\n", argv0,
+               focv::obs::CliTelemetry::usage());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -151,14 +158,26 @@ int main(int argc, char** argv) {
   obs::CliTelemetry telemetry;
   for (int i = 1; i < argc; ++i) {
     if (telemetry.consume(argc, argv, i)) continue;
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--gate100k") == 0) gate100k = true;
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
+      print_usage(stdout, argv[0]);
+      return 0;
+    }
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--gate100k") == 0) {
+      gate100k = true;
+    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       jobs_arg = std::atoi(argv[++i]);
       if (jobs_arg < 0) {
         std::fprintf(stderr, "FAIL: --jobs must be >= 0 (0 = hardware concurrency)\n");
         return 2;
       }
+    } else {
+      // An unknown flag must not fall through to the full 10 -> 1M
+      // ladder on every core.
+      std::fprintf(stderr, "fleet_scale: unknown argument '%s'\n", argv[i]);
+      print_usage(stderr, argv[0]);
+      return 2;
     }
   }
   telemetry.begin();

@@ -329,6 +329,46 @@ CaseSpec fleet_soa_case(std::string name, std::string description,
   return spec;
 }
 
+/// A graddesc + pando group on the SoA engine: SoaKernel::kLanes ticks
+/// its lit spans in lockstep lanes (fleet/hill.hpp), kScalar leaves every
+/// node on the per-node path. A `focv` axis too light to be drawn gives
+/// the spec its SoA plan. speedup_fleet_hill_lanes in `derived` is the
+/// lane gain (byte-identical reports).
+CaseSpec fleet_hill_case(std::string name, std::string description, fleet::SoaKernel kernel) {
+  CaseSpec spec;
+  spec.name = std::move(name);
+  spec.description = std::move(description);
+  spec.make = [kernel](bool smoke) {
+    auto trace = std::make_shared<const env::LightTrace>(
+        smoke ? env::constant_light(2000.0, 0.0, 600.0) : env::outdoor_day({}));
+    const std::size_t nodes = smoke ? 16 : 64;
+    return [trace = std::move(trace), nodes, kernel]() -> Counters {
+      fleet::FleetSpec fs;
+      fs.node_count = nodes;
+      fs.use_cell(pv::sanyo_am1815());
+      fs.add_environment("bench", trace);
+      fs.add_policy("graddesc", 0.5);
+      fs.add_policy("pando", 0.5);
+      fs.add_policy("focv", 1e-12);
+      fs.base.storage.initial_voltage = 2.5;
+      fs.base.load.report_period = 120.0;
+      fs.base.stepper = node::Stepper::kEvent;
+      fs.engine = fleet::FleetEngine::kSoa;
+      fs.soa_kernel = kernel;
+      fleet::FleetOptions opt;
+      opt.jobs = 1;
+      opt.analyze_load = false;
+      const fleet::FleetReport r = fleet::run_fleet(fs, opt);
+      require(r.nodes_failed == 0, "fleet_hill bench: node failures");
+      return {{"nodes_ok", static_cast<double>(r.nodes_ok)},
+              {"total_steps", static_cast<double>(r.steps)},
+              {"harvested_j", r.harvested_j},
+              {"mean_tracking_efficiency", r.mean_tracking_efficiency()}};
+    };
+  };
+  return spec;
+}
+
 CaseSpec obs_overhead_soa_case(std::string name, std::string description, bool telemetry) {
   CaseSpec spec;
   spec.name = std::move(name);
@@ -708,6 +748,16 @@ void register_default_cases() {
       "tables; speedup_fleet_simd in `derived` is the lanes-over-scalar "
       "gain (byte-identical reports)",
       fleet::FleetEngine::kSoa, fleet::SoaKernel::kLanes));
+  r.push_back(fleet_hill_case(
+      "fleet_hill_pernode",
+      "64 outdoor graddesc + pando nodes on the SoA engine with SoaKernel::kScalar: "
+      "every lit step ticks on the per-node path",
+      fleet::SoaKernel::kScalar));
+  r.push_back(fleet_hill_case(
+      "fleet_hill_lanes",
+      "identical group with SoaKernel::kLanes: lit spans tick in lockstep lanes; "
+      "speedup_fleet_hill_lanes in `derived` is the lane gain (byte-identical reports)",
+      fleet::SoaKernel::kLanes));
   r.push_back(obs_overhead_case(
       "obs_overhead_disabled",
       "office-day 24 h behavioural run with focv::obs telemetry off (the "

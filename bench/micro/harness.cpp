@@ -174,6 +174,18 @@ std::string to_json(const std::vector<CaseResult>& results, const RunOptions& op
       }
     }
   }
+  // speedup_fleet_hill_lanes: the per-node hill-climber group's wall
+  // time over the lockstep lanes (fleet_hill_pernode / fleet_hill_lanes).
+  for (const CaseResult& base : results) {
+    if (base.name != "fleet_hill_pernode") continue;
+    for (const CaseResult& lanes : results) {
+      if (lanes.name == "fleet_hill_lanes" && base.median_s > 0.0 && lanes.median_s > 0.0) {
+        if (!first) out += ", ";
+        first = false;
+        out += quoted("speedup_fleet_hill_lanes") + ": " + num(base.median_s / lanes.median_s);
+      }
+    }
+  }
   // speedup_event_stepper_<stem>: fixed-stepper wall time over the
   // event-driven stepper for the same workload. The fixed counterpart
   // of X_event is X_surrogate when it exists (the simulate_node cases)

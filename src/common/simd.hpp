@@ -141,7 +141,12 @@ FOCV_SIMD_INLINE DVec from_lanes(F&& f) {
 /// the identical memory read — a gather cannot change a bit.
 FOCV_SIMD_INLINE DVec gather(const double* base, IVec idx) {
 #if FOCV_SIMD_X86_AVX2
-  return {(detail::dnative)_mm256_i32gather_pd(base, (__m128i)idx.i, 8)};
+  // Merge form with a full mask, as below: the same gather as the
+  // unmasked wrapper, which GCC 12 seeds with an undefined vector and
+  // so trips -Wmaybe-uninitialized under -Wall.
+  return {(detail::dnative)_mm256_mask_i32gather_pd(
+      _mm256_setzero_pd(), base, (__m128i)idx.i,
+      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8)};
 #elif FOCV_SIMD_X86_AVX512
   // Merge form with a full mask: the same gather as the unmasked
   // wrapper, which GCC 12 seeds with _mm512_undefined_pd() and so
@@ -448,6 +453,43 @@ FOCV_SIMD_INLINE DVec floor(DVec x) {
   store(tmp, x);
   for (int l = 0; l < kLanes; ++l) tmp[l] = std::floor(tmp[l]);
   return load(tmp);
+}
+#endif
+
+/// std::sqrt per lane: IEEE square root is correctly rounded, so the
+/// vector instruction returns the scalar call's bits.
+#if FOCV_SIMD_X86_AVX2
+FOCV_SIMD_INLINE DVec sqrt(DVec x) { return {(detail::dnative)_mm256_sqrt_pd((__m256d)x.v)}; }
+#elif FOCV_SIMD_X86_AVX512
+// Zero-masked with a full mask, for the reason floor() gives above.
+FOCV_SIMD_INLINE DVec sqrt(DVec x) {
+  return {(detail::dnative)_mm512_maskz_sqrt_pd(0xFF, (__m512d)x.v)};
+}
+#elif FOCV_SIMD_VECTOR_EXT
+FOCV_SIMD_INLINE DVec sqrt(DVec x) {
+  return from_lanes([&](int l) { return std::sqrt(x[l]); });
+}
+#else
+FOCV_SIMD_INLINE DVec sqrt(DVec x) {
+  DVec r;
+  for (int l = 0; l < kLanes; ++l) r.v[l] = std::sqrt(x.v[l]);
+  return r;
+}
+#endif
+
+/// static_cast<double>(static_cast<float>(x)) per lane: round to the
+/// nearest float and widen back exactly, like a CurveCache::StepKey
+/// weight.
+#if FOCV_SIMD_VECTOR_EXT
+FOCV_SIMD_INLINE DVec round_to_float(DVec x) {
+  typedef float fnative __attribute__((vector_size(FOCV_SIMD_LANES * 4), aligned(4)));
+  return {__builtin_convertvector(__builtin_convertvector(x.v, fnative), detail::dnative)};
+}
+#else
+FOCV_SIMD_INLINE DVec round_to_float(DVec x) {
+  DVec r;
+  for (int l = 0; l < kLanes; ++l) r.v[l] = static_cast<double>(static_cast<float>(x.v[l]));
+  return r;
 }
 #endif
 

@@ -13,6 +13,7 @@
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "fleet/detail.hpp"
+#include "fleet/hill.hpp"
 #include "fleet/soa.hpp"
 #include "mppt/baselines.hpp"
 #include "node/curve_cache.hpp"
@@ -474,6 +475,15 @@ FleetReport run_fleet(const FleetSpec& spec, const FleetOptions& options) {
     soa_plan = soa::build_plan(spec, policies, prepared, *warm_cache);
   }
 
+  // Hill-climber nodes that can tick in lockstep lanes, collected from
+  // the whole fleet (see fleet/hill.hpp). They run as tasks of their
+  // own before the chunks, which then fold their outcomes in node order.
+  std::optional<hill::Lanes> lanes;
+  if (soa_plan) {
+    lanes.emplace(spec, policies, prepared, *soa_plan, *warm_cache);
+    if (lanes->empty()) lanes.reset();
+  }
+
   // Each chunk records its nodes' load period and phase, so the load
   // pass does not draw every node a second time.
   std::vector<detail::BurstClock> clocks(options.analyze_load ? spec.node_count : 0);
@@ -537,6 +547,19 @@ FleetReport run_fleet(const FleetSpec& spec, const FleetOptions& options) {
       if (soa_plan && soa_plan->axes[draws[k].policy_index].batch) {
         batched[k] = 1;
         batch_members.push_back(static_cast<std::uint32_t>(k));
+        continue;
+      }
+      if (hill::Outcome* lane = lanes ? lanes->outcome(first + k) : nullptr) {
+        if (lane->failed) {
+          failed[k] = 1;
+          errors[k] = std::move(lane->error);
+        } else {
+          reports[k] = std::move(lane->report);
+          // Lane nodes carry no battery: the supercap's initial voltage
+          // is the neutrality reference.
+          neutral[k] =
+              reports[k].final_store_voltage >= spec.base.storage.initial_voltage ? 1 : 0;
+        }
         continue;
       }
       try {
@@ -635,10 +658,15 @@ FleetReport run_fleet(const FleetSpec& spec, const FleetOptions& options) {
   if (options.jobs == 1) {
     // Inline serial path: the reference execution the determinism tests
     // compare threaded runs against.
+    if (lanes) lanes->run_task(0, lanes->task_count(1));
     for (std::size_t c = 0; c < plan.count; ++c) run_chunk(c);
   } else {
     runtime::ThreadPool pool(options.jobs);
     jobs_used = pool.thread_count();
+    if (lanes) {
+      const std::size_t tasks = lanes->task_count(jobs_used);
+      pool.parallel_for(tasks, [&](std::size_t t) { lanes->run_task(t, tasks); });
+    }
     pool.parallel_for(plan.count, run_chunk);
   }
 

@@ -1,0 +1,96 @@
+// Interface between the hill-climber lane dispatch (hill.cpp, baseline
+// ISA) and the lane kernel (hill_lanes.cpp, one object per lane width,
+// built like soa_lanes.cpp). Plain data and one function pointer: the
+// kernel objects include nothing that could leave a wide-ISA copy of a
+// shared inline function behind, and the call crosses the ISA boundary
+// with scalar and pointer arguments only.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+#include "power/converter.hpp"
+#include "sched/node_run.hpp"
+
+namespace focv::fleet::hill {
+
+/// The update law a lane group replays.
+enum class Law : std::uint8_t {
+  kGradientDescent,  ///< mppt::GradientDescentController::step
+  kPerturbObserve,   ///< mppt::HillClimbingController::step
+};
+
+/// A lane's span is done and no further span follows.
+inline constexpr std::size_t kDone = static_cast<std::size_t>(-1);
+
+/// One node in a lane: its constants, the state a lean tick carries,
+/// and the span [a, b) its planner asked to tick. The controller fields
+/// are GradientDescentController::State (lr_or_direction = lr) or
+/// HillClimbingController::State (lr_or_direction = direction,
+/// prev_power = last_power, has_prev = has_last_power). The lane owns
+/// them for the node's whole day: the planner never steps a per-step
+/// law outside a tick span.
+struct LaneNode {
+  double scale = 0.0;   ///< NodeConfig::lux_scale
+  double load_w = 0.0;  ///< period-average load [W]
+  sched::TickState tick;
+  double brownout_steps = 0.0;  ///< browned-out steps of the current span
+  double voltage = 0.0;
+  double lr_or_direction = 0.0;
+  double prev_power = 0.0;
+  double prev_voltage = 0.0;
+  double prev_gradient = 0.0;
+  double next_update = 0.0;
+  double has_prev = 0.0;      ///< 1.0 or 0.0
+  double has_gradient = 0.0;  ///< 1.0 or 0.0
+  std::size_t a = kDone;
+  std::size_t b = kDone;
+  void* owner = nullptr;  ///< hill.cpp's record of this node
+};
+
+/// Everything a lane group shares: the environment's trace and dense
+/// curve table, the axis' law, and the converter and store models.
+struct GroupContext {
+  const double* t = nullptr;   ///< trace step boundaries
+  const double* eq = nullptr;  ///< unscaled equivalent lux per step
+  /// soa::DenseTables::slot_f as doubles: {voc, pmpp, 1/voc} per slot.
+  const double* slot_f = nullptr;
+  const double* power = nullptr;  ///< [slot * points + m]
+  long grid_lo = 0;
+  int slots = 0;
+  int points = 0;
+
+  Law law = Law::kGradientDescent;
+  double update_period = 1.0;
+  double max_voltage = 0.0;
+  double step = 0.0;  ///< graddesc probe_step, P&O voltage_step
+  double lr_min = 0.0;
+  double lr_decay = 1.0;
+  double max_step = 0.0;
+  double overhead = 0.0;  ///< controller overhead power [W]
+  double min_lux = 0.0;   ///< supply floor
+
+  power::BuckBoostConverter::Params converter;
+  double capacitance = 0.0;
+  double max_energy = 0.0;
+  double min_useful_voltage = 0.0;
+  double self_discharge_resistance = 0.0;
+
+  /// Called when a lane finishes its span: hands the node back to its
+  /// planner and fills in the next span, or returns false (a = b =
+  /// kDone) when the node's run is over or failed.
+  bool (*resume)(LaneNode& node) = nullptr;
+};
+
+/// Ticks up to W nodes of one group in lockstep over the shared trace
+/// until every node's run is over. nodes[0..count) must arrive with
+/// their first span set (or a = kDone). Each step of a node is the
+/// lean scalar tick's arithmetic bit for bit (see hill_lanes.cpp).
+template <int W>
+void tick_lanes(const GroupContext& cx, LaneNode* const* nodes, std::size_t count);
+template <>
+void tick_lanes<4>(const GroupContext& cx, LaneNode* const* nodes, std::size_t count);
+template <>
+void tick_lanes<8>(const GroupContext& cx, LaneNode* const* nodes, std::size_t count);
+
+}  // namespace focv::fleet::hill

@@ -287,9 +287,10 @@ inline constexpr int kLaneWidths[] = {4, 8};
 /// What the W-lane instance needs, for skip and log messages.
 [[nodiscard]] const char* lanes_requirement(int width);
 
-/// The lane width run_env dispatches closed-form axes to: the widest
-/// runnable instance, probed once per process, or 0 when none runs
-/// (the scalar kernel takes every axis).
+/// The lane width run_env dispatches closed-form axes to, and the
+/// hill-climber lanes run at (fleet/hill.hpp): the widest runnable
+/// instance, probed once per process, or 0 when none runs (the scalar
+/// kernel takes every axis and hill-climbers stay per-node).
 [[nodiscard]] int lanes_width();
 
 /// Pins lanes_width() to `width` (a runnable width, or 0 for the scalar

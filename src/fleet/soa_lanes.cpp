@@ -64,6 +64,7 @@
 // baseline TUs could link against.
 
 #include "common/simd.hpp"
+#include "fleet/lane_math.hpp"
 #include "fleet/soa_internal.hpp"
 
 // AlignedBuffer's members are instantiated baseline-compiled in
@@ -216,22 +217,6 @@ FOCV_LANES_INLINE DVec power_lanes(const DenseTables& tb, const SlotLanes& s, DV
     }
   }
   return simd::select(valid, row0 + s.f * (row1 - row0), zero);
-}
-
-/// BuckBoostConverter::output_power on W lanes (converter.hpp): the
-/// knee ratio and efficiency in the scalar association, the fixed-loss
-/// floor and both guards as selects. p is always >= 0 here so the knee
-/// denominator stays positive.
-FOCV_LANES_INLINE DVec conv_lanes(const power::BuckBoostConverter::Params& cp,
-                                                 DVec p, DVec v) {
-  const DVec zero = simd::broadcast(0.0);
-  const MVec ok = (p > zero) & (v >= simd::broadcast(cp.min_input_voltage)) &
-                  (v <= simd::broadcast(cp.max_input_voltage));
-  const DVec knee = p / (p + simd::broadcast(cp.input_power_knee));
-  const DVec conv = (p * simd::broadcast(cp.efficiency_peak)) * knee;
-  const DVec fixed = simd::broadcast(cp.fixed_loss);
-  const DVec out = simd::select(conv > fixed, conv - fixed, zero);
-  return simd::select(ok, out, zero);
 }
 
 }  // namespace
@@ -451,7 +436,7 @@ KernelTotals run_axis_lanes<W>(const EnvContext& cx, const AxisPlan& ax,
           const DVec act = ab * frac;
           const DVec p_full = power_lanes(tb, s, v) * hs;
           *p_out = simd::select(live, p_full * act, zero);
-          *d_out = simd::select(live, conv_lanes(cp, p_full, v) * act, zero);
+          *d_out = simd::select(live, lanes::conv_lanes(cp, p_full, v) * act, zero);
         };
         eval(c_lo, s_lo, &p_lo, &d_lo);
         DVec p_hi = p_lo;
@@ -466,7 +451,7 @@ KernelTotals run_axis_lanes<W>(const EnvContext& cx, const AxisPlan& ax,
               ax.aff_const ? affv_v : affk_v * ((c.voc * affs1_v) * affs2_v);
           const DVec p = power_lanes(tb, s, v) * affact_v;
           *p_out = p;
-          *d_out = conv_lanes(cp, p, v);
+          *d_out = lanes::conv_lanes(cp, p, v);
         };
         eval(c_lo, s_lo, &p_lo, &d_lo);
         DVec p_hi = p_lo;

@@ -42,6 +42,21 @@ class HillClimbingController : public MpptController {
   [[nodiscard]] double minimum_operating_lux() const override { return params_.min_lux; }
   void reset() override;
 
+  [[nodiscard]] const Params& params() const { return params_; }
+  /// Everything step() carries from one perturbation to the next: the
+  /// fleet's hill-climber lanes (fleet/hill_lanes.cpp) start a node's
+  /// lane from it and replay step() on it.
+  struct State {
+    double voltage = 0.0;
+    double direction = 1.0;
+    double last_power = 0.0;
+    double next_update = 0.0;
+    bool has_last_power = false;
+  };
+  [[nodiscard]] State state() const {
+    return {voltage_, direction_, last_power_, next_update_, has_last_power_};
+  }
+
  private:
   Params params_;
   double voltage_;

@@ -62,6 +62,24 @@ class GradientDescentController final : public MpptController {
   /// Current (annealed) learning rate [V^2/W] — telemetry/tests.
   [[nodiscard]] double learning_rate() const { return lr_; }
 
+  /// Everything step() carries from one decision to the next: the
+  /// fleet's hill-climber lanes (fleet/hill_lanes.cpp) start a node's
+  /// lane from it and replay step() on it.
+  struct State {
+    double voltage = 0.0;
+    double lr = 0.0;
+    double prev_power = 0.0;
+    double prev_voltage = 0.0;
+    double prev_gradient = 0.0;
+    double next_update = 0.0;
+    bool has_prev = false;
+    bool has_gradient = false;
+  };
+  [[nodiscard]] State state() const {
+    return {voltage_, lr_,         prev_power_, prev_voltage_, prev_gradient_,
+            next_update_, has_prev_, has_gradient_};
+  }
+
  private:
   Params params_;
   double voltage_;

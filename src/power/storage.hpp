@@ -90,6 +90,11 @@ class Supercapacitor {
     require(v >= 0.0 && v <= params_.max_voltage, "Supercapacitor: voltage out of range");
     voltage_ = v;
   }
+  /// Hands back a voltage that this store's own dynamics produced, for
+  /// a stepper that advanced a copy of it elsewhere. Unlike set_voltage
+  /// it takes the value unchecked: apply_power's sqrt may land one
+  /// rounding above max_voltage.
+  void restore_voltage(double v) { voltage_ = v; }
 
  private:
   Params params_;

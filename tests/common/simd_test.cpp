@@ -224,5 +224,49 @@ TEST(Simd, AbsMatchesStdFabsBitwise) {
   }
 }
 
+TEST(Simd, SqrtMatchesStdSqrtBitwise) {
+  // Every lane position sees every awkward value (negatives give NaN,
+  // -0.0 stays -0.0), plus values whose square roots round.
+  const double extra[] = {2.0, 3.0, 1e-310, 0.1, 7.25e-5, 4.0, 1.7976931348623157e308, 0.5};
+  for (int shift = 0; shift < kLanes; ++shift) {
+    for (const double* src : {kVals, extra}) {
+      double in[kLanes];
+      for (int l = 0; l < kLanes; ++l) in[l] = src[(l + shift) % 8];
+      const DVec r = sqrt(load(in));
+      for (int l = 0; l < kLanes; ++l) {
+        const double want = std::sqrt(in[l]);
+        if (std::isnan(want)) {
+          EXPECT_TRUE(std::isnan(r[l])) << "lane " << l << " x=" << in[l];
+        } else {
+          EXPECT_TRUE(lane_bits_equal(r[l], want)) << "lane " << l << " x=" << in[l];
+        }
+      }
+    }
+  }
+}
+
+TEST(Simd, RoundToFloatMatchesScalarCastsBitwise) {
+  // Halfway and near-halfway cases, float overflow and underflow, both
+  // zeros and Inf, each at every lane position.
+  const double extra[] = {1.0 + 0x1p-24,       1.0 + 0x1p-24 + 0x1p-52, 0.1, 1e39,
+                          -1e-46,              3.4028235677973366e38,   0.999999999999,
+                          0.123456789012345678};
+  for (int shift = 0; shift < kLanes; ++shift) {
+    for (const double* src : {kVals, extra}) {
+      double in[kLanes];
+      for (int l = 0; l < kLanes; ++l) in[l] = src[(l + shift) % 8];
+      const DVec r = round_to_float(load(in));
+      for (int l = 0; l < kLanes; ++l) {
+        const double want = static_cast<double>(static_cast<float>(in[l]));
+        if (std::isnan(want)) {
+          EXPECT_TRUE(std::isnan(r[l])) << "lane " << l;
+        } else {
+          EXPECT_TRUE(lane_bits_equal(r[l], want)) << "lane " << l << " x=" << in[l];
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace focv::simd
