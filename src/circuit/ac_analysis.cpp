@@ -107,20 +107,6 @@ std::vector<Complex> complex_lu_solve(std::vector<Complex> a, std::vector<Comple
   return x;
 }
 
-std::vector<std::string> build_signal_names(const Circuit& circuit) {
-  std::vector<std::string> names;
-  for (NodeId n = 1; n < circuit.node_count(); ++n) names.push_back(circuit.node_name(n));
-  for (const auto& device : circuit.devices()) {
-    const int count = device->branch_count();
-    for (int k = 0; k < count; ++k) {
-      std::string name = "I(" + device->name() + ")";
-      if (count > 1) name += "#" + std::to_string(k);
-      names.push_back(std::move(name));
-    }
-  }
-  return names;
-}
-
 }  // namespace
 
 AcSweep ac_analyze(Circuit& circuit, const AcOptions& options) {
@@ -182,7 +168,7 @@ AcSweep ac_analyze(Circuit& circuit, const AcOptions& options) {
     for (std::size_t r = 0; r < un; ++r) b[r] = rhs[r] / scale;
   }
 
-  AcSweep sweep(build_signal_names(circuit));
+  AcSweep sweep(circuit.unknown_names());
 
   const double decades = std::log10(options.f_stop / options.f_start);
   const int points = std::max(2, static_cast<int>(decades * options.points_per_decade) + 1);

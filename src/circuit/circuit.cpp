@@ -23,6 +23,24 @@ const std::string& Circuit::node_name(NodeId n) const {
   return node_names_[static_cast<std::size_t>(n)];
 }
 
+std::vector<std::string> Circuit::unknown_names() const {
+  std::vector<std::string> names;
+  names.reserve(static_cast<std::size_t>(unknown_count()));
+  for (NodeId n = 1; n < node_count(); ++n) names.push_back(node_name(n));
+  for (const auto& device : devices_) {
+    const int count = device->branch_count();
+    for (int k = 0; k < count; ++k) {
+      // Built by append: GCC 12 at -O3 warns (-Wrestrict) on the inlined
+      // `"I(" + std::string` operator+.
+      std::string name = "I(";
+      name.append(device->name()).append(")");
+      if (count > 1) name.append("#").append(std::to_string(k));
+      names.push_back(std::move(name));
+    }
+  }
+  return names;
+}
+
 NodeId Circuit::find_node(const std::string& name) const {
   if (name == "0" || name == "gnd" || name == "GND") return kGround;
   const auto it = node_index_.find(name);

@@ -50,6 +50,11 @@ class Circuit {
 
   [[nodiscard]] const std::string& node_name(NodeId n) const;
 
+  /// Names of the MNA unknowns in solution order: each non-ground node,
+  /// then each branch current as "I(device)" ("I(device)#k" for a
+  /// device with several branches). Call after finalize().
+  [[nodiscard]] std::vector<std::string> unknown_names() const;
+
   /// Look up an existing node id by name; throws if absent.
   [[nodiscard]] NodeId find_node(const std::string& name) const;
 

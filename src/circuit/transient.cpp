@@ -104,25 +104,6 @@ std::vector<double> Trace::crossing_times(const std::string& name, double level,
 
 // ------------------------------------------------------------- transient
 
-namespace {
-
-std::vector<std::string> build_signal_names(const Circuit& circuit) {
-  std::vector<std::string> names;
-  names.reserve(static_cast<std::size_t>(circuit.unknown_count()));
-  for (NodeId n = 1; n < circuit.node_count(); ++n) names.push_back(circuit.node_name(n));
-  for (const auto& device : circuit.devices()) {
-    const int count = device->branch_count();
-    for (int k = 0; k < count; ++k) {
-      std::string name = "I(" + device->name() + ")";
-      if (count > 1) name += "#" + std::to_string(k);
-      names.push_back(std::move(name));
-    }
-  }
-  return names;
-}
-
-}  // namespace
-
 Trace transient_analyze(Circuit& circuit, const TransientOptions& options) {
   require(options.t_stop > 0.0, "transient_analyze: t_stop must be > 0");
   require(options.dt_initial > 0.0, "transient_analyze: dt_initial must be > 0");
@@ -161,7 +142,7 @@ Trace transient_analyze(Circuit& circuit, const TransientOptions& options) {
     for (const auto& device : circuit.devices()) device->set_dc_state(dc_solution);
   }
 
-  Trace trace(build_signal_names(circuit));
+  Trace trace(circuit.unknown_names());
   trace.append(0.0, x);
 
   double t = 0.0;

@@ -486,9 +486,15 @@ FOCV_SIMD_INLINE DVec round_to_float(DVec x) {
   return {__builtin_convertvector(__builtin_convertvector(x.v, fnative), detail::dnative)};
 }
 #else
+// The float goes through a volatile: GCC 12.2 at -O2 with -mavx2 or
+// AVX-512 vectorizes this loop and drops the narrowing/widening pair,
+// returning x unrounded.
 FOCV_SIMD_INLINE DVec round_to_float(DVec x) {
   DVec r;
-  for (int l = 0; l < kLanes; ++l) r.v[l] = static_cast<double>(static_cast<float>(x.v[l]));
+  for (int l = 0; l < kLanes; ++l) {
+    const volatile float f = static_cast<float>(x.v[l]);
+    r.v[l] = f;
+  }
   return r;
 }
 #endif

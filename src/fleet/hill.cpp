@@ -164,6 +164,11 @@ Lanes::Lanes(const FleetSpec& spec, const std::vector<PolicyAxis>& policies,
       if (a.scale_key != b.scale_key) return a.scale_key < b.scale_key;
       return a.draw.node < b.draw.node;
     });
+    // A batch costs about the same per step whatever its occupancy, so a
+    // lone node loses to its per-node tick (EXPERIMENTS.md): a group
+    // tail below kMinBatch stays on the per-node path.
+    const std::size_t tail = members.size() % w;
+    if (tail != 0 && tail < kMinBatch) members.resize(members.size() - tail);
     for (std::size_t k = 0; k < members.size(); k += w) {
       batches_.push_back({nodes_.size() + k, std::min(w, members.size() - k), g % n_axes});
     }
@@ -258,6 +263,7 @@ void Lanes::run_task(std::size_t task, std::size_t task_count) {
         continue;
       }
       lane.scale = r.config.lux_scale;
+      lane.xoff = key_log(lane.scale);
       lane.load_w = power::WsnLoad(r.config.load).average_power();
       mppt::MpptController& ctl = r.run->controller();
       if (cx.law == Law::kGradientDescent) {

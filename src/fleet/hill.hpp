@@ -20,7 +20,9 @@
 //    the spec keeps SoaKernel::kLanes;
 //  - the spec has an SoA plan, i.e. some axis batches: a fleet of only
 //    per-node laws keeps the per-node engine's bytes, cache counters
-//    included, under both engines.
+//    included, under both engines;
+//  - its W-node batch holds at least kMinBatch nodes: a group's tail
+//    below that runs per-node, where it ticks faster.
 //
 // Groups span the fleet, not a chunk: a 64-node chunk holds only a few
 // nodes of any one group, too few to fill the lanes.
@@ -45,6 +47,10 @@ struct Outcome {
   std::string error;
   bool failed = false;
 };
+
+/// Smallest batch worth a lane block: one busy lane costs about twice
+/// the per-node tick, two break even (EXPERIMENTS.md).
+inline constexpr std::size_t kMinBatch = 2;
 
 class Lanes {
  public:

@@ -6,9 +6,12 @@
 // with scalar and pointer arguments only.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
+#include "node/curve_cache.hpp"
 #include "power/converter.hpp"
 #include "sched/node_run.hpp"
 
@@ -19,6 +22,20 @@ enum class Law : std::uint8_t {
   kGradientDescent,  ///< mppt::GradientDescentController::step
   kPerturbObserve,   ///< mppt::HillClimbingController::step
 };
+
+/// Curve keys in the lanes are certified only below this bound on
+/// |32 ln y| (y < 8.9e6): there std::log's 1-ulp error stays within
+/// the budget hill_lanes.cpp's point 1 sets out.
+inline constexpr double kKeyLogBound = 512.0;
+
+/// 32 ln(y) on CurveCache's grid, or NaN outside the certified range
+/// (a NaN term fails the certificate, so such a lane takes the log of
+/// its own lux instead). Internal linkage: each object keeps its own
+/// copy, built for its own ISA.
+static inline double key_log(double y) {
+  const double x = node::CurveCache::kGridNodesPerLogLux * std::log(y);
+  return x > -kKeyLogBound && x < kKeyLogBound ? x : std::numeric_limits<double>::quiet_NaN();
+}
 
 /// A lane's span is done and no further span follows.
 inline constexpr std::size_t kDone = static_cast<std::size_t>(-1);
@@ -32,6 +49,7 @@ inline constexpr std::size_t kDone = static_cast<std::size_t>(-1);
 /// law outside a tick span.
 struct LaneNode {
   double scale = 0.0;   ///< NodeConfig::lux_scale
+  double xoff = 0.0;    ///< key_log(scale): the node's share of every curve key
   double load_w = 0.0;  ///< period-average load [W]
   sched::TickState tick;
   double brownout_steps = 0.0;  ///< browned-out steps of the current span

@@ -16,24 +16,46 @@
 // sched/macro_stepper.cpp, which tests/fleet/hill_lanes_test.cpp holds
 // it to):
 //
-//  1. Same expression trees. Each lane evaluates exactly the scalar
-//     tick's arithmetic: CurveCache::step_key (scalar std::log per
-//     lane, floor, the float-rounded weight), at_key and power_at_key
-//     on the dense table's verbatim entries (the P(V) row position by
+//  1. Same curve keys, without a log per lane. CurveCache::step_key
+//     takes x = 32 ln(lux) with lux = scale * eq, then j = floor(x) and
+//     the weight float(x - j). The lanes instead take one log per step
+//     for all lanes, xeq = 32 ln(eq), and one per node when it is set
+//     up, xoff = 32 ln(scale) (hill.cpp), and add them. With L the
+//     libm log, assumed within 1 ulp, and every |32 ln| below
+//     kKeyLogBound (lux, eq and scale in (e^-16, e^16)), the sum is
+//     within 2^-42 of the scalar x:
+//       fl(scale * eq) moves ln by <= 2^-53         -> 2^-48 in x;
+//       each of the three L calls errs by <= 2^-49  -> 3 * 2^-44;
+//       the rounding of xoff + xeq (|x| < 512)      -> 2^-45.
+//     A lane keeps (floor(lo), float(lo - floor(lo))) only when both
+//     ends of [lo, hi] = [x - 2^-40, x + 2^-40] give the same pair
+//     (forming lo and hi rounds by <= 2^-45, so the interval still
+//     holds the scalar x). floor, subtraction of a fixed j and the
+//     float rounding are monotone, so every point between the ends,
+//     the scalar x among them, gives that pair too. A lit lane whose
+//     check fails (x within 2^-40 of a grid node or of a float
+//     rounding tie: ~2.6e-4 of lit keys, mostly small weights) sends
+//     its step to the scalar key, std::log(scale * eq) per lane. Dark
+//     and NaN lanes keep x = 0, as before. tests/fleet/
+//     hill_lanes_test.cpp checks a scalar copy of the certificate
+//     against step_key over four days and 128 scales.
+//  2. Same expression trees for the rest. Each lane evaluates exactly
+//     the scalar tick's arithmetic: at_key and power_at_key on the
+//     dense table's verbatim entries (the P(V) row position by
 //     division, as table_power divides), the controller's update, the
 //     converter, and Supercapacitor::apply_power with its memoised
 //     decay. This TU is compiled with -ffp-contract=off like the scalar
 //     one, and simd.hpp ops are per-lane IEEE ops.
-//  2. Branches become selects that mirror std::clamp / std::max /
+//  3. Branches become selects that mirror std::clamp / std::max /
 //     std::min in scalar comparison order, and every state update is
 //     a select on the lane's mask: a lane that is waiting, running
 //     gated or outside its update cadence keeps its exact bits.
-//  3. Reads are reads. Curve entries are gathered per lane from the
+//  4. Reads are reads. Curve entries are gathered per lane from the
 //     plan's dense export, which holds the very doubles the node's
 //     CurveCache entries hold; hill.cpp admits only nodes whose
 //     every slot lies inside it, so no lane ever builds an entry and no
 //     cache counter moves.
-//  4. The planner stays scalar and shared: the gated intervals between
+//  5. The planner stays scalar and shared: the gated intervals between
 //     spans run NodeRun's own code, one node at a time.
 //
 // ISA: one source, one object per lane width (src/fleet/CMakeLists.txt),
@@ -60,6 +82,11 @@ static_assert(W == 4 || W == 8, "hill_internal.hpp declares tick_lanes<4> and <8
 
 constexpr double kGrid = node::CurveCache::kGridNodesPerLogLux;
 constexpr double kDarkLux = node::CurveCache::kDarkLux;
+/// Half-width of the interval around xoff + xeq whose every point must
+/// give the same key (point 1 above).
+constexpr double kKeyRadius = 0x1p-40;
+/// Steps whose key_log(eq) is taken ahead of their ticks, on the stack.
+constexpr std::size_t kXeqBlock = 64;
 
 #define FOCV_HILL_INLINE __attribute__((always_inline)) inline
 
@@ -86,6 +113,7 @@ enum Field : int {
   kCtlHasPrev,
   kCtlHasGrad,
   kScale,
+  kXoff,
   kLoad,
   kFields
 };
@@ -117,6 +145,7 @@ void for_each_field(Node& n, F&& f) {
   f(kCtlHasPrev, n.has_prev);
   f(kCtlHasGrad, n.has_gradient);
   f(kScale, n.scale);
+  f(kXoff, n.xoff);
   f(kLoad, n.load_w);
 }
 
@@ -124,7 +153,7 @@ void node_to_column(const LaneNode& n, Columns& c, int l) {
   for_each_field(n, [&](int k, double v) { c.f[k][l] = v; });
 }
 
-/// The constants (scale, load) never change, so only state goes back.
+/// The constants (scale, xoff, load) never change, so only state goes back.
 void column_to_node(const Columns& c, int l, LaneNode& n) {
   for_each_field(n, [&](int k, double& v) {
     if (k < kScale) v = c.f[k][l];
@@ -136,7 +165,7 @@ struct State {
   DVec store_v, prev_p, prev_v, ideal, harv, deliv, over, served, brown_t, cold, brown_n;
   DVec ctl_v, ctl_rate, ctl_prev_p, ctl_prev_v, ctl_prev_g, ctl_next, ctl_has_prev,
       ctl_has_grad;
-  DVec scale, load;
+  DVec scale, xoff, load;
 };
 
 FOCV_HILL_INLINE State load_state(const Columns& c) {
@@ -161,6 +190,7 @@ FOCV_HILL_INLINE State load_state(const Columns& c) {
   s.ctl_has_prev = simd::load(c.f[kCtlHasPrev]);
   s.ctl_has_grad = simd::load(c.f[kCtlHasGrad]);
   s.scale = simd::load(c.f[kScale]);
+  s.xoff = simd::load(c.f[kXoff]);
   s.load = simd::load(c.f[kLoad]);
   return s;
 }
@@ -210,10 +240,10 @@ FOCV_HILL_INLINE DVec row_power(const GroupContext& cx, IVec slot, IVec k3, DVec
   return simd::select(ok, p0 + t * (p1 - p0), zero);
 }
 
-/// One lockstep step i on the lanes in `act`.
+/// One lockstep step i on the lanes in `act`; xeq = key_log(eq[i]).
 template <Law kLaw>
-FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i, MVec act,
-                                double decay) {
+FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i, double xeq,
+                                MVec act, double decay) {
   const DVec zero = simd::broadcast(0.0);
   const DVec one = simd::broadcast(1.0);
   const double ti = cx.t[i];
@@ -221,17 +251,31 @@ FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i,
   const DVec dt_v = simd::broadcast(dt);
 
   // CurveCache::step_key: x = 32 ln(lux), the slot below it and the
-  // float-rounded weight. Dark lanes (lux < kDarkLux or NaN) skip the
-  // log; their slot is clamped into the table and every read through
-  // it is voided by `lit`.
+  // float-rounded weight, certified from x ~ xoff + xeq (point 1
+  // above). Dark lanes (lux < kDarkLux or NaN) keep x = 0; their slot
+  // is clamped into the table and every read through it is voided by
+  // `lit`.
   const DVec lux = s.scale * simd::broadcast(cx.eq[i]);
   const MVec lit = lux >= simd::broadcast(kDarkLux);
-  const DVec x = simd::from_lanes([&](int l) {
-    const double v = lux[l];
-    return v >= kDarkLux ? kGrid * std::log(v) : 0.0;
-  });
-  const DVec jf = simd::floor(x);
-  const DVec frac = simd::round_to_float(x - jf);
+  const DVec xs = s.xoff + simd::broadcast(xeq);
+  const DVec lo = xs - simd::broadcast(kKeyRadius);
+  const DVec hi = xs + simd::broadcast(kKeyRadius);
+  const DVec j_lo = simd::floor(lo);
+  const DVec f_lo = simd::round_to_float(lo - j_lo);
+  const DVec f_hi = simd::round_to_float(hi - simd::floor(hi));
+  const MVec sure = (j_lo == simd::floor(hi)) & (f_lo == f_hi) &
+                    (hi < simd::broadcast(kKeyLogBound));
+  DVec jf = simd::select(lit, j_lo, zero);
+  DVec frac = simd::select(lit, f_lo, zero);
+  if (simd::any(lit & ~sure)) [[unlikely]] {
+    // Certificate fallback: the scalar key on every lane of this step.
+    const DVec x = simd::from_lanes([&](int l) {
+      const double v = lux[l];
+      return v >= kDarkLux ? kGrid * std::log(v) : 0.0;
+    });
+    jf = simd::floor(x);
+    frac = simd::round_to_float(x - jf);
+  }
   const DVec slot_d =
       simd::clamp(jf - simd::broadcast(static_cast<double>(cx.grid_lo)), zero,
                   simd::broadcast(static_cast<double>(cx.slots - 2)));
@@ -367,13 +411,20 @@ void run_group(const GroupContext& cx, LaneNode* const* nodes, std::size_t count
     }
     const MVec act = simd::from_lanes([&](int l) { return live[l] ? 1.0 : 0.0; }) !=
                      simd::broadcast(0.0);
-    for (; i < stop; ++i) {
-      const double dt = cx.t[i + 1] - cx.t[i];
-      if (dt != decay_dt) {
-        decay = std::exp(-dt / tau);
-        decay_dt = dt;
+    while (i < stop) {
+      // One log per step for all lanes, taken ahead of the ticks so the
+      // libm calls do not split the lane state's register chain.
+      double xeq[kXeqBlock];
+      const std::size_t n = stop - i < kXeqBlock ? stop - i : kXeqBlock;
+      for (std::size_t k = 0; k < n; ++k) xeq[k] = key_log(cx.eq[i + k]);
+      for (std::size_t k = 0; k < n; ++k, ++i) {
+        const double dt = cx.t[i + 1] - cx.t[i];
+        if (dt != decay_dt) {
+          decay = std::exp(-dt / tau);
+          decay_dt = dt;
+        }
+        tick_step<kLaw>(cx, s, i, xeq[k], act, decay);
       }
-      tick_step<kLaw>(cx, s, i, act, decay);
     }
     // Hand every lane whose span ends here back to its planner.
     store_state(s, cols);

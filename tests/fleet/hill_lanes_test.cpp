@@ -4,6 +4,9 @@
 // path computes, field for field in hexfloat, at every lane width this
 // host runs, every group size and every lane position; and a fleet run
 // with the lanes must export the bytes of one with the lanes pinned off.
+// The lanes' certified curve keys are checked on their own against
+// CurveCache::step_key over whole days, and a roster whose lanes take
+// the certificate's fallback is held to the same bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 #include "fleet/detail.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/hill.hpp"
+#include "fleet/hill_internal.hpp"
 #include "fleet/soa.hpp"
 #include "fleet/soa_internal.hpp"
 #include "node/curve_cache.hpp"
@@ -124,6 +128,64 @@ FleetSpec group_spec(const TracePtr& day, const std::string& law, double store_v
   return spec;
 }
 
+/// What compare_lanes saw of one spec.
+struct LaneRun {
+  std::size_t lane_nodes = 0;    ///< node-width pairs that rode a lane
+  std::size_t widths_run = 0;
+  std::vector<double> scale;     ///< lux_scale per node
+  std::vector<bool> in_lanes;    ///< node rode a lane at some width
+};
+
+/// Runs every node of a one-environment `spec` on the per-node path and
+/// in the lanes at each width this host runs, and expects bit-identical
+/// NodeReports for every node that rode a lane.
+LaneRun compare_lanes(const FleetSpec& spec, const std::string& what) {
+  LaneRun run;
+  FleetSetup setup;
+  build_setup(spec, setup);
+  EXPECT_NE(setup.plan, nullptr) << what;
+  if (setup.plan == nullptr) return run;
+  const std::size_t nodes = spec.node_count;
+
+  // The per-node reference, through a cache seeded as a chunk's is.
+  std::vector<std::string> want(nodes);
+  run.scale.resize(nodes);
+  run.in_lanes.assign(nodes, false);
+  {
+    node::CurveCache cache(*spec.cell, spec.base.temperature_k,
+                           node::CurveCache::Options{spec.base.power_model,
+                                                     spec.base.surrogate_points});
+    cache.seed_entries(*setup.warm);
+    for (std::size_t i = 0; i < nodes; ++i) {
+      const NodeDraw d = detail::draw_node_prevalidated(spec, setup.policies, i);
+      const node::NodeConfig config = materialize_node(spec, d);
+      run.scale[i] = config.lux_scale;
+      want[i] = hex(node::simulate_node(*spec.environments[0].trace, config, &cache,
+                                        &*setup.prepared[0]));
+    }
+  }
+  for (const int w : soa::internal::kLaneWidths) {
+    if (!soa::internal::lanes_runnable(w)) continue;
+    const soa::internal::ScopedLanesWidth pin(w);
+    hill::Lanes lanes(spec, setup.policies, setup.prepared, *setup.plan, *setup.warm);
+    // A lone node runs per-node (hill::kMinBatch).
+    EXPECT_EQ(lanes.empty(), nodes < hill::kMinBatch) << what;
+    const std::size_t tasks = lanes.task_count(1);
+    for (std::size_t t = 0; t < tasks; ++t) lanes.run_task(t, tasks);
+    for (std::size_t i = 0; i < nodes; ++i) {
+      hill::Outcome* out = lanes.outcome(i);
+      if (out == nullptr) continue;  // outside the dense table: per-node path
+      ++run.lane_nodes;
+      run.in_lanes[i] = true;
+      EXPECT_FALSE(out->failed) << out->error;
+      EXPECT_EQ(want[i], hex(out->report))
+          << what << " node " << i << "/" << nodes << " scale " << run.scale[i] << " W=" << w;
+    }
+    ++run.widths_run;
+  }
+  return run;
+}
+
 TEST(FleetHillLanes, LaneNodesMatchPerNodeReportsBitForBit) {
   const std::vector<std::string> laws = {"graddesc", "graddesc[lr=0.2]", "pando",
                                          "pando[step=0.02]"};
@@ -139,49 +201,17 @@ TEST(FleetHillLanes, LaneNodesMatchPerNodeReportsBitForBit) {
   for (const std::string& law : laws) {
     for (const auto& [day_name, day] : envs) {
       for (const double store_v : stores) {
-        // Group sizes 1..17 over the combinations: a partial lane block,
-        // one full block and a tail, at either width.
+        // Group sizes 1..17 over the combinations: a lone node, a partial
+        // lane block, one full block and a tail, at either width.
         const std::size_t nodes = 1 + combo % 17;
         const FleetSpec spec = group_spec(day, law, store_v, nodes, 100 + combo);
         ++combo;
-        FleetSetup setup;
-        build_setup(spec, setup);
-        ASSERT_NE(setup.plan, nullptr);
-
-        // The per-node reference, through a cache seeded as a chunk's is.
-        std::vector<std::string> want(nodes);
-        std::vector<double> scale(nodes);
-        {
-          node::CurveCache cache(*spec.cell, spec.base.temperature_k,
-                                 node::CurveCache::Options{spec.base.power_model,
-                                                           spec.base.surrogate_points});
-          cache.seed_entries(*setup.warm);
-          for (std::size_t i = 0; i < nodes; ++i) {
-            const NodeDraw d = detail::draw_node_prevalidated(spec, setup.policies, i);
-            const node::NodeConfig config = materialize_node(spec, d);
-            scale[i] = config.lux_scale;
-            want[i] = hex(node::simulate_node(*spec.environments[0].trace, config, &cache,
-                                              &*setup.prepared[0]));
-          }
-        }
-        for (const int w : soa::internal::kLaneWidths) {
-          if (!soa::internal::lanes_runnable(w)) continue;
-          const soa::internal::ScopedLanesWidth pin(w);
-          hill::Lanes lanes(spec, setup.policies, setup.prepared, *setup.plan, *setup.warm);
-          ASSERT_FALSE(lanes.empty()) << law << " " << day_name;
-          const std::size_t tasks = lanes.task_count(1);
-          for (std::size_t t = 0; t < tasks; ++t) lanes.run_task(t, tasks);
-          for (std::size_t i = 0; i < nodes; ++i) {
-            hill::Outcome* out = lanes.outcome(i);
-            if (out == nullptr) continue;  // outside the dense table: per-node path
-            ++lane_nodes;
-            if (scale[i] > 1.02) ++dark_tickers;
-            ASSERT_FALSE(out->failed) << out->error;
-            EXPECT_EQ(want[i], hex(out->report))
-                << law << " " << day_name << " store " << store_v << "V node " << i << "/"
-                << nodes << " scale " << scale[i] << " W=" << w;
-          }
-          ++widths_run;
+        const LaneRun run = compare_lanes(
+            spec, law + " " + day_name + " store " + std::to_string(store_v) + "V");
+        lane_nodes += run.lane_nodes;
+        widths_run += run.widths_run;
+        for (std::size_t i = 0; i < nodes; ++i) {
+          if (run.in_lanes[i] && run.scale[i] > 1.02) ++dark_tickers;
         }
       }
     }
@@ -189,6 +219,131 @@ TEST(FleetHillLanes, LaneNodesMatchPerNodeReportsBitForBit) {
   if (widths_run == 0) GTEST_SKIP() << "this host runs no lane width";
   EXPECT_GT(lane_nodes, combo * 4);
   EXPECT_GT(dark_tickers, 0u);
+}
+
+/// Scalar copy of hill_lanes.cpp's certified curve key: the grid index
+/// below x and the float-rounded weight, taken from x ~ xoff + xeq only
+/// when both ends of [x - 2^-40, x + 2^-40] give the same pair.
+std::optional<std::pair<double, double>> certified_key(double xoff, double xeq) {
+  const double x = xoff + xeq;
+  const double lo = x - 0x1p-40;
+  const double hi = x + 0x1p-40;
+  const double j = std::floor(lo);
+  const double f_lo = static_cast<float>(lo - j);
+  const double f_hi = static_cast<float>(hi - std::floor(hi));
+  if (!(j == std::floor(hi) && f_lo == f_hi && hi < hill::kKeyLogBound)) return std::nullopt;
+  return std::pair{j, f_lo};
+}
+
+/// Lit steps of `eq` at lux scale `scale`, at or above `floor_lux`, whose
+/// certified key fails (the lanes take the scalar log there).
+std::size_t fallback_steps(const std::vector<double>& eq, double scale, double floor_lux) {
+  const double xoff = hill::key_log(scale);
+  std::size_t n = 0;
+  for (const double e : eq) {
+    const double lux = scale * e;
+    if (lux >= node::CurveCache::kDarkLux && lux >= floor_lux &&
+        !certified_key(xoff, hill::key_log(e))) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(FleetHillLanes, CertifiedCurveKeysMatchStepKey) {
+  FleetSpec spec;
+  spec.use_cell(pv::sanyo_am1815());
+  const node::NodeConfig& base = spec.base;
+  const std::vector<std::pair<const char*, env::LightTrace>> traces = {
+      {"office", env::office_desk_mixed()},
+      {"outdoor", env::outdoor_day({})},
+      {"semi_mobile", env::semi_mobile_day({})},
+      {"desk_sunday", env::desk_sunday_blinds_closed()}};
+  // 64 lux scales over [0.35, 1.4], each at the two extremes of the
+  // default heterogeneity (attenuation bounds, cell factor at 3 sigma),
+  // in materialize_node's association.
+  const HeterogeneitySpec h;
+  const double extremes[][2] = {
+      {h.attenuation_min, std::exp(-3.0 * h.cell_tolerance_sigma)},
+      {h.attenuation_max, std::exp(3.0 * h.cell_tolerance_sigma)}};
+  std::vector<double> scales;
+  for (int k = 0; k < 64; ++k) {
+    const double lux_scale = 0.35 + (1.4 - 0.35) * k / 63.0;
+    for (const auto& [attenuation, cell_factor] : extremes) {
+      scales.push_back(lux_scale * attenuation * cell_factor);
+    }
+  }
+  std::size_t keys = 0;
+  std::size_t fallbacks = 0;
+  for (const auto& [name, trace] : traces) {
+    const sched::PreparedTrace prepared(trace, *spec.cell, env::SegmentationOptions{});
+    const std::vector<double>& eq = prepared.eq_lux();
+    double eq_hi = 0.0;
+    for (const double e : eq) eq_hi = std::max(eq_hi, e);
+    std::vector<double> xeq(eq.size());
+    for (std::size_t i = 0; i < eq.size(); ++i) xeq[i] = hill::key_log(eq[i]);
+    // Warm every slot first, so the cache's grid base never moves and
+    // slot - j is one constant for the whole day.
+    node::CurveCache cache(*spec.cell, base.temperature_k,
+                           node::CurveCache::Options{base.power_model, base.surrogate_points});
+    cache.warm_range(node::CurveCache::kDarkLux, eq_hi * scales.back());
+    std::optional<long> base_j;
+    for (const double scale : scales) {
+      const double xoff = hill::key_log(scale);
+      for (std::size_t i = 0; i < eq.size(); ++i) {
+        const double lux = scale * eq[i];
+        if (!(lux >= node::CurveCache::kDarkLux)) continue;
+        ++keys;
+        const auto key = certified_key(xoff, xeq[i]);
+        if (!key) {
+          ++fallbacks;
+          continue;
+        }
+        const node::CurveCache::StepKey want = cache.step_key(lux);
+        const auto j = static_cast<long>(key->first);
+        if (!base_j) base_j = j - static_cast<long>(want.slot);
+        ASSERT_EQ(static_cast<long>(want.slot), j - *base_j)
+            << name << " step " << i << " scale " << scale;
+        ASSERT_EQ(static_cast<double>(want.frac), key->second)
+            << name << " step " << i << " scale " << scale;
+      }
+    }
+  }
+  const double rate = static_cast<double>(fallbacks) / static_cast<double>(keys);
+  std::printf("certified curve keys: %zu lit keys, %zu fallbacks (%.3g%%)\n", keys, fallbacks,
+              100.0 * rate);
+  EXPECT_GT(keys, 10'000'000u);
+  // Expected ~2.4e-4 (a float rounding tie within 2^-40 of x - j); a
+  // rate near 1 would still be exact but would lose the lanes' gain.
+  EXPECT_LT(rate, 1e-3);
+}
+
+TEST(FleetHillLanes, KeyFallbackRosterMatchesPerNodeBitForBit) {
+  // Lanes whose certificate fails at some ticked step (a lit step at or
+  // above the law's supply floor) take the scalar log on that step; the
+  // reports must not move.
+  std::size_t fallback_lane_steps = 0;
+  std::size_t widths_run = 0;
+  const std::vector<std::pair<const char*, TracePtr>> envs = {{"office", days().office},
+                                                              {"outdoor", days().outdoor}};
+  for (const auto& [day_name, day] : envs) {
+    for (const char* law : {"graddesc", "pando"}) {
+      const FleetSpec spec = group_spec(day, law, 2.5, 12, 300);
+      const LaneRun run = compare_lanes(spec, std::string(law) + " " + day_name);
+      widths_run += run.widths_run;
+      const std::vector<PolicyAxis> policies = effective_policies(spec);
+      const double floor_lux = policies[0].prototype->minimum_operating_lux();
+      const sched::PreparedTrace prepared(*day, *spec.cell, env::SegmentationOptions{});
+      for (std::size_t i = 0; i < spec.node_count; ++i) {
+        if (run.in_lanes[i]) {
+          fallback_lane_steps += fallback_steps(prepared.eq_lux(), run.scale[i], floor_lux);
+        }
+      }
+    }
+  }
+  std::printf("certificate fallbacks on ticked lane steps: %zu\n", fallback_lane_steps);
+  if (widths_run == 0) GTEST_SKIP() << "this host runs no lane width";
+  EXPECT_GT(fallback_lane_steps, 0u);
 }
 
 std::string slurp(const std::string& path) {

@@ -192,7 +192,8 @@ TEST_P(FleetSoaLaneWidths, InstanceRunsOnHost) {
 INSTANTIATE_TEST_SUITE_P(Widths, FleetSoaLaneWidths,
                          ::testing::ValuesIn(soa::internal::kLaneWidths),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "w" + std::to_string(info.param);
+                           std::string name = "w";
+                           return name.append(std::to_string(info.param));
                          });
 
 }  // namespace
