@@ -124,9 +124,7 @@ PairResult run_pair(const focv::fleet::FleetSpec& spec, int jobs, bool analyze_l
 /// Shared-table footprint of the SoA plan for this spec [bytes].
 std::size_t plan_table_bytes(const focv::fleet::FleetSpec& spec) {
   using namespace focv;
-  env::SegmentationOptions seg;
-  seg.ratio_band = spec.base.events.lux_ratio_band;
-  seg.floor = node::CurveCache::kDarkLux;
+  const env::SegmentationOptions seg = sched::segmentation_for(spec.base.events);
   std::vector<std::optional<sched::PreparedTrace>> prepared;
   for (const fleet::EnvironmentAxis& e : spec.environments) {
     prepared.emplace_back(std::in_place, *e.trace, *spec.cell, seg);

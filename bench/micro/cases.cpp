@@ -93,10 +93,8 @@ CaseSpec simulate_node_event_case(std::string name, std::string description, boo
     // runs, so the per-run cost is O(events). Build both here and run
     // once so the timed closure measures that steady state rather than
     // the one-time O(trace) preprocessing the sharing amortises away.
-    env::SegmentationOptions seg;
-    seg.ratio_band = cfg.events.lux_ratio_band;
-    seg.floor = node::CurveCache::kDarkLux;
-    auto prep = std::make_shared<sched::PreparedTrace>(*trace, *cfg.cell_model, seg);
+    auto prep = std::make_shared<sched::PreparedTrace>(*trace, *cfg.cell_model,
+                                                       sched::segmentation_for(cfg.events));
     auto cache = std::make_shared<node::CurveCache>(
         *cfg.cell_model, cfg.temperature_k,
         node::CurveCache::Options{cfg.power_model, cfg.surrogate_points});

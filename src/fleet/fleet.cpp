@@ -432,9 +432,7 @@ FleetReport run_fleet(const FleetSpec& spec, const FleetOptions& options) {
   std::optional<node::CurveCache> warm_cache;
   if ((spec.base.stepper == node::Stepper::kEvent || spec.engine == FleetEngine::kSoa) &&
       spec.base.power_model == node::PowerModel::kSurrogate) {
-    env::SegmentationOptions seg;
-    seg.ratio_band = spec.base.events.lux_ratio_band;
-    seg.floor = node::CurveCache::kDarkLux;
+    const env::SegmentationOptions seg = sched::segmentation_for(spec.base.events);
     for (std::size_t e = 0; e < spec.environments.size(); ++e) {
       prepared[e].emplace(*spec.environments[e].trace, *spec.cell, seg);
     }

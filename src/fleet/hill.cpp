@@ -213,28 +213,18 @@ void Lanes::run_task(std::size_t task, std::size_t task_count) {
     cx.points = tb.points;
     cx.law = *lane_law(policies_[batch.axis]);
     if (cx.law == Law::kGradientDescent) {
-      const auto& p = static_cast<const mppt::GradientDescentController&>(proto).params();
-      cx.update_period = p.update_period;
-      cx.max_voltage = p.max_voltage;
-      cx.step = p.probe_step;
-      cx.lr_min = p.lr_min;
-      cx.lr_decay = p.decay;
-      cx.max_step = p.max_step;
+      cx.graddesc = static_cast<const mppt::GradientDescentController&>(proto).params();
     } else {
-      const auto& p = static_cast<const mppt::HillClimbingController&>(proto).params();
-      cx.update_period = p.update_period;
-      cx.max_voltage = p.max_voltage;
-      cx.step = p.voltage_step;
+      cx.pando = static_cast<const mppt::HillClimbingController&>(proto).params();
     }
     cx.overhead = proto.overhead_power();
     cx.min_lux = proto.minimum_operating_lux();
     cx.converter = base.converter.params();
-    cx.capacitance = base.storage.capacitance;
-    // Supercapacitor::max_energy(), in its association.
+    cx.storage = base.storage;
+    // Supercapacitor::max_energy(), in its association (a store that
+    // rejects its params throws per node, in the node's own run).
     cx.max_energy =
         0.5 * base.storage.capacitance * base.storage.max_voltage * base.storage.max_voltage;
-    cx.min_useful_voltage = base.storage.min_useful_voltage;
-    cx.self_discharge_resistance = base.storage.self_discharge_resistance;
     cx.resume = &resume;
 
     if (!cache) {
@@ -267,22 +257,9 @@ void Lanes::run_task(std::size_t task, std::size_t task_count) {
       lane.load_w = power::WsnLoad(r.config.load).average_power();
       mppt::MpptController& ctl = r.run->controller();
       if (cx.law == Law::kGradientDescent) {
-        const auto st = static_cast<const mppt::GradientDescentController&>(ctl).state();
-        lane.voltage = st.voltage;
-        lane.lr_or_direction = st.lr;
-        lane.prev_power = st.prev_power;
-        lane.prev_voltage = st.prev_voltage;
-        lane.prev_gradient = st.prev_gradient;
-        lane.next_update = st.next_update;
-        lane.has_prev = st.has_prev ? 1.0 : 0.0;
-        lane.has_gradient = st.has_gradient ? 1.0 : 0.0;
+        lane.graddesc = static_cast<const mppt::GradientDescentController&>(ctl).state();
       } else {
-        const auto st = static_cast<const mppt::HillClimbingController&>(ctl).state();
-        lane.voltage = st.voltage;
-        lane.lr_or_direction = st.direction;
-        lane.prev_power = st.last_power;
-        lane.next_update = st.next_update;
-        lane.has_prev = st.has_last_power ? 1.0 : 0.0;
+        lane.pando = static_cast<const mppt::HillClimbingController&>(ctl).state();
       }
       if (advance(lane, false)) live.push_back(&lane);
     }

@@ -1,9 +1,10 @@
 // Interface between the hill-climber lane dispatch (hill.cpp, baseline
 // ISA) and the lane kernel (hill_lanes.cpp, one object per lane width,
 // built like soa_lanes.cpp). Plain data and one function pointer: the
-// kernel objects include nothing that could leave a wide-ISA copy of a
-// shared inline function behind, and the call crosses the ISA boundary
-// with scalar and pointer arguments only.
+// kernel objects use the controller and store headers for their Params
+// and State types only and call none of their inline functions, so no
+// wide-ISA copy of one can be left behind, and the call crosses the ISA
+// boundary with scalar and pointer arguments only.
 #pragma once
 
 #include <cmath>
@@ -11,16 +12,19 @@
 #include <cstdint>
 #include <limits>
 
+#include "mppt/baselines.hpp"
+#include "mppt/gradient_descent.hpp"
 #include "node/curve_cache.hpp"
 #include "power/converter.hpp"
+#include "power/storage.hpp"
 #include "sched/node_run.hpp"
 
 namespace focv::fleet::hill {
 
-/// The update law a lane group replays.
+/// The update law a lane group runs.
 enum class Law : std::uint8_t {
-  kGradientDescent,  ///< mppt::GradientDescentController::step
-  kPerturbObserve,   ///< mppt::HillClimbingController::step
+  kGradientDescent,  ///< laws::graddesc_step, as GradientDescentController::step
+  kPerturbObserve,   ///< laws::pando_step, as HillClimbingController::step
 };
 
 /// Curve keys in the lanes are certified only below this bound on
@@ -41,26 +45,17 @@ static inline double key_log(double y) {
 inline constexpr std::size_t kDone = static_cast<std::size_t>(-1);
 
 /// One node in a lane: its constants, the state a lean tick carries,
-/// and the span [a, b) its planner asked to tick. The controller fields
-/// are GradientDescentController::State (lr_or_direction = lr) or
-/// HillClimbingController::State (lr_or_direction = direction,
-/// prev_power = last_power, has_prev = has_last_power). The lane owns
-/// them for the node's whole day: the planner never steps a per-step
-/// law outside a tick span.
+/// and the span [a, b) its planner asked to tick. Only the state of
+/// its group's law is live. The lane owns it for the node's whole day:
+/// the planner never steps a per-step law outside a tick span.
 struct LaneNode {
   double scale = 0.0;   ///< NodeConfig::lux_scale
   double xoff = 0.0;    ///< key_log(scale): the node's share of every curve key
   double load_w = 0.0;  ///< period-average load [W]
   sched::TickState tick;
   double brownout_steps = 0.0;  ///< browned-out steps of the current span
-  double voltage = 0.0;
-  double lr_or_direction = 0.0;
-  double prev_power = 0.0;
-  double prev_voltage = 0.0;
-  double prev_gradient = 0.0;
-  double next_update = 0.0;
-  double has_prev = 0.0;      ///< 1.0 or 0.0
-  double has_gradient = 0.0;  ///< 1.0 or 0.0
+  mppt::GradientDescentController::State graddesc{};
+  mppt::HillClimbingController::State pando{};
   std::size_t a = kDone;
   std::size_t b = kDone;
   void* owner = nullptr;  ///< hill.cpp's record of this node
@@ -79,20 +74,14 @@ struct GroupContext {
   int points = 0;
 
   Law law = Law::kGradientDescent;
-  double update_period = 1.0;
-  double max_voltage = 0.0;
-  double step = 0.0;  ///< graddesc probe_step, P&O voltage_step
-  double lr_min = 0.0;
-  double lr_decay = 1.0;
-  double max_step = 0.0;
+  mppt::GradientDescentController::Params graddesc;  ///< the law's, when graddesc
+  mppt::HillClimbingController::Params pando;        ///< the law's, when P&O
   double overhead = 0.0;  ///< controller overhead power [W]
   double min_lux = 0.0;   ///< supply floor
 
   power::BuckBoostConverter::Params converter;
-  double capacitance = 0.0;
-  double max_energy = 0.0;
-  double min_useful_voltage = 0.0;
-  double self_discharge_resistance = 0.0;
+  power::Supercapacitor::Params storage;
+  double max_energy = 0.0;  ///< Supercapacitor::max_energy()
 
   /// Called when a lane finishes its span: hands the node back to its
   /// planner and fills in the next span, or returns false (a = b =

@@ -39,16 +39,18 @@
 //     and NaN lanes keep x = 0, as before. tests/fleet/
 //     hill_lanes_test.cpp checks a scalar copy of the certificate
 //     against step_key over four days and 128 scales.
-//  2. Same expression trees for the rest. Each lane evaluates exactly
-//     the scalar tick's arithmetic: at_key and power_at_key on the
-//     dense table's verbatim entries (the P(V) row position by
-//     division, as table_power divides), the controller's update, the
-//     converter, and Supercapacitor::apply_power with its memoised
-//     decay. This TU is compiled with -ffp-contract=off like the scalar
-//     one, and simd.hpp ops are per-lane IEEE ops.
+//  2. The same source for the rest. The controller's update and the
+//     supercapacitor step are the templates the scalar step() and
+//     Supercapacitor::apply_power instantiate on double/bool
+//     (common/step_laws.hpp), here on lanes (lane_math.hpp). at_key,
+//     power_at_key (the P(V) row position by division, as table_power
+//     divides) and the converter keep the scalar expression trees. This
+//     TU is compiled with -ffp-contract=off like the scalar ones, and
+//     simd.hpp ops are per-lane IEEE ops.
 //  3. Branches become selects that mirror std::clamp / std::max /
 //     std::min in scalar comparison order, and every state update is
-//     a select on the lane's mask: a lane that is waiting, running
+//     a select on the lane's mask (a choice of the shared templates
+//     runs each side on its own mask): a lane that is waiting, running
 //     gated or outside its update cadence keeps its exact bits.
 //  4. Reads are reads. Curve entries are gathered per lane from the
 //     plan's dense export, which holds the very doubles the node's
@@ -63,8 +65,10 @@
 // host runs (soa::internal::lanes_width()).
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/simd.hpp"
+#include "common/step_laws.hpp"
 #include "fleet/hill_internal.hpp"
 #include "fleet/lane_math.hpp"
 #include "node/curve_cache.hpp"
@@ -90,131 +94,78 @@ constexpr std::size_t kXeqBlock = 64;
 
 #define FOCV_HILL_INLINE __attribute__((always_inline)) inline
 
-/// Per-field lane columns: the lane state between vector registers and
-/// the LaneNode records at span boundaries.
-enum Field : int {
-  kStoreV,
-  kPrevP,
-  kPrevV,
-  kIdeal,
-  kHarv,
-  kDeliv,
-  kOver,
-  kServed,
-  kBrownT,
-  kCold,
-  kBrownN,
-  kCtlV,
-  kCtlRate,
-  kCtlPrevP,
-  kCtlPrevV,
-  kCtlPrevG,
-  kCtlNext,
-  kCtlHasPrev,
-  kCtlHasGrad,
-  kScale,
-  kXoff,
-  kLoad,
-  kFields
+/// The lane state while it sits in vector registers, named as in
+/// LaneNode. Only the group's law's controller state is live.
+struct State {
+  struct {
+    DVec store_voltage, prev_power, prev_voltage, ideal_mpp_energy, harvested_energy,
+        delivered_energy, overhead_energy, load_energy_served, brownout_time, coldstart_time;
+  } tick;
+  DVec brownout_steps;
+  laws::GradDescState<DVec, MVec> graddesc;
+  laws::PandoState<DVec, MVec> pando;
+  DVec scale, xoff, load_w;
 };
 
+/// Calls f(k, field) on every lane field of a LaneNode or a State, k
+/// counting from 0: the tick state, the law's controller state, then
+/// the node's constants.
+template <Law kLaw, class Node, class F>
+FOCV_HILL_INLINE void for_each_field(Node& n, F&& f) {
+  int k = 0;
+  const auto g = [&](auto&... v) { (f(k++, v), ...); };
+  auto& tk = n.tick;
+  g(tk.store_voltage, tk.prev_power, tk.prev_voltage, tk.ideal_mpp_energy, tk.harvested_energy,
+    tk.delivered_energy, tk.overhead_energy, tk.load_energy_served, tk.brownout_time,
+    tk.coldstart_time, n.brownout_steps);
+  if constexpr (kLaw == Law::kGradientDescent) {
+    auto& c = n.graddesc;
+    g(c.voltage, c.lr, c.prev_power, c.prev_voltage, c.prev_gradient, c.next_update, c.has_prev,
+      c.has_gradient);
+  } else {
+    auto& c = n.pando;
+    g(c.voltage, c.direction, c.last_power, c.next_update, c.has_last_power);
+  }
+  g(n.scale, n.xoff, n.load_w);
+}
+
+/// Per-field lane columns: the lane state between vector registers and
+/// the LaneNode records at span boundaries. Flags are 1.0 or 0.0.
+constexpr int kFields = 22;  // 11 tick fields, up to 8 controller fields, 3 constants
 struct Columns {
   alignas(64) double f[kFields][W];
 };
 
-/// Calls f(field, value) on every lane field of a node, in Field order.
-template <class Node, class F>
-void for_each_field(Node& n, F&& f) {
-  f(kStoreV, n.tick.store_voltage);
-  f(kPrevP, n.tick.prev_power);
-  f(kPrevV, n.tick.prev_voltage);
-  f(kIdeal, n.tick.ideal_mpp_energy);
-  f(kHarv, n.tick.harvested_energy);
-  f(kDeliv, n.tick.delivered_energy);
-  f(kOver, n.tick.overhead_energy);
-  f(kServed, n.tick.load_energy_served);
-  f(kBrownT, n.tick.brownout_time);
-  f(kCold, n.tick.coldstart_time);
-  f(kBrownN, n.brownout_steps);
-  f(kCtlV, n.voltage);
-  f(kCtlRate, n.lr_or_direction);
-  f(kCtlPrevP, n.prev_power);
-  f(kCtlPrevV, n.prev_voltage);
-  f(kCtlPrevG, n.prev_gradient);
-  f(kCtlNext, n.next_update);
-  f(kCtlHasPrev, n.has_prev);
-  f(kCtlHasGrad, n.has_gradient);
-  f(kScale, n.scale);
-  f(kXoff, n.xoff);
-  f(kLoad, n.load_w);
-}
-
+template <Law kLaw>
 void node_to_column(const LaneNode& n, Columns& c, int l) {
-  for_each_field(n, [&](int k, double v) { c.f[k][l] = v; });
+  for_each_field<kLaw>(n, [&](int k, auto v) { c.f[k][l] = static_cast<double>(v); });
 }
 
-/// The constants (scale, xoff, load) never change, so only state goes back.
+template <Law kLaw>
 void column_to_node(const Columns& c, int l, LaneNode& n) {
-  for_each_field(n, [&](int k, double& v) {
-    if (k < kScale) v = c.f[k][l];
-  });
+  for_each_field<kLaw>(
+      n, [&](int k, auto& v) { v = static_cast<std::remove_reference_t<decltype(v)>>(c.f[k][l]); });
 }
 
-/// The lane state while it sits in vector registers.
-struct State {
-  DVec store_v, prev_p, prev_v, ideal, harv, deliv, over, served, brown_t, cold, brown_n;
-  DVec ctl_v, ctl_rate, ctl_prev_p, ctl_prev_v, ctl_prev_g, ctl_next, ctl_has_prev,
-      ctl_has_grad;
-  DVec scale, xoff, load;
-};
+FOCV_HILL_INLINE void from_column(DVec& v, const double* c) { v = simd::load(c); }
+FOCV_HILL_INLINE void from_column(MVec& v, const double* c) {
+  v = simd::load(c) != simd::broadcast(0.0);
+}
+FOCV_HILL_INLINE void to_column(double* c, DVec v) { simd::store(c, v); }
+FOCV_HILL_INLINE void to_column(double* c, MVec v) {
+  simd::store(c, simd::select(v, simd::broadcast(1.0), simd::broadcast(0.0)));
+}
 
+template <Law kLaw>
 FOCV_HILL_INLINE State load_state(const Columns& c) {
-  State s;
-  s.store_v = simd::load(c.f[kStoreV]);
-  s.prev_p = simd::load(c.f[kPrevP]);
-  s.prev_v = simd::load(c.f[kPrevV]);
-  s.ideal = simd::load(c.f[kIdeal]);
-  s.harv = simd::load(c.f[kHarv]);
-  s.deliv = simd::load(c.f[kDeliv]);
-  s.over = simd::load(c.f[kOver]);
-  s.served = simd::load(c.f[kServed]);
-  s.brown_t = simd::load(c.f[kBrownT]);
-  s.cold = simd::load(c.f[kCold]);
-  s.brown_n = simd::load(c.f[kBrownN]);
-  s.ctl_v = simd::load(c.f[kCtlV]);
-  s.ctl_rate = simd::load(c.f[kCtlRate]);
-  s.ctl_prev_p = simd::load(c.f[kCtlPrevP]);
-  s.ctl_prev_v = simd::load(c.f[kCtlPrevV]);
-  s.ctl_prev_g = simd::load(c.f[kCtlPrevG]);
-  s.ctl_next = simd::load(c.f[kCtlNext]);
-  s.ctl_has_prev = simd::load(c.f[kCtlHasPrev]);
-  s.ctl_has_grad = simd::load(c.f[kCtlHasGrad]);
-  s.scale = simd::load(c.f[kScale]);
-  s.xoff = simd::load(c.f[kXoff]);
-  s.load = simd::load(c.f[kLoad]);
+  State s{};
+  for_each_field<kLaw>(s, [&](int k, auto& v) { from_column(v, c.f[k]); });
   return s;
 }
 
-FOCV_HILL_INLINE void store_state(const State& s, Columns& c) {
-  simd::store(c.f[kStoreV], s.store_v);
-  simd::store(c.f[kPrevP], s.prev_p);
-  simd::store(c.f[kPrevV], s.prev_v);
-  simd::store(c.f[kIdeal], s.ideal);
-  simd::store(c.f[kHarv], s.harv);
-  simd::store(c.f[kDeliv], s.deliv);
-  simd::store(c.f[kOver], s.over);
-  simd::store(c.f[kServed], s.served);
-  simd::store(c.f[kBrownT], s.brown_t);
-  simd::store(c.f[kCold], s.cold);
-  simd::store(c.f[kBrownN], s.brown_n);
-  simd::store(c.f[kCtlV], s.ctl_v);
-  simd::store(c.f[kCtlRate], s.ctl_rate);
-  simd::store(c.f[kCtlPrevP], s.ctl_prev_p);
-  simd::store(c.f[kCtlPrevV], s.ctl_prev_v);
-  simd::store(c.f[kCtlPrevG], s.ctl_prev_g);
-  simd::store(c.f[kCtlNext], s.ctl_next);
-  simd::store(c.f[kCtlHasPrev], s.ctl_has_prev);
-  simd::store(c.f[kCtlHasGrad], s.ctl_has_grad);
+template <Law kLaw>
+FOCV_HILL_INLINE void store_state(State& s, Columns& c) {
+  for_each_field<kLaw>(s, [&](int k, auto& v) { to_column(c.f[k], v); });
 }
 
 /// CurveCache::table_power on each lane's entry `slot` (k3 = 3 * slot
@@ -245,10 +196,10 @@ template <Law kLaw>
 FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i, double xeq,
                                 MVec act, double decay) {
   const DVec zero = simd::broadcast(0.0);
-  const DVec one = simd::broadcast(1.0);
   const double ti = cx.t[i];
   const double dt = cx.t[i + 1] - ti;
   const DVec dt_v = simd::broadcast(dt);
+  auto& tk = s.tick;
 
   // CurveCache::step_key: x = 32 ln(lux), the slot below it and the
   // float-rounded weight, certified from x ~ xoff + xeq (point 1
@@ -286,56 +237,28 @@ FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i,
   const DVec pm0 = simd::gather(cx.slot_f + 1, k3);
   const DVec pm1 = simd::gather(cx.slot_f + 4, k3);
   const DVec pmpp = simd::select(lit, pm0 + frac * (pm1 - pm0), zero);
-  s.ideal = simd::select(act, s.ideal + pmpp * dt_v, s.ideal);
+  tk.ideal_mpp_energy = simd::select(act, tk.ideal_mpp_energy + pmpp * dt_v, tk.ideal_mpp_energy);
 
   // Supply floor (lux < min_lux gates; a NaN lux does not).
   const MVec running = ~(lux < simd::broadcast(cx.min_lux));
   const MVec run = act & running;
-  s.cold = simd::select(run & (s.cold < zero), simd::broadcast(ti), s.cold);
+  tk.coldstart_time =
+      simd::select(run & (tk.coldstart_time < zero), simd::broadcast(ti), tk.coldstart_time);
 
   // The controller's step(), sensing the previous tick's operating point.
-  const MVec upd = run & (simd::broadcast(ti) >= s.ctl_next);
-  s.ctl_next = simd::select(upd, simd::broadcast(ti + cx.update_period), s.ctl_next);
-  const MVec has_prev = s.ctl_has_prev != zero;
-  const DVec vmax = simd::broadcast(cx.max_voltage);
-  const DVec step = simd::broadcast(cx.step);
+  DVec command;
   if constexpr (kLaw == Law::kGradientDescent) {
-    const DVec v_boot = simd::clamp(s.ctl_v + step, zero, vmax);
-    const DVec dv = s.prev_v - s.ctl_prev_v;
-    const MVec stall = simd::abs(dv) < simd::broadcast(1e-9);
-    const DVec direction = simd::select(s.ctl_v > simd::broadcast(0.5 * cx.max_voltage),
-                                        simd::broadcast(-1.0), one);
-    const DVec v_stall = simd::clamp(s.ctl_v + direction * step, zero, vmax);
-    const DVec gradient = (s.prev_p - s.ctl_prev_p) / dv;
-    const MVec anneal = (s.ctl_has_grad != zero) & ((gradient * s.ctl_prev_g) < zero);
-    const DVec lr_min = simd::broadcast(cx.lr_min);
-    const DVec decayed = s.ctl_rate * simd::broadcast(cx.lr_decay);
-    // std::max(lr_min, decayed) = lr_min < decayed ? decayed : lr_min.
-    const DVec lr = simd::select(anneal, simd::select(lr_min < decayed, decayed, lr_min),
-                                 s.ctl_rate);
-    const DVec bounded = simd::clamp(lr * gradient, simd::broadcast(-cx.max_step),
-                                     simd::broadcast(cx.max_step));
-    const DVec v_climb = simd::clamp(s.ctl_v + bounded, zero, vmax);
-    const MVec climb = upd & has_prev & ~stall;
-    s.ctl_v = simd::select(
-        upd, simd::select(has_prev, simd::select(stall, v_stall, v_climb), v_boot), s.ctl_v);
-    s.ctl_rate = simd::select(climb, lr, s.ctl_rate);
-    s.ctl_prev_g = simd::select(climb, gradient, s.ctl_prev_g);
-    s.ctl_has_grad = simd::select(climb, one, s.ctl_has_grad);
-    s.ctl_prev_v = simd::select(upd, s.prev_v, s.ctl_prev_v);
+    laws::graddesc_step<lanes::Lanes>(run, s.graddesc, cx.graddesc, simd::broadcast(ti),
+                                      tk.prev_power, tk.prev_voltage);
+    command = s.graddesc.voltage;
   } else {
-    const MVec climb = upd & has_prev;
-    const MVec reverse = climb & (s.prev_p < s.ctl_prev_p);
-    s.ctl_rate = simd::select(reverse, simd::broadcast(-1.0) * s.ctl_rate, s.ctl_rate);
-    s.ctl_v = simd::select(climb, simd::clamp(s.ctl_v + s.ctl_rate * step, zero, vmax),
-                           s.ctl_v);
+    laws::pando_step<lanes::Lanes>(run, s.pando, cx.pando, simd::broadcast(ti), tk.prev_power);
+    command = s.pando.voltage;
   }
-  s.ctl_prev_p = simd::select(upd, s.prev_p, s.ctl_prev_p);
-  s.ctl_has_prev = simd::select(upd, one, s.ctl_has_prev);
 
   // power_at_key at the commanded voltage (zero while gated: pv_v is
   // then 0); disconnect_fraction is 0.
-  const DVec pv_v = simd::select(run, s.ctl_v, zero);
+  const DVec pv_v = simd::select(run, command, zero);
   const MVec valid = lit & (pv_v > zero);
   DVec pv_p = zero;
   if (simd::any(valid)) {
@@ -345,32 +268,27 @@ FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i,
     pv_p = simd::select(valid, r0 + frac * (r1 - r0), zero);
   }
   const DVec oh = simd::broadcast(cx.overhead);
-  s.over = simd::select(run, s.over + oh * dt_v, s.over);
-  s.prev_p = simd::select(act, pv_p, s.prev_p);
-  s.prev_v = simd::select(act, pv_v, s.prev_v);
-  s.harv = simd::select(act, s.harv + pv_p * dt_v, s.harv);
+  tk.overhead_energy = simd::select(run, tk.overhead_energy + oh * dt_v, tk.overhead_energy);
+  tk.prev_power = simd::select(act, pv_p, tk.prev_power);
+  tk.prev_voltage = simd::select(act, pv_v, tk.prev_voltage);
+  tk.harvested_energy = simd::select(act, tk.harvested_energy + pv_p * dt_v, tk.harvested_energy);
   const DVec delivered = lanes::conv_lanes(cx.converter, pv_p, pv_v);
-  s.deliv = simd::select(act, s.deliv + delivered * dt_v, s.deliv);
+  tk.delivered_energy =
+      simd::select(act, tk.delivered_energy + delivered * dt_v, tk.delivered_energy);
 
   // Store bookkeeping, then Supercapacitor::apply_power(delivered - drain, dt).
   const DVec drain0 = simd::select(running, oh, zero);
-  const MVec usable = s.store_v >= simd::broadcast(cx.min_useful_voltage);
-  const DVec drain = simd::select(usable, drain0 + s.load, drain0);
-  s.served = simd::select(act & usable, s.served + s.load * dt_v, s.served);
+  const MVec usable = tk.store_voltage >= simd::broadcast(cx.storage.min_useful_voltage);
+  const DVec drain = simd::select(usable, drain0 + s.load_w, drain0);
+  tk.load_energy_served =
+      simd::select(act & usable, tk.load_energy_served + s.load_w * dt_v, tk.load_energy_served);
   const MVec brown = act & ~usable;
-  s.brown_t = simd::select(brown, s.brown_t + dt_v, s.brown_t);
-  s.brown_n = simd::select(brown, s.brown_n + one, s.brown_n);
-  DVec v = s.store_v;
-  if (cx.self_discharge_resistance > 0.0) {
-    v = simd::select(v > zero, v * simd::broadcast(decay), v);
-  }
-  const DVec half_cap = simd::broadcast(0.5 * cx.capacitance);
-  const DVec e_before = (half_cap * v) * v;
-  const DVec e_after = simd::clamp(e_before + (delivered - drain) * dt_v, zero,
-                                   simd::broadcast(cx.max_energy));
-  const DVec v_after =
-      simd::sqrt((simd::broadcast(2.0) * e_after) / simd::broadcast(cx.capacitance));
-  s.store_v = simd::select(act, v_after, s.store_v);
+  tk.brownout_time = simd::select(brown, tk.brownout_time + dt_v, tk.brownout_time);
+  s.brownout_steps = simd::select(brown, s.brownout_steps + simd::broadcast(1.0), s.brownout_steps);
+  laws::supercap_step<lanes::Lanes>(act, tk.store_voltage, delivered - drain, dt_v,
+                                    simd::broadcast(decay),
+                                    cx.storage.self_discharge_resistance > 0.0,
+                                    cx.storage.capacitance, cx.max_energy);
 }
 
 template <Law kLaw>
@@ -381,13 +299,13 @@ void run_group(const GroupContext& cx, LaneNode* const* nodes, std::size_t count
   std::size_t b[W];
   for (int l = 0; l < W; ++l) {
     const auto lu = static_cast<std::size_t>(l);
-    node_to_column(*nodes[lu < count ? lu : 0], cols, l);
+    node_to_column<kLaw>(*nodes[lu < count ? lu : 0], cols, l);
     a[l] = lu < count ? nodes[lu]->a : kDone;
     b[l] = lu < count ? nodes[lu]->b : kDone;
   }
-  State s = load_state(cols);
+  State s = load_state<kLaw>(cols);
   // Supercapacitor::apply_power memoises exp(-dt / tau) on the last dt.
-  const double tau = cx.self_discharge_resistance * cx.capacitance;
+  const double tau = cx.storage.self_discharge_resistance * cx.storage.capacitance;
   double decay_dt = 0.0;
   double decay = 1.0;
 
@@ -427,17 +345,17 @@ void run_group(const GroupContext& cx, LaneNode* const* nodes, std::size_t count
       }
     }
     // Hand every lane whose span ends here back to its planner.
-    store_state(s, cols);
+    store_state<kLaw>(s, cols);
     for (int l = 0; l < W; ++l) {
       if (!live[l] || b[l] != i) continue;
       LaneNode& n = *nodes[l];
-      column_to_node(cols, l, n);
+      column_to_node<kLaw>(cols, l, n);
       cx.resume(n);
       a[l] = n.a;
       b[l] = n.b;
-      node_to_column(n, cols, l);
+      node_to_column<kLaw>(n, cols, l);
     }
-    s = load_state(cols);
+    s = load_state<kLaw>(cols);
     std::size_t next = kDone;
     for (int l = 0; l < W; ++l) {
       const std::size_t from = a[l] > i ? a[l] : (b[l] > i ? i : kDone);

@@ -9,33 +9,21 @@ namespace focv::mppt {
 
 // -------------------------------------------------------- HillClimbing
 
-HillClimbingController::HillClimbingController(Params params)
-    : params_(params), voltage_(params.start_voltage) {
+HillClimbingController::HillClimbingController(Params params) : params_(params) {
   require(params_.voltage_step > 0.0, "HillClimbingController: voltage_step must be > 0");
   require(params_.update_period > 0.0, "HillClimbingController: update_period must be > 0");
+  reset();
 }
 
 ControlOutput HillClimbingController::step(const SensedInputs& inputs) {
-  if (inputs.time >= next_update_) {
-    next_update_ = inputs.time + params_.update_period;
-    if (has_last_power_) {
-      // Keep climbing while power rises; reverse when it falls.
-      if (inputs.prev_power < last_power_) direction_ = -direction_;
-      voltage_ = std::clamp(voltage_ + direction_ * params_.voltage_step, 0.0,
-                            params_.max_voltage);
-    }
-    last_power_ = inputs.prev_power;
-    has_last_power_ = true;
-  }
-  return {voltage_, 0.0};
+  laws::pando_step<laws::Scalar>(true, state_, params_, inputs.time, inputs.prev_power);
+  return {state_.voltage, 0.0};
 }
 
 void HillClimbingController::reset() {
-  voltage_ = params_.start_voltage;
-  direction_ = 1.0;
-  last_power_ = 0.0;
-  next_update_ = 0.0;
-  has_last_power_ = false;
+  state_ = State{};
+  state_.voltage = params_.start_voltage;
+  state_.direction = 1.0;
 }
 
 // ----------------------------------------------- IncrementalConductance

@@ -12,6 +12,7 @@
 //       current exceeds the proposed S&H's 8 uA).
 #pragma once
 
+#include "common/step_laws.hpp"
 #include "mppt/controller.hpp"
 
 namespace focv::mppt {
@@ -45,25 +46,13 @@ class HillClimbingController : public MpptController {
   [[nodiscard]] const Params& params() const { return params_; }
   /// Everything step() carries from one perturbation to the next: the
   /// fleet's hill-climber lanes (fleet/hill_lanes.cpp) start a node's
-  /// lane from it and replay step() on it.
-  struct State {
-    double voltage = 0.0;
-    double direction = 1.0;
-    double last_power = 0.0;
-    double next_update = 0.0;
-    bool has_last_power = false;
-  };
-  [[nodiscard]] State state() const {
-    return {voltage_, direction_, last_power_, next_update_, has_last_power_};
-  }
+  /// lane from it and run the same update (laws::pando_step) on it.
+  using State = laws::PandoState<double, bool>;
+  [[nodiscard]] const State& state() const { return state_; }
 
  private:
   Params params_;
-  double voltage_;
-  double direction_ = 1.0;
-  double last_power_ = 0.0;
-  double next_update_ = 0.0;
-  bool has_last_power_ = false;
+  State state_{};
 };
 
 /// Incremental conductance [2]: same hardware class as P&O, different

@@ -4,8 +4,7 @@
 
 namespace focv::mppt {
 
-GradientDescentController::GradientDescentController(Params params)
-    : params_(params), voltage_(params.start_voltage), lr_(params.learning_rate) {
+GradientDescentController::GradientDescentController(Params params) : params_(params) {
   require(params_.learning_rate > 0.0,
           "GradientDescentController: learning_rate must be > 0");
   require(params_.decay > 0.0 && params_.decay <= 1.0,
@@ -16,17 +15,19 @@ GradientDescentController::GradientDescentController(Params params)
           "GradientDescentController: update_period must be > 0");
   require(params_.max_step > 0.0 && params_.probe_step > 0.0,
           "GradientDescentController: step bounds must be > 0");
+  reset();
+}
+
+ControlOutput GradientDescentController::step(const SensedInputs& inputs) {
+  laws::graddesc_step<laws::Scalar>(true, state_, params_, inputs.time, inputs.prev_power,
+                                    inputs.prev_voltage);
+  return {state_.voltage, 0.0};
 }
 
 void GradientDescentController::reset() {
-  voltage_ = params_.start_voltage;
-  lr_ = params_.learning_rate;
-  prev_power_ = 0.0;
-  prev_voltage_ = 0.0;
-  prev_gradient_ = 0.0;
-  has_prev_ = false;
-  has_gradient_ = false;
-  next_update_ = 0.0;
+  state_ = State{};
+  state_.voltage = params_.start_voltage;
+  state_.lr = params_.learning_rate;
 }
 
 }  // namespace focv::mppt

@@ -5,9 +5,7 @@
 // the fixed-step dithering loss of plain P&O.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
-
+#include "common/step_laws.hpp"
 #include "mppt/controller.hpp"
 
 namespace focv::mppt {
@@ -23,13 +21,10 @@ namespace focv::mppt {
 /// but the proportional-to-gradient step takes large strides far from
 /// the MPP and shrinks near it — the complexity/performance trade the
 /// source paper benchmarks). A zero voltage delta falls back to a small
-/// probe perturbation so the gradient estimate stays defined.
-///
-/// `final`, with step() inline below: simulate_node's lean tick loop
-/// calls it through the concrete type, so the compiler inlines it into
-/// the per-step chain instead of spilling every live double around a
-/// virtual call.
-class GradientDescentController final : public MpptController {
+/// probe perturbation so the gradient estimate stays defined. The
+/// update itself is laws::graddesc_step (common/step_laws.hpp), which
+/// the fleet's hill-climber lanes run too.
+class GradientDescentController : public MpptController {
  public:
   struct Params {
     double learning_rate = 0.05;  ///< initial step gain [V^2/W]
@@ -59,74 +54,15 @@ class GradientDescentController final : public MpptController {
   void reset() override;
 
   [[nodiscard]] const Params& params() const { return params_; }
-  /// Current (annealed) learning rate [V^2/W] — telemetry/tests.
-  [[nodiscard]] double learning_rate() const { return lr_; }
-
   /// Everything step() carries from one decision to the next: the
   /// fleet's hill-climber lanes (fleet/hill_lanes.cpp) start a node's
-  /// lane from it and replay step() on it.
-  struct State {
-    double voltage = 0.0;
-    double lr = 0.0;
-    double prev_power = 0.0;
-    double prev_voltage = 0.0;
-    double prev_gradient = 0.0;
-    double next_update = 0.0;
-    bool has_prev = false;
-    bool has_gradient = false;
-  };
-  [[nodiscard]] State state() const {
-    return {voltage_, lr_,         prev_power_, prev_voltage_, prev_gradient_,
-            next_update_, has_prev_, has_gradient_};
-  }
+  /// lane from it and run the same update on it.
+  using State = laws::GradDescState<double, bool>;
+  [[nodiscard]] const State& state() const { return state_; }
 
  private:
   Params params_;
-  double voltage_;
-  double lr_;
-  double prev_power_ = 0.0;
-  double prev_voltage_ = 0.0;
-  double prev_gradient_ = 0.0;
-  bool has_prev_ = false;
-  bool has_gradient_ = false;
-  double next_update_ = 0.0;
+  State state_{};
 };
-
-inline ControlOutput GradientDescentController::step(const SensedInputs& inputs) {
-  if (inputs.time >= next_update_) {
-    next_update_ = inputs.time + params_.update_period;
-    const double power = inputs.prev_power;
-    const double voltage = inputs.prev_voltage;
-    if (!has_prev_) {
-      // Bootstrap: perturb once so the first gradient is defined.
-      voltage_ = std::clamp(voltage_ + params_.probe_step, 0.0, params_.max_voltage);
-    } else {
-      const double dv = voltage - prev_voltage_;
-      if (std::fabs(dv) < 1e-9) {
-        // Command saturated or unchanged: probe toward the rail with
-        // room left, so the next decision sees a real voltage delta.
-        const double direction = voltage_ > 0.5 * params_.max_voltage ? -1.0 : 1.0;
-        voltage_ =
-            std::clamp(voltage_ + direction * params_.probe_step, 0.0, params_.max_voltage);
-      } else {
-        const double gradient = (power - prev_power_) / dv;
-        if (has_gradient_ && gradient * prev_gradient_ < 0.0) {
-          // Overshot the MPP: anneal the learning rate (the adaptive
-          // part — big strides far out, fine steps at the summit).
-          lr_ = std::max(params_.lr_min, lr_ * params_.decay);
-        }
-        const double raw = lr_ * gradient;
-        const double bounded = std::clamp(raw, -params_.max_step, params_.max_step);
-        voltage_ = std::clamp(voltage_ + bounded, 0.0, params_.max_voltage);
-        prev_gradient_ = gradient;
-        has_gradient_ = true;
-      }
-    }
-    prev_power_ = power;
-    prev_voltage_ = voltage;
-    has_prev_ = true;
-  }
-  return {voltage_, 0.0};
-}
 
 }  // namespace focv::mppt

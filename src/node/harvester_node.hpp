@@ -192,7 +192,9 @@ struct NodeReport {
 /// `prepared` (optional) is a caller-owned PreparedTrace (the event
 /// engine's O(trace) preprocessing — see sched/prepared_trace.hpp)
 /// built for exactly this trace and cell, shared read-only across any
-/// number of concurrent runs. The fleet engine builds one per
+/// number of concurrent runs; an event run also requires its
+/// segmentation to be sched::segmentation_for(config.events). The
+/// fleet engine builds one per
 /// environment so nodes share the preprocessing. nullptr builds what
 /// the run needs: under kFixed only the two lux series, since a
 /// segmented PreparedTrace costs more than the series alone.

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/require.hpp"
+#include "common/step_laws.hpp"
 
 namespace focv::power {
 
@@ -27,28 +28,22 @@ class Supercapacitor {
   Supercapacitor() : Supercapacitor(Params{}) {}
 
   /// Apply a net power for dt seconds (positive charges, negative
-  /// discharges). Returns the energy actually absorbed/delivered [J]
+  /// discharges) by laws::supercap_step, as the fleet's hill-climber
+  /// lanes do. Returns the energy actually absorbed/delivered [J]
   /// (clipped at the voltage limits and at empty). Tick mode calls this
   /// once per trace step, so it is inline, and the self-discharge factor
   /// exp(-dt / tau) is memoised on the last dt: traces step at a uniform
-  /// dt, and exp() of the same argument returns the same bits, so the
-  /// memo never changes a result.
+  /// dt, and exp() of the same argument returns the same bits.
   double apply_power(double power, double dt) {
     require(dt > 0.0, "Supercapacitor::apply_power: dt must be > 0");
-    // Self discharge first (energy domain, exact for the RC decay).
-    if (params_.self_discharge_resistance > 0.0 && voltage_ > 0.0) {
-      if (dt != decay_dt_) {
-        const double tau = params_.self_discharge_resistance * params_.capacitance;
-        decay_ = std::exp(-dt / tau);
-        decay_dt_ = dt;
-      }
-      voltage_ *= decay_;
+    const bool self_discharge = params_.self_discharge_resistance > 0.0;
+    if (self_discharge && dt != decay_dt_) {
+      const double tau = params_.self_discharge_resistance * params_.capacitance;
+      decay_ = std::exp(-dt / tau);
+      decay_dt_ = dt;
     }
-    const double e_before = stored_energy();
-    double e_after = e_before + power * dt;
-    e_after = std::clamp(e_after, 0.0, max_energy());
-    voltage_ = std::sqrt(2.0 * e_after / params_.capacitance);
-    return e_after - e_before;
+    return laws::supercap_step<laws::Scalar>(true, voltage_, power, dt, decay_, self_discharge,
+                                             params_.capacitance, max_energy());
   }
 
   /// Advance by dt under a constant net power using the closed form of

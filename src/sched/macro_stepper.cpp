@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/require.hpp"
-#include "mppt/gradient_descent.hpp"
 #include "obs/obs.hpp"
 #include "sched/node_run.hpp"
 #include "sched/prepared_trace.hpp"
@@ -110,9 +109,8 @@ class NodeRun::Impl {
   void advance_piece(std::size_t a, std::size_t b, double delivered_pw, double oh_drain);
   void advance_store_span(std::size_t a, std::size_t b, double delivered_pw, double oh_drain,
                           double rec_v, double rec_p);
-  template <bool kLean, class Ctl>
-  void fallback_step(Ctl& ctl, std::size_t i, bool advance_cs);
-  void tick_graddesc(std::size_t a, std::size_t b);
+  template <bool kLean>
+  void fallback_step(std::size_t i, bool advance_cs);
   void process_interval(std::size_t a, std::size_t b, bool running, double lo_lux,
                         double hi_lux);
   [[nodiscard]] std::size_t cap_interval(std::size_t p, std::size_t limit) const;
@@ -137,9 +135,6 @@ class NodeRun::Impl {
 
   std::unique_ptr<mppt::MpptController> controller_;
   mppt::MacroLaw law_ = mppt::MacroLaw::kPerStepOnly;
-  // The lean tick loop calls this one law through its final type (see
-  // fallback_step): null for every other controller.
-  mppt::GradientDescentController* graddesc_ = nullptr;
 
   power::Supercapacitor supercap_;
   std::optional<power::Battery> battery_;
@@ -216,14 +211,17 @@ NodeRun::Impl::Impl(const env::LightTrace& trace, const NodeConfig& config,
             "simulate_node: PreparedTrace was built for a different trace");
     require(&prepared->cell() == &cell,
             "simulate_node: PreparedTrace was built for a different cell model");
+    if (!tick_all_) {
+      const env::SegmentationOptions want = segmentation_for(config.events);
+      const env::SegmentationOptions& got = prepared->segmentation();
+      require(got.ratio_band == want.ratio_band && got.floor == want.floor,
+              "simulate_node: PreparedTrace segmentation does not match the run's EventOptions");
+    }
   } else if (tick_all_) {
     owned_eq_ = trace.equivalent_lux(cell);
     owned_total_ = trace.total_lux();
   } else {
-    env::SegmentationOptions seg;
-    seg.ratio_band = config.events.lux_ratio_band;
-    seg.floor = CurveCache::kDarkLux;
-    owned_prep_.emplace(trace, cell, seg);
+    owned_prep_.emplace(trace, cell, segmentation_for(config.events));
     prepared = &*owned_prep_;
   }
   prepared_ = prepared;
@@ -236,7 +234,6 @@ NodeRun::Impl::Impl(const env::LightTrace& trace, const NodeConfig& config,
   mppt::MpptController& controller = *controller_;
   controller.reset();
   law_ = controller.macro_law();
-  graddesc_ = dynamic_cast<mppt::GradientDescentController*>(&controller);
 
   supercap_ = power::Supercapacitor(config.storage);
   if (config.battery) battery_.emplace(*config.battery);
@@ -323,7 +320,7 @@ NodeRun::Impl::Impl(const env::LightTrace& trace, const NodeConfig& config,
   last_net_ = -(overhead_power_ + load_power_);
   cap_usable_energy_ = supercap_.min_useful_energy();
 
-  // The lean instantiations of fallback_step (below) serve runs that use
+  // The lean instantiation of fallback_step (below) serves runs that use
   // none of its optional branches.
   replay_steps_ = tick_all_ || law_ == mppt::MacroLaw::kPerStepOnly;
   lean_ = replay_steps_ && !exact_ && !battery_ && !coldstart_ && !record_ && !bursts_ &&
@@ -478,18 +475,14 @@ void NodeRun::Impl::advance_store_span(std::size_t a, std::size_t b, double deli
 // false only inside segments whose cold-start supervisor is
 // certified-and-frozen (see next_ticks).
 //
-// The body is compiled three times from this one source. The `kLean`
-// instantiations serve runs that use none of its optional branches:
+// The body is compiled twice from this one source. The `kLean`
+// instantiation serves runs that use none of its optional branches:
 // replayed surrogate steps, a supercapacitor, no cold start, no
 // recording, no bursts and telemetry off. There `if constexpr` drops
-// those branches, so the every-step loops (tick_steps below) pay only
-// for the chain itself. `ctl` is the run's controller: a lean
-// `graddesc` run passes its final type, so step() inlines and the
-// chain's doubles stay in registers instead of being spilled around a
-// virtual call; every other run, and the generic body, passes the
-// MpptController base. All instantiations compute the same bits.
-template <bool kLean, class Ctl>
-inline void NodeRun::Impl::fallback_step(Ctl& ctl, std::size_t i, bool advance_cs) {
+// those branches, so the every-step loop (tick_steps below) pays only
+// for the chain itself. Both instantiations compute the same bits.
+template <bool kLean>
+inline void NodeRun::Impl::fallback_step(std::size_t i, bool advance_cs) {
   const std::vector<double>& t = *t_;
   CurveCache& curves = *curves_;
   const double dt = t[i + 1] - t[i];
@@ -533,7 +526,7 @@ inline void NodeRun::Impl::fallback_step(Ctl& ctl, std::size_t i, bool advance_c
     sensed_.prev_power = prev_power_;
     sensed_.prev_voltage = prev_voltage_;
     sensed_.store_voltage = kLean ? supercap_.voltage() : store_voltage();
-    const mppt::ControlOutput out = ctl.step(sensed_);
+    const mppt::ControlOutput out = controller_->step(sensed_);
     pv_voltage = out.pv_voltage;
     const double cell_power = !kLean && exact_          ? curves.power_at_step(i, pv_voltage)
                               : kLean || replay_steps_ ? curves.power_at_key(step_key, pv_voltage)
@@ -588,21 +581,13 @@ inline void NodeRun::Impl::fallback_step(Ctl& ctl, std::size_t i, bool advance_c
   ++fallback_steps_;
 }
 
-// Tick every step of [a, b), through a lean instantiation when the run
-// qualifies. The devirtualised loop stays out of line: inlined, it
-// grows tick_steps and moves the inlining of the other laws' paths
-// (focv event runs read ~5 % slower).
-__attribute__((noinline)) void NodeRun::Impl::tick_graddesc(std::size_t a, std::size_t b) {
-  for (std::size_t i = a; i < b; ++i) fallback_step<true>(*graddesc_, i, true);
-}
-
+// Tick every step of [a, b), through the lean instantiation when the
+// run qualifies.
 void NodeRun::Impl::tick_steps(std::size_t a, std::size_t b) {
-  if (lean_ && graddesc_ != nullptr) {
-    tick_graddesc(a, b);
-  } else if (lean_) {
-    for (std::size_t i = a; i < b; ++i) fallback_step<true>(*controller_, i, true);
+  if (lean_) {
+    for (std::size_t i = a; i < b; ++i) fallback_step<true>(i, true);
   } else {
-    for (std::size_t i = a; i < b; ++i) fallback_step<false>(*controller_, i, true);
+    for (std::size_t i = a; i < b; ++i) fallback_step<false>(i, true);
   }
 }
 
@@ -796,7 +781,7 @@ void NodeRun::Impl::process_run(std::size_t a, std::size_t b, bool running, doub
         // The event lands inside step p: replay that step through the
         // real controller so its mutable state (held sample, astable
         // phase, catch-up after dark) is exactly tick mode's.
-        fallback_step<false>(*controller_, p, false);
+        fallback_step<false>(p, false);
         ++p;
         continue;
       }

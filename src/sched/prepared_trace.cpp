@@ -1,8 +1,16 @@
 #include "sched/prepared_trace.hpp"
 
 #include "common/require.hpp"
+#include "node/curve_cache.hpp"
 
 namespace focv::sched {
+
+env::SegmentationOptions segmentation_for(const EventOptions& events) {
+  env::SegmentationOptions seg;
+  seg.ratio_band = events.lux_ratio_band;
+  seg.floor = node::CurveCache::kDarkLux;
+  return seg;
+}
 
 PreparedTrace::PreparedTrace(const env::LightTrace& trace, const pv::SingleDiodeModel& cell,
                              const env::SegmentationOptions& segmentation)

@@ -16,8 +16,14 @@
 #include "env/light_trace.hpp"
 #include "env/segments.hpp"
 #include "pv/diode_models.hpp"
+#include "sched/options.hpp"
 
 namespace focv::sched {
+
+/// The segmentation an event run with these options walks: the ratio
+/// band, with the surrogate's dark cutoff (CurveCache::kDarkLux) as the
+/// floor. A PreparedTrace handed to an event run must be built with it.
+[[nodiscard]] env::SegmentationOptions segmentation_for(const EventOptions& events);
 
 class PreparedTrace {
  public:

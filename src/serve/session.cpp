@@ -164,12 +164,10 @@ void SessionState::warm(EnvState& env) {
   env.state = EnvState::Warm::kBuilding;
   lock.unlock();
   try {
-    // Segmentation matching what simulate_node derives for event runs under
-    // default EventOptions, so the prepared trace is accepted there.
-    env::SegmentationOptions seg;
-    seg.ratio_band = sched::EventOptions{}.lux_ratio_band;
-    seg.floor = node::CurveCache::kDarkLux;
-    auto prepared = std::make_unique<sched::PreparedTrace>(*env.trace, *cell_, seg);
+    // The segmentation of an event run under default EventOptions, which
+    // simulate_node requires of a caller's prepared trace.
+    auto prepared = std::make_unique<sched::PreparedTrace>(
+        *env.trace, *cell_, sched::segmentation_for(sched::EventOptions{}));
     auto sizing = std::make_unique<node::SizingContext>(*env.trace, *cell_);
 
     node::CurveCache::Options cache_options;

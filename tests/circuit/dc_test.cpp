@@ -22,13 +22,13 @@ TEST(DcAnalysis, LinearLadder) {
   NodeId prev = ckt.node("n0");
   ckt.add<VoltageSource>("V", prev, kGround, Waveform::dc(5.0));
   for (int i = 1; i <= 5; ++i) {
-    const NodeId next = (i == 5) ? kGround : ckt.node("n" + std::to_string(i));
-    ckt.add<Resistor>("R" + std::to_string(i), prev, next, 1e3);
+    const NodeId next = (i == 5) ? kGround : ckt.node(std::string("n").append(std::to_string(i)));
+    ckt.add<Resistor>(std::string("R").append(std::to_string(i)), prev, next, 1e3);
     prev = next;
   }
   const Vector x = dc_operating_point(ckt);
   for (int i = 1; i <= 4; ++i) {
-    EXPECT_NEAR(node_v(ckt, x, "n" + std::to_string(i)), 5.0 - i, 1e-6);
+    EXPECT_NEAR(node_v(ckt, x, std::string("n").append(std::to_string(i))), 5.0 - i, 1e-6);
   }
 }
 

@@ -26,9 +26,9 @@ TEST(EngineeringValue, SuffixesAndPlainNumbers) {
 }
 
 TEST(EngineeringValue, RejectsGarbage) {
-  EXPECT_THROW(parse_engineering_value("abc"), NetlistParseError);
-  EXPECT_THROW(parse_engineering_value("1x"), NetlistParseError);
-  EXPECT_THROW(parse_engineering_value(""), PreconditionError);
+  EXPECT_THROW((void)parse_engineering_value("abc"), NetlistParseError);
+  EXPECT_THROW((void)parse_engineering_value("1x"), NetlistParseError);
+  EXPECT_THROW((void)parse_engineering_value(""), PreconditionError);
 }
 
 double solve_node(Circuit& ckt, const std::string& node) {

@@ -150,7 +150,7 @@ TEST(TraceApi, AveragesCrossingsAndExtremes) {
   EXPECT_DOUBLE_EQ(tr.maximum("sig", 0.0, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(tr.minimum("sig", 0.0, 1.0), 0.0);
   EXPECT_NEAR(tr.time_average("sig", 0.0, 1.0), 0.5, 0.01);
-  EXPECT_THROW(tr.signal("nope"), PreconditionError);
+  EXPECT_THROW((void)tr.signal("nope"), PreconditionError);
 }
 
 TEST(Transient, RejectsBadOptions) {

@@ -175,7 +175,8 @@ Json random_value(Rng& rng, int depth) {
     default: {
       Json object = Json::object();
       for (std::uint64_t i = rng.below(5); i > 0; --i) {
-        object.set("k" + std::to_string(rng.below(100)), random_value(rng, depth + 1));
+        object.set(std::string("k").append(std::to_string(rng.below(100))),
+                   random_value(rng, depth + 1));
       }
       return object;
     }

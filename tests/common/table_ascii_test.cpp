@@ -44,7 +44,11 @@ TEST(AsciiPlot, RendersSeriesWithinFrame) {
     y.push_back(i * 0.2);
   }
   std::ostringstream os;
-  ascii_plot(os, {{x, y, '*', "ramp"}}, {.width = 40, .height = 10, .title = "T"});
+  AsciiPlotOptions options;
+  options.width = 40;
+  options.height = 10;
+  options.title = "T";
+  ascii_plot(os, {{x, y, '*', "ramp"}}, options);
   const std::string out = os.str();
   EXPECT_NE(out.find('T'), std::string::npos);
   EXPECT_NE(out.find('*'), std::string::npos);
@@ -70,8 +74,10 @@ TEST(AsciiPlot, RejectsMismatchedSeries) {
 
 TEST(AsciiPlot, RejectsTinyPlotArea) {
   std::ostringstream os;
-  EXPECT_THROW(ascii_plot(os, {{{0.0}, {1.0}, '*', ""}}, {.width = 2, .height = 2}),
-               PreconditionError);
+  AsciiPlotOptions options;
+  options.width = 2;
+  options.height = 2;
+  EXPECT_THROW(ascii_plot(os, {{{0.0}, {1.0}, '*', ""}}, options), PreconditionError);
 }
 
 }  // namespace

@@ -64,7 +64,7 @@ TEST(Solar, TwilightIsDim) {
 TEST(Solar, RejectsBadDayOfYear) {
   SolarConfig cfg;
   cfg.day_of_year = 0;
-  EXPECT_THROW(solar_elevation_sin(cfg, 0.0), PreconditionError);
+  EXPECT_THROW((void)solar_elevation_sin(cfg, 0.0), PreconditionError);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "mppt/registry.hpp"
 #include "obs/obs.hpp"
 #include "pv/cell_library.hpp"
+#include "sched/prepared_trace.hpp"
 
 namespace focv::node {
 namespace {
@@ -136,6 +136,24 @@ TEST(HarvesterNode, RejectsMissingPieces) {
   NodeConfig cfg;
   const env::LightTrace trace = env::constant_light(100.0, 0.0, 10.0);
   EXPECT_THROW(simulate_node(trace, cfg), PreconditionError);
+}
+
+TEST(HarvesterNode, EventRunRejectsPreparedTraceOfAnotherBand) {
+  NodeConfig cfg = base_config(mppt::HillClimbingController{});
+  cfg.stepper = Stepper::kEvent;
+  const env::LightTrace trace = env::office_desk_mixed();
+  const sched::PreparedTrace matching(trace, *cfg.cell_model,
+                                      sched::segmentation_for(cfg.events));
+  const NodeReport report = simulate_node(trace, cfg, nullptr, &matching);
+  EXPECT_EQ(report.harvested_energy, simulate_node(trace, cfg).harvested_energy);
+
+  env::SegmentationOptions narrow = sched::segmentation_for(cfg.events);
+  narrow.ratio_band = 1.1;
+  const sched::PreparedTrace other(trace, *cfg.cell_model, narrow);
+  EXPECT_THROW((void)simulate_node(trace, cfg, nullptr, &other), PreconditionError);
+  // Tick mode reads only the per-step series, whatever the band.
+  cfg.stepper = Stepper::kFixed;
+  EXPECT_NO_THROW((void)simulate_node(trace, cfg, nullptr, &other));
 }
 
 TEST(HarvesterNode, ConfigIsReentrantAcrossRuns) {
@@ -451,64 +469,6 @@ TEST(HarvesterNode, LeanStepBodyMatchesGenericBody) {
     }
   }
   obs::reset_all();
-}
-
-/// Registry `graddesc` behind a class that is not `final`: the lean tick
-/// loop reaches it through the MpptController vtable, as it does every
-/// controller outside the closed set it calls directly.
-class VirtualGradDesc : public mppt::MpptController {
- public:
-  explicit VirtualGradDesc(std::unique_ptr<mppt::MpptController> inner)
-      : inner_(std::move(inner)) {}
-  [[nodiscard]] std::string name() const override { return "graddesc behind a vtable"; }
-  [[nodiscard]] std::unique_ptr<mppt::MpptController> clone() const override {
-    return std::make_unique<VirtualGradDesc>(inner_->clone());
-  }
-  [[nodiscard]] mppt::ControlOutput step(const mppt::SensedInputs& inputs) override {
-    return inner_->step(inputs);
-  }
-  [[nodiscard]] double overhead_power() const override { return inner_->overhead_power(); }
-  [[nodiscard]] double minimum_operating_lux() const override {
-    return inner_->minimum_operating_lux();
-  }
-  void reset() override { inner_->reset(); }
-
- private:
-  std::unique_ptr<mppt::MpptController> inner_;
-};
-
-TEST(HarvesterNode, DevirtualisedGradDescMatchesVirtualCall) {
-  // Registry graddesc ticks through its final type; the wrapper, a
-  // kPerStepOnly law the stepper cannot name, through the vtable. Same
-  // law, so every scalar must match.
-  static_assert(std::is_final_v<mppt::GradientDescentController>);
-  static_assert(!std::is_final_v<VirtualGradDesc>);
-  const VirtualGradDesc wrapped(mppt::Registry::instance().make("graddesc"));
-  ASSERT_EQ(wrapped.macro_law(), mppt::MacroLaw::kPerStepOnly);
-  struct Day {
-    const char* name;
-    env::LightTrace trace;
-  };
-  const Day days[] = {{"office", env::office_desk_mixed()},
-                      {"outdoor", env::outdoor_day()},
-                      {"desk_sunday", env::desk_sunday_blinds_closed()}};
-  for (const Day& day : days) {
-    for (const Stepper stepper : {Stepper::kFixed, Stepper::kEvent}) {
-      for (const double store_v : {3.0, 0.0}) {
-        SCOPED_TRACE(std::string(day.name) +
-                     (stepper == Stepper::kFixed ? " / fixed" : " / event") + " / store " +
-                     std::to_string(store_v));
-        NodeConfig cfg = golden_config("graddesc");
-        cfg.stepper = stepper;
-        cfg.storage.initial_voltage = store_v;
-        const NodeReport direct = simulate_node(day.trace, cfg);
-        cfg.use_controller(wrapped);
-        const NodeReport virtual_call = simulate_node(day.trace, cfg);
-        expect_same_scalars(direct, virtual_call);
-        EXPECT_GT(direct.harvested_energy, 0.0);
-      }
-    }
-  }
 }
 
 }  // namespace

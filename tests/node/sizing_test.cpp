@@ -263,7 +263,7 @@ TEST(SizingMemo, QueriesWithoutASpecRecordTheirOwnTape) {
 
 TEST(Sizing, RejectsMissingInputs) {
   SizingQuery q;
-  EXPECT_THROW(size_for_energy_neutrality(q), PreconditionError);
+  EXPECT_THROW((void)size_for_energy_neutrality(q), PreconditionError);
 }
 
 }  // namespace

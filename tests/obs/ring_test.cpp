@@ -20,7 +20,7 @@ void stage(RingSink& sink, int count, int base = 0) {
     RingSink::Slot slot = sink.acquire();
     if (!slot) continue;  // kDrop rejected it; dropped() accounts for it
     slot.record->kind = StagedRecord::Kind::kEvent;
-    slot.record->name = "r";
+    slot.record->name.assign(1, 'r');
     slot.record->sim_t = static_cast<double>(base + i);
     sink.publish(slot);
   }
@@ -125,6 +125,7 @@ TEST(RingSink, RetiredThreadRingsDrainThenUnlink) {
 }
 
 TEST(RingSink, SlotFieldsResetBetweenLaps) {
+  const std::string key(1, 'k');
   RingSink sink(2, [](const StagedRecord& r) {
     // Records must arrive with exactly the fields the producer set this
     // lap — n_fields is zeroed by acquire() even when the slot's arrays
@@ -134,7 +135,7 @@ TEST(RingSink, SlotFieldsResetBetweenLaps) {
   for (int lap = 0; lap < 3; ++lap) {
     RingSink::Slot a = sink.acquire();
     a.record->sim_t = 1.0;
-    a.record->fields[a.record->n_fields++].set("k", 1.0);
+    a.record->fields[a.record->n_fields++].set(key, 1.0);
     sink.publish(a);
     RingSink::Slot b = sink.acquire();
     b.record->sim_t = 0.0;

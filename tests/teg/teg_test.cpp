@@ -110,7 +110,7 @@ TEST(TegHarvest, RejectsMalformedTrace) {
   ThermalTrace bad;
   bad.time = {0.0};
   bad.delta_t = {1.0};
-  EXPECT_THROW(harvest_teg(body_worn_teg(), bad, ctl), PreconditionError);
+  EXPECT_THROW((void)harvest_teg(body_worn_teg(), bad, ctl), PreconditionError);
 }
 
 }  // namespace
