@@ -84,17 +84,17 @@ typedef std::int32_t inative __attribute__((vector_size(FOCV_SIMD_LANES * 4), al
 /// W doubles. Arithmetic operators apply the scalar IEEE op per lane.
 struct DVec {
   detail::dnative v;
-  double operator[](int l) const { return v[l]; }
+  FOCV_SIMD_INLINE double operator[](int l) const { return v[l]; }
 };
 /// W 64-bit lane masks (all-ones = true, all-zeros = false per lane).
 struct MVec {
   detail::mnative m;
-  [[nodiscard]] bool lane(int l) const { return m[l] != 0; }
+  [[nodiscard]] FOCV_SIMD_INLINE bool lane(int l) const { return m[l] != 0; }
 };
 /// W 32-bit integers — lane indices on their way to a gather.
 struct IVec {
   detail::inative i;
-  std::int32_t operator[](int l) const { return i[l]; }
+  FOCV_SIMD_INLINE std::int32_t operator[](int l) const { return i[l]; }
 };
 
 FOCV_SIMD_INLINE DVec broadcast(double x) { return {x - detail::dnative{}}; }
@@ -276,15 +276,15 @@ FOCV_SIMD_INLINE bool uniform(IVec a) {
 
 struct DVec {
   double v[kLanes];
-  double operator[](int l) const { return v[l]; }
+  FOCV_SIMD_INLINE double operator[](int l) const { return v[l]; }
 };
 struct MVec {
   std::int64_t m[kLanes];
-  [[nodiscard]] bool lane(int l) const { return m[l] != 0; }
+  [[nodiscard]] FOCV_SIMD_INLINE bool lane(int l) const { return m[l] != 0; }
 };
 struct IVec {
   std::int32_t i[kLanes];
-  std::int32_t operator[](int l) const { return i[l]; }
+  FOCV_SIMD_INLINE std::int32_t operator[](int l) const { return i[l]; }
 };
 
 FOCV_SIMD_INLINE DVec broadcast(double x) {

@@ -45,6 +45,10 @@ struct PandoState {
 namespace {
 
 #define FOCV_LAW_INLINE __attribute__((always_inline)) inline
+// The choices' lambdas inline too: an out-of-line one would take the
+// lane state by reference, and a referenced 64-byte vector local moves
+// to ASan's fake stack, which aligns frames to 32 bytes only.
+#define FOCV_LAW_LAMBDA __attribute__((always_inline))
 
 /// The scalar lane type. `on` is the mask a lane type threads through
 /// nested choices; a scalar caller passes true.
@@ -83,27 +87,27 @@ FOCV_LAW_INLINE void graddesc_step(typename L::B on, GradDescState<typename L::D
   const D zero = L::splat(0.0);
   const D vmax = L::splat(p.max_voltage);
   const D probe = L::splat(p.probe_step);
-  L::when(on, time >= s.next_update, [&](B due) {
+  L::when(on, time >= s.next_update, [&](B due) FOCV_LAW_LAMBDA {
     L::set(due, s.next_update, time + L::splat(p.update_period));
     L::branch(
         due, s.has_prev,
-        [&](B seen) {
+        [&](B seen) FOCV_LAW_LAMBDA {
           const D dv = voltage - s.prev_voltage;
           L::branch(
               seen, L::abs(dv) < L::splat(1e-9),
-              [&](B stall) {
+              [&](B stall) FOCV_LAW_LAMBDA {
                 // Command saturated or unchanged: probe toward the rail
                 // with room left, so the next decision sees a real delta.
                 const D direction = L::pick(s.voltage > L::splat(0.5 * p.max_voltage),
                                             L::splat(-1.0), L::splat(1.0));
                 L::set(stall, s.voltage, L::clamp(s.voltage + direction * probe, zero, vmax));
               },
-              [&](B climb) {
+              [&](B climb) FOCV_LAW_LAMBDA {
                 const D gradient = (power - s.prev_power) / dv;
-                L::when(climb, s.has_gradient, [&](B had) {
+                L::when(climb, s.has_gradient, [&](B had) FOCV_LAW_LAMBDA {
                   // Overshot the MPP: anneal the learning rate (big
                   // strides far out, fine steps at the summit).
-                  L::when(had, gradient * s.prev_gradient < zero, [&](B overshot) {
+                  L::when(had, gradient * s.prev_gradient < zero, [&](B overshot) FOCV_LAW_LAMBDA {
                     L::set(overshot, s.lr, L::max(L::splat(p.lr_min), s.lr * L::splat(p.decay)));
                   });
                 });
@@ -114,7 +118,7 @@ FOCV_LAW_INLINE void graddesc_step(typename L::B on, GradDescState<typename L::D
                 L::set(climb, s.has_gradient, climb);
               });
         },
-        [&](B first) {
+        [&](B first) FOCV_LAW_LAMBDA {
           // Bootstrap: perturb once so the first gradient is defined.
           L::set(first, s.voltage, L::clamp(s.voltage + probe, zero, vmax));
         });
@@ -131,11 +135,12 @@ template <class L, class P>
 FOCV_LAW_INLINE void pando_step(typename L::B on, PandoState<typename L::D, typename L::B>& s,
                                 const P& p, typename L::D time, typename L::D power) {
   using B = typename L::B;
-  L::when(on, time >= s.next_update, [&](B due) {
+  L::when(on, time >= s.next_update, [&](B due) FOCV_LAW_LAMBDA {
     L::set(due, s.next_update, time + L::splat(p.update_period));
-    L::when(due, s.has_last_power, [&](B climb) {
-      L::when(climb, power < s.last_power,
-              [&](B fell) { L::set(fell, s.direction, L::splat(-1.0) * s.direction); });
+    L::when(due, s.has_last_power, [&](B climb) FOCV_LAW_LAMBDA {
+      L::when(climb, power < s.last_power, [&](B fell) FOCV_LAW_LAMBDA {
+        L::set(fell, s.direction, L::splat(-1.0) * s.direction);
+      });
       L::set(climb, s.voltage,
              L::clamp(s.voltage + s.direction * L::splat(p.voltage_step), L::splat(0.0),
                       L::splat(p.max_voltage)));
@@ -158,7 +163,7 @@ FOCV_LAW_INLINE typename L::D supercap_step(typename L::B on, typename L::D& vol
   using B = typename L::B;
   const D zero = L::splat(0.0);
   D v = voltage;
-  if (self_discharge) L::when(on, v > zero, [&](B m) { L::set(m, v, v * decay); });
+  if (self_discharge) L::when(on, v > zero, [&](B m) FOCV_LAW_LAMBDA { L::set(m, v, v * decay); });
   const D e_before = (L::splat(0.5 * capacitance) * v) * v;
   const D e_after = L::clamp(e_before + power * dt, zero, L::splat(max_energy));
   L::set(on, voltage, L::sqrt((L::splat(2.0) * e_after) / L::splat(capacitance)));
@@ -166,6 +171,7 @@ FOCV_LAW_INLINE typename L::D supercap_step(typename L::B on, typename L::D& vol
 }
 
 #undef FOCV_LAW_INLINE
+#undef FOCV_LAW_LAMBDA
 
 }  // namespace
 }  // namespace focv::laws

@@ -93,6 +93,8 @@ constexpr double kKeyRadius = 0x1p-40;
 constexpr std::size_t kXeqBlock = 64;
 
 #define FOCV_HILL_INLINE __attribute__((always_inline)) inline
+/// Lambdas over lane state inline too (see FOCV_LAW_LAMBDA in step_laws.hpp).
+#define FOCV_HILL_LAMBDA __attribute__((always_inline))
 
 /// The lane state while it sits in vector registers, named as in
 /// LaneNode. Only the group's law's controller state is live.
@@ -113,7 +115,7 @@ struct State {
 template <Law kLaw, class Node, class F>
 FOCV_HILL_INLINE void for_each_field(Node& n, F&& f) {
   int k = 0;
-  const auto g = [&](auto&... v) { (f(k++, v), ...); };
+  const auto g = [&](auto&... v) FOCV_HILL_LAMBDA { (f(k++, v), ...); };
   auto& tk = n.tick;
   g(tk.store_voltage, tk.prev_power, tk.prev_voltage, tk.ideal_mpp_energy, tk.harvested_energy,
     tk.delivered_energy, tk.overhead_energy, tk.load_energy_served, tk.brownout_time,
@@ -159,13 +161,13 @@ FOCV_HILL_INLINE void to_column(double* c, MVec v) {
 template <Law kLaw>
 FOCV_HILL_INLINE State load_state(const Columns& c) {
   State s{};
-  for_each_field<kLaw>(s, [&](int k, auto& v) { from_column(v, c.f[k]); });
+  for_each_field<kLaw>(s, [&](int k, auto& v) FOCV_HILL_LAMBDA { from_column(v, c.f[k]); });
   return s;
 }
 
 template <Law kLaw>
 FOCV_HILL_INLINE void store_state(State& s, Columns& c) {
-  for_each_field<kLaw>(s, [&](int k, auto& v) { to_column(c.f[k], v); });
+  for_each_field<kLaw>(s, [&](int k, auto& v) FOCV_HILL_LAMBDA { to_column(c.f[k], v); });
 }
 
 /// CurveCache::table_power on each lane's entry `slot` (k3 = 3 * slot

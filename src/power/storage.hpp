@@ -1,7 +1,6 @@
 // Energy storage models: supercapacitor and a simple battery.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/require.hpp"

@@ -1,7 +1,7 @@
 // Plain-data cases for tests/fleet/step_laws_test.cpp: one node's step
 // inputs and its state before and after each shared step law
 // (common/step_laws.hpp). step_laws_lanes.cpp, compiled once per lane
-// width with that width's ISA flags, runs them on lanes.
+// width with that width's ISA flags, runs them on lanes from columns.
 #pragma once
 
 #include <cstddef>
@@ -33,12 +33,37 @@ struct LawCase {
   laws::GradDescState<double, bool> graddesc;
   laws::PandoState<double, bool> pando;
   double store_voltage;
-  double energy_change;  ///< supercap_step's return (scalar only)
 };
 
-/// Runs every law on cases[0, n) in groups of W lanes (n a multiple of
-/// W); defined by step_laws_lanes.cpp for each width it is built at.
+/// The columns run_lanes reads and writes, one double per case (flags
+/// as 1.0 or 0.0), in for_each_column's order.
+enum Column : int {
+  kOn, kTime, kPower, kVoltage, kNet, kDt, kDecay,
+  kGdVoltage, kGdLr, kGdPrevPower, kGdPrevVoltage, kGdPrevGradient, kGdNextUpdate, kGdHasPrev,
+  kGdHasGradient,
+  kPoVoltage, kPoDirection, kPoLastPower, kPoNextUpdate, kPoHasLastPower,
+  kStoreVoltage,
+  kColumns
+};
+
+/// Calls f(column, field) on every field of a case, in Column order.
+template <class Case, class F>
+__attribute__((always_inline)) inline void for_each_column(Case& c, F&& f) {
+  int k = 0;
+  const auto g = [&](auto&... v) __attribute__((always_inline)) { (f(k++, v), ...); };
+  auto& gd = c.graddesc;
+  auto& po = c.pando;
+  g(c.on, c.time, c.power, c.voltage, c.net, c.dt, c.decay);
+  g(gd.voltage, gd.lr, gd.prev_power, gd.prev_voltage, gd.prev_gradient, gd.next_update,
+    gd.has_prev, gd.has_gradient);
+  g(po.voltage, po.direction, po.last_power, po.next_update, po.has_last_power);
+  g(c.store_voltage);
+}
+
+/// Runs every law on rows [0, n) of the columns (col[k][row]) in groups
+/// of W lanes (n a multiple of W); defined by step_laws_lanes.cpp for
+/// each width it is built at.
 template <int W>
-void run_lanes(const LawParams& p, LawCase* cases, std::size_t n);
+void run_lanes(const LawParams& p, double* const* col, std::size_t n);
 
 }  // namespace focv::laws_test

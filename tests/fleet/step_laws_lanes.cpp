@@ -2,6 +2,8 @@
 // laws on W lanes (lanes::Lanes), built once per lane width with the
 // fleet lane kernel's flags (tests/CMakeLists.txt). It calls no inline
 // function another object defines, so no wide-ISA copy can leak.
+#include <memory>
+
 #include "common/simd.hpp"
 #include "common/step_laws.hpp"
 #include "fleet/lane_math.hpp"
@@ -14,61 +16,47 @@ using simd::DVec;
 using simd::MVec;
 constexpr int W = simd::kLanes;
 
-template <class F>
-DVec lanes_of(const LawCase* c, F&& get) {
-  return simd::from_lanes([&](int l) { return static_cast<double>(get(c[l])); });
+#define FOCV_TEST_INLINE __attribute__((always_inline)) inline
+
+FOCV_TEST_INLINE void get(DVec& v, const double* col) { v = simd::load(col); }
+FOCV_TEST_INLINE void get(MVec& v, const double* col) {
+  v = simd::load(col) != simd::broadcast(0.0);
 }
-template <class F>
-MVec mask_of(const LawCase* c, F&& get) {
-  return lanes_of(c, get) != simd::broadcast(0.0);
+FOCV_TEST_INLINE void put(double* col, DVec v) { simd::store(col, v); }
+FOCV_TEST_INLINE void put(double* col, MVec v) {
+  simd::store(col, simd::select(v, simd::broadcast(1.0), simd::broadcast(0.0)));
 }
+
+/// A case's fields over W lanes, named as in LawCase.
+struct Lanes {
+  MVec on;
+  DVec time, power, voltage, net, dt, decay;
+  laws::GradDescState<DVec, MVec> graddesc;
+  laws::PandoState<DVec, MVec> pando;
+  DVec store_voltage;
+};
 
 }  // namespace
 
 template <>
-void run_lanes<W>(const LawParams& p, LawCase* cases, std::size_t n) {
+void run_lanes<W>(const LawParams& p, double* const* col, std::size_t n) {
   using L = fleet::lanes::Lanes;
-  for (std::size_t base = 0; base < n; base += W) {
-    LawCase* c = cases + base;
-    const MVec on = mask_of(c, [](const LawCase& x) { return x.on; });
-    const DVec time = lanes_of(c, [](const LawCase& x) { return x.time; });
-    const DVec power = lanes_of(c, [](const LawCase& x) { return x.power; });
-    const DVec voltage = lanes_of(c, [](const LawCase& x) { return x.voltage; });
-
-    laws::GradDescState<DVec, MVec> g{
-        lanes_of(c, [](const LawCase& x) { return x.graddesc.voltage; }),
-        lanes_of(c, [](const LawCase& x) { return x.graddesc.lr; }),
-        lanes_of(c, [](const LawCase& x) { return x.graddesc.prev_power; }),
-        lanes_of(c, [](const LawCase& x) { return x.graddesc.prev_voltage; }),
-        lanes_of(c, [](const LawCase& x) { return x.graddesc.prev_gradient; }),
-        lanes_of(c, [](const LawCase& x) { return x.graddesc.next_update; }),
-        mask_of(c, [](const LawCase& x) { return x.graddesc.has_prev; }),
-        mask_of(c, [](const LawCase& x) { return x.graddesc.has_gradient; })};
-    laws::graddesc_step<L>(on, g, p.graddesc, time, power, voltage);
-
-    laws::PandoState<DVec, MVec> po{
-        lanes_of(c, [](const LawCase& x) { return x.pando.voltage; }),
-        lanes_of(c, [](const LawCase& x) { return x.pando.direction; }),
-        lanes_of(c, [](const LawCase& x) { return x.pando.last_power; }),
-        lanes_of(c, [](const LawCase& x) { return x.pando.next_update; }),
-        mask_of(c, [](const LawCase& x) { return x.pando.has_last_power; })};
-    laws::pando_step<L>(on, po, p.pando, time, power);
-
-    DVec store = lanes_of(c, [](const LawCase& x) { return x.store_voltage; });
-    laws::supercap_step<L>(on, store, lanes_of(c, [](const LawCase& x) { return x.net; }),
-                           lanes_of(c, [](const LawCase& x) { return x.dt; }),
-                           lanes_of(c, [](const LawCase& x) { return x.decay; }),
-                           p.self_discharge, p.capacitance, p.max_energy);
-
-    for (int l = 0; l < W; ++l) {
-      LawCase& x = c[l];
-      x.graddesc = {g.voltage[l],       g.lr[l],          g.prev_power[l],
-                    g.prev_voltage[l],  g.prev_gradient[l], g.next_update[l],
-                    g.has_prev.lane(l), g.has_gradient.lane(l)};
-      x.pando = {po.voltage[l], po.direction[l], po.last_power[l], po.next_update[l],
-                 po.has_last_power.lane(l)};
-      x.store_voltage = store[l];
-    }
+  // On the heap: GCC aligns a local vector struct to 64 bytes, and under
+  // ASan's use-after-return checks a frame can land on its fake stack,
+  // where that alignment does not hold and the aligned moves fault.
+  const std::unique_ptr<Lanes> held = std::make_unique<Lanes>();
+  Lanes& x = *held;
+  for (std::size_t row = 0; row < n; row += W) {
+    for_each_column(x, [&](int k, auto& v) __attribute__((always_inline)) {
+      get(v, col[k] + row);
+    });
+    laws::graddesc_step<L>(x.on, x.graddesc, p.graddesc, x.time, x.power, x.voltage);
+    laws::pando_step<L>(x.on, x.pando, p.pando, x.time, x.power);
+    laws::supercap_step<L>(x.on, x.store_voltage, x.net, x.dt, x.decay, p.self_discharge,
+                           p.capacitance, p.max_energy);
+    for_each_column(x, [&](int k, auto& v) __attribute__((always_inline)) {
+      put(col[k] + row, v);
+    });
   }
 }
 
