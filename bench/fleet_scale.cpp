@@ -44,6 +44,7 @@
 #include "env/profiles.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/soa.hpp"
+#include "fleet/soa_internal.hpp"
 #include "node/curve_cache.hpp"
 #include "obs/cli.hpp"
 #include "pv/cell_library.hpp"
@@ -71,8 +72,7 @@ struct Environs {
 };
 
 focv::fleet::FleetSpec make_spec(std::size_t nodes, const Environs& env,
-                                 focv::fleet::FleetEngine engine,
-                                 focv::fleet::SoaKernel kernel = focv::fleet::SoaKernel::kLanes) {
+                                 focv::fleet::FleetEngine engine) {
   using namespace focv;
   fleet::FleetSpec spec;
   spec.node_count = nodes;
@@ -91,7 +91,6 @@ focv::fleet::FleetSpec make_spec(std::size_t nodes, const Environs& env,
   spec.base.stepper = node::Stepper::kEvent;
   spec.chunk_size = 4096;  // one SoA sweep per chunk, still >200 parallel grains at 1M
   spec.engine = engine;
-  spec.soa_kernel = kernel;
   return spec;
 }
 
@@ -219,12 +218,13 @@ int main(int argc, char** argv) {
     // The node-major scalar kernel on the identical roster: the "x kern"
     // lane speedup, and the byte-identity contract between the two
     // kernels checked at every scale.
-    const fleet::FleetSpec spec_s =
-        make_spec(n, environs, fleet::FleetEngine::kSoa, fleet::SoaKernel::kScalar);
     fleet::FleetOptions scalar_opt;
     scalar_opt.jobs = 1;
     scalar_opt.analyze_load = analyze_load;
-    const fleet::FleetReport scalar = fleet::run_fleet(spec_s, scalar_opt);
+    const fleet::FleetReport scalar = [&] {
+      const fleet::soa::internal::ScopedLanesWidth pin(0);
+      return fleet::run_fleet(make_spec(n, environs, fleet::FleetEngine::kSoa), scalar_opt);
+    }();
     const bool kern_identical = scalar.to_json() == flt.serial.to_json();
     all_identical = all_identical && kern_identical;
 

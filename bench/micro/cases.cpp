@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "core/netlists.hpp"
 #include "env/profiles.hpp"
 #include "fleet/fleet.hpp"
+#include "fleet/soa_internal.hpp"
 #include "harness.hpp"
 #include "mppt/baselines.hpp"
 #include "node/curve_cache.hpp"
@@ -280,18 +282,21 @@ CaseSpec fleet_step_event_case() {
   return spec;
 }
 
+/// `lanes`: run the SoA engine's lane kernel at the host's widest width,
+/// else pin the scalar kernel.
 CaseSpec fleet_soa_case(std::string name, std::string description,
-                        fleet::FleetEngine engine,
-                        fleet::SoaKernel kernel = fleet::SoaKernel::kScalar) {
+                        fleet::FleetEngine engine, bool lanes = false) {
   CaseSpec spec;
   spec.name = std::move(name);
   spec.description = std::move(description);
-  spec.make = [engine, kernel](bool smoke) {
+  spec.make = [engine, lanes](bool smoke) {
     auto trace = std::make_shared<const env::LightTrace>(
         smoke ? env::constant_light(500.0, 0.0, 600.0)
               : env::office_desk_mixed(env::OfficeDayParams{}));
     const std::size_t nodes = smoke ? 64 : 10000;
-    return [trace = std::move(trace), nodes, engine, kernel]() -> Counters {
+    return [trace = std::move(trace), nodes, engine, lanes]() -> Counters {
+      std::optional<fleet::soa::internal::ScopedLanesWidth> pin;
+      if (!lanes) pin.emplace(0);
       fleet::FleetSpec fs;
       fs.node_count = nodes;
       fs.use_cell(pv::sanyo_am1815());
@@ -306,7 +311,6 @@ CaseSpec fleet_soa_case(std::string name, std::string description,
       fs.base.load.report_period = 120.0;
       fs.base.stepper = node::Stepper::kEvent;
       fs.engine = engine;
-      fs.soa_kernel = kernel;
       // One SoA sweep per chunk: the default 64-node chunks would call
       // the batch engine ~150x per run and time its setup, not its loop.
       fs.chunk_size = 4096;
@@ -327,20 +331,22 @@ CaseSpec fleet_soa_case(std::string name, std::string description,
   return spec;
 }
 
-/// A graddesc + pando group on the SoA engine: SoaKernel::kLanes ticks
-/// its lit spans in lockstep lanes (fleet/hill.hpp), kScalar leaves every
-/// node on the per-node path. A `focv` axis too light to be drawn gives
-/// the spec its SoA plan. speedup_fleet_hill_lanes in `derived` is the
-/// lane gain (byte-identical reports).
-CaseSpec fleet_hill_case(std::string name, std::string description, fleet::SoaKernel kernel) {
+/// A graddesc + pando group on the SoA engine: with `lanes` its lit spans
+/// tick in lockstep lanes (fleet/hill.hpp); with the lane width pinned
+/// to 0 every node stays on the per-node path. A `focv` axis too light
+/// to be drawn gives the spec its SoA plan. speedup_fleet_hill_lanes in
+/// `derived` is the lane gain (byte-identical reports).
+CaseSpec fleet_hill_case(std::string name, std::string description, bool lanes) {
   CaseSpec spec;
   spec.name = std::move(name);
   spec.description = std::move(description);
-  spec.make = [kernel](bool smoke) {
+  spec.make = [lanes](bool smoke) {
     auto trace = std::make_shared<const env::LightTrace>(
         smoke ? env::constant_light(2000.0, 0.0, 600.0) : env::outdoor_day({}));
     const std::size_t nodes = smoke ? 16 : 64;
-    return [trace = std::move(trace), nodes, kernel]() -> Counters {
+    return [trace = std::move(trace), nodes, lanes]() -> Counters {
+      std::optional<fleet::soa::internal::ScopedLanesWidth> pin;
+      if (!lanes) pin.emplace(0);
       fleet::FleetSpec fs;
       fs.node_count = nodes;
       fs.use_cell(pv::sanyo_am1815());
@@ -352,7 +358,6 @@ CaseSpec fleet_hill_case(std::string name, std::string description, fleet::SoaKe
       fs.base.load.report_period = 120.0;
       fs.base.stepper = node::Stepper::kEvent;
       fs.engine = fleet::FleetEngine::kSoa;
-      fs.soa_kernel = kernel;
       fleet::FleetOptions opt;
       opt.jobs = 1;
       opt.analyze_load = false;
@@ -745,17 +750,17 @@ void register_default_cases() {
       "identical roster on the interval-major lane-batched kernel, float "
       "tables; speedup_fleet_simd in `derived` is the lanes-over-scalar "
       "gain (byte-identical reports)",
-      fleet::FleetEngine::kSoa, fleet::SoaKernel::kLanes));
+      fleet::FleetEngine::kSoa, /*lanes=*/true));
   r.push_back(fleet_hill_case(
       "fleet_hill_pernode",
-      "64 outdoor graddesc + pando nodes on the SoA engine with SoaKernel::kScalar: "
+      "64 outdoor graddesc + pando nodes on the SoA engine with the lane width pinned to 0: "
       "every lit step ticks on the per-node path",
-      fleet::SoaKernel::kScalar));
+      /*lanes=*/false));
   r.push_back(fleet_hill_case(
       "fleet_hill_lanes",
-      "identical group with SoaKernel::kLanes: lit spans tick in lockstep lanes; "
+      "identical group at the host's lane width: lit spans tick in lockstep lanes; "
       "speedup_fleet_hill_lanes in `derived` is the lane gain (byte-identical reports)",
-      fleet::SoaKernel::kLanes));
+      /*lanes=*/true));
   r.push_back(obs_overhead_case(
       "obs_overhead_disabled",
       "office-day 24 h behavioural run with focv::obs telemetry off (the "

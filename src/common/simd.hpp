@@ -173,6 +173,9 @@ FOCV_SIMD_INLINE MVec operator!=(DVec a, DVec b) { return {a.v != b.v}; }
 FOCV_SIMD_INLINE MVec operator&(MVec a, MVec b) { return {a.m & b.m}; }
 FOCV_SIMD_INLINE MVec operator|(MVec a, MVec b) { return {a.m | b.m}; }
 FOCV_SIMD_INLINE MVec operator~(MVec a) { return {~a.m}; }
+/// Logical not, the same bits as ~: lets a lane-type template spell a
+/// negated choice as it would on bool.
+FOCV_SIMD_INLINE MVec operator!(MVec a) { return {~a.m}; }
 
 /// Bit blend: lane l takes a where mask lane l is true, else b.
 FOCV_SIMD_INLINE DVec select(MVec c, DVec a, DVec b) {
@@ -385,6 +388,7 @@ FOCV_SIMD_INLINE MVec operator~(MVec a) {
   for (int l = 0; l < kLanes; ++l) r.m[l] = ~a.m[l];
   return r;
 }
+FOCV_SIMD_INLINE MVec operator!(MVec a) { return ~a; }
 
 FOCV_SIMD_INLINE DVec select(MVec c, DVec a, DVec b) {
   DVec r;

@@ -1,15 +1,18 @@
 // The per-step decisions that both the scalar tick and the fleet's
-// hill-climber lanes make, written once as templates over a lane type.
+// lanes make, written once as templates over a lane type: the
+// hill-climber updates, the supercapacitor step and the buck-boost
+// converter here, the SoA interval body in fleet/soa_internal.hpp.
 //
-// A lane type L names a value type L::D, a choice type L::B and the few
-// operations the laws use. `Scalar` below is double/bool: its choices
-// are ifs, so a controller's step() still branches (a branchless
-// single-node annealing update measured slower). The lanes' type
-// (lanes::Lanes in fleet/lane_math.hpp) is simd::DVec/MVec: a choice
-// runs both sides, each on its own mask, and every write is a select on
-// the mask it runs under, so a lane that does not take a side keeps its
-// bits. Each lane of a lane op is the scalar IEEE op (simd.hpp), so one
-// source gives every node the same bits either way.
+// A lane type L names a value type L::D, a choice type L::B, an index
+// type L::I and the few operations the templates use. `Scalar` below is
+// double/bool/long: its choices are ifs, so a controller's step() still
+// branches (a branchless single-node annealing update measured slower).
+// The lanes' type (lanes::Lanes in fleet/lane_math.hpp) is
+// simd::DVec/MVec/IVec: a choice runs both sides, each on its own mask,
+// and every write is a select on the mask it runs under, so a lane that
+// does not take a side keeps its bits. Each lane of a lane op is the
+// scalar IEEE op (simd.hpp), so one source gives every node the same
+// bits either way.
 //
 // The functions are always_inline with internal linkage, like
 // hill_internal.hpp's key_log: the per-ISA lane objects include this
@@ -51,18 +54,43 @@ namespace {
 #define FOCV_LAW_LAMBDA __attribute__((always_inline))
 
 /// The scalar lane type. `on` is the mask a lane type threads through
-/// nested choices; a scalar caller passes true.
+/// nested choices; a scalar caller passes true (yes()).
 struct Scalar {
   using D = double;
   using B = bool;
+  using I = long;
+  static constexpr int kWidth = 1;
   FOCV_LAW_INLINE static D splat(double x) { return x; }
+  FOCV_LAW_INLINE static I splat_i(int x) { return x; }
+  FOCV_LAW_INLINE static B yes() { return true; }
   FOCV_LAW_INLINE static D pick(B c, D a, D b) { return c ? a : b; }
   FOCV_LAW_INLINE static D clamp(D x, D lo, D hi) { return std::clamp(x, lo, hi); }
   FOCV_LAW_INLINE static D max(D a, D b) { return std::max(a, b); }
   FOCV_LAW_INLINE static D abs(D x) { return std::fabs(x); }
   FOCV_LAW_INLINE static D sqrt(D x) { return std::sqrt(x); }
+  FOCV_LAW_INLINE static D floor(D x) { return std::floor(x); }
+  FOCV_LAW_INLINE static I to_index(D x) { return static_cast<I>(x); }
+  FOCV_LAW_INLINE static D to_double(I x) { return static_cast<D>(x); }
+  /// base[k], and field `f` of rows[k].
+  FOCV_LAW_INLINE static D gather(const double* base, I k) { return base[k]; }
+  template <class Row>
+  FOCV_LAW_INLINE static D gather(const Row* rows, I k, double Row::*f) {
+    return rows[k].*f;
+  }
+  /// Whether every lane holds the same index, and lane 0's.
+  FOCV_LAW_INLINE static bool uniform(I) { return true; }
+  FOCV_LAW_INLINE static I first(I k) { return k; }
+  FOCV_LAW_INLINE static bool all(B c) { return c; }
+  FOCV_LAW_INLINE static bool any(B c) { return c; }
+  FOCV_LAW_INLINE static D lane(D x, int) { return x; }
+  FOCV_LAW_INLINE static B lane(B c, int) { return c; }
   template <class Then>
   FOCV_LAW_INLINE static void when(B on, B c, Then&& then) {
+    if (on && c) then(true);
+  }
+  /// when(), for work the lanes skip only when no lane needs it.
+  template <class Then>
+  FOCV_LAW_INLINE static void when_some(B on, B c, Then&& then) {
     if (on && c) then(true);
   }
   template <class Then, class Otherwise>
@@ -168,6 +196,32 @@ FOCV_LAW_INLINE typename L::D supercap_step(typename L::B on, typename L::D& vol
   const D e_after = L::clamp(e_before + power * dt, zero, L::splat(max_energy));
   L::set(on, voltage, L::sqrt((L::splat(2.0) * e_after) / L::splat(capacitance)));
   return e_after - e_before;
+}
+
+/// BuckBoostConverter::output_power on the lanes in `on`, zero on the
+/// rest: the power delivered to the store for input power `in` at
+/// input voltage `v`. `p` is the converter's Params.
+template <class L, class P>
+FOCV_LAW_INLINE typename L::D buck_boost_output(typename L::B on, const P& p, typename L::D in,
+                                                typename L::D v) {
+  using D = typename L::D;
+  using B = typename L::B;
+  const D zero = L::splat(0.0);
+  D out = zero;
+  L::when(on, in > zero, [&](B drawn) FOCV_LAW_LAMBDA {
+    const B in_range =
+        !((v < L::splat(p.min_input_voltage)) | (v > L::splat(p.max_input_voltage)));
+    L::when(drawn, in_range, [&](B ok) FOCV_LAW_LAMBDA {
+      // Efficiency rolls off at very light load (switching losses
+      // dominate) through a soft knee, then the fixed control loss
+      // comes off the top.
+      const D knee = in / (in + L::splat(p.input_power_knee));
+      const D converted = (in * L::splat(p.efficiency_peak)) * knee;
+      const D fixed = L::splat(p.fixed_loss);
+      L::set(ok, out, L::pick(converted > fixed, converted - fixed, zero));
+    });
+  });
+  return out;
 }
 
 #undef FOCV_LAW_INLINE

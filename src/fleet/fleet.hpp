@@ -103,16 +103,6 @@ enum class FleetEngine {
   kSoa,
 };
 
-/// Which sweep kernel the SoA engine advances batched axis runs with
-/// (ignored by kPerNode). Reports are byte-identical across kernels:
-/// every lane of the kLanes kernel executes the same IEEE op sequence
-/// the scalar sweep does, and per-node accumulators merge in fixed node
-/// order (fleet/soa_lanes.cpp documents the argument).
-enum class SoaKernel {
-  kLanes,   ///< interval-major, width-W lane-batched kernels (default)
-  kScalar,  ///< node-major transient-NodeState sweep (the PR 7 path)
-};
-
 struct FleetSpec {
   std::size_t node_count = 100;
   /// Root of the per-node RNG streams.
@@ -140,9 +130,6 @@ struct FleetSpec {
   /// schedules (million-node scale); kPerNode is the bit-stable
   /// reference. jobs=1 vs jobs=N byte-determinism holds on both.
   FleetEngine engine = FleetEngine::kPerNode;
-  /// Sweep kernel for the SoA engine (byte-identical results; kScalar
-  /// exists as the reference/bench baseline and for odd build targets).
-  SoaKernel soa_kernel = SoaKernel::kLanes;
 
   /// Borrow a long-lived cell (e.g. a pv::cell_library singleton).
   void use_cell(const pv::SingleDiodeModel& cell_ref);

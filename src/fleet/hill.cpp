@@ -127,7 +127,7 @@ Lanes::Lanes(const FleetSpec& spec, const std::vector<PolicyAxis>& policies,
              const soa::SoaPlan& plan, const node::CurveCache& warm)
     : spec_(spec), prepared_(prepared), plan_(plan), warm_(warm), policies_(policies) {
   const node::NodeConfig& base = spec.base;
-  if (obs::enabled() || spec.soa_kernel != SoaKernel::kLanes) return;
+  if (obs::enabled()) return;
   if (base.stepper != node::Stepper::kEvent ||
       base.power_model != node::PowerModel::kSurrogate || base.obs_compare_exact ||
       base.battery || base.coldstart || base.events.resolve_load_bursts) {

@@ -16,8 +16,7 @@
 //    no cold start, recording or load bursts, telemetry off;
 //  - every curve slot its run can query lies inside the plan's dense
 //    table, so its curve cache builds nothing and no counter moves;
-//  - the host runs a lane width (soa::internal::lanes_width() > 0) and
-//    the spec keeps SoaKernel::kLanes;
+//  - the host runs a lane width (soa::internal::lanes_width() > 0);
 //  - the spec has an SoA plan, i.e. some axis batches: a fleet of only
 //    per-node laws keeps the per-node engine's bytes, cache counters
 //    included, under both engines;

@@ -39,12 +39,13 @@
 //     and NaN lanes keep x = 0, as before. tests/fleet/
 //     hill_lanes_test.cpp checks a scalar copy of the certificate
 //     against step_key over four days and 128 scales.
-//  2. The same source for the rest. The controller's update and the
-//     supercapacitor step are the templates the scalar step() and
+//  2. The same source for the rest. The controller's update, the
+//     converter and the supercapacitor step are the templates the
+//     scalar step(), BuckBoostConverter::output_power and
 //     Supercapacitor::apply_power instantiate on double/bool
-//     (common/step_laws.hpp), here on lanes (lane_math.hpp). at_key,
-//     power_at_key (the P(V) row position by division, as table_power
-//     divides) and the converter keep the scalar expression trees. This
+//     (common/step_laws.hpp), here on lanes (lane_math.hpp). The curve
+//     reads (the P(V) row position by division, as table_power
+//     divides) keep CurveCache::at / power_at's expression trees. This
 //     TU is compiled with -ffp-contract=off like the scalar ones, and
 //     simd.hpp ops are per-lane IEEE ops.
 //  3. Branches become selects that mirror std::clamp / std::max /
@@ -235,7 +236,7 @@ FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i,
   const IVec slot = simd::to_int(slot_d);
   const IVec k3 = slot * simd::broadcast_i(3);
 
-  // at_key's Pmpp and the ideal-tracker energy.
+  // at()'s Pmpp and the ideal-tracker energy.
   const DVec pm0 = simd::gather(cx.slot_f + 1, k3);
   const DVec pm1 = simd::gather(cx.slot_f + 4, k3);
   const DVec pmpp = simd::select(lit, pm0 + frac * (pm1 - pm0), zero);
@@ -258,7 +259,7 @@ FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i,
     command = s.pando.voltage;
   }
 
-  // power_at_key at the commanded voltage (zero while gated: pv_v is
+  // power_at at the commanded voltage (zero while gated: pv_v is
   // then 0); disconnect_fraction is 0.
   const DVec pv_v = simd::select(run, command, zero);
   const MVec valid = lit & (pv_v > zero);
@@ -274,7 +275,8 @@ FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i,
   tk.prev_power = simd::select(act, pv_p, tk.prev_power);
   tk.prev_voltage = simd::select(act, pv_v, tk.prev_voltage);
   tk.harvested_energy = simd::select(act, tk.harvested_energy + pv_p * dt_v, tk.harvested_energy);
-  const DVec delivered = lanes::conv_lanes(cx.converter, pv_p, pv_v);
+  const DVec delivered =
+      laws::buck_boost_output<lanes::Lanes>(lanes::Lanes::yes(), cx.converter, pv_p, pv_v);
   tk.delivered_energy =
       simd::select(act, tk.delivered_energy + delivered * dt_v, tk.delivered_energy);
 

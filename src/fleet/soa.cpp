@@ -1,14 +1,13 @@
 // SoA engine dispatch: group an env's members into per-axis runs, build
 // the flat EnvContext the kernels read, and hand each run to the
 // interval-major lane kernel (soa_lanes.cpp) or the node-major scalar
-// kernel (soa_scalar.cpp). Kernel choice can never change a report
-// byte — the kernels are byte-identical by construction and verified by
-// tests/fleet/soa_lanes_test.cpp — so the dispatch is free to pick per
-// axis: closed-form axes default to lanes, kPrototype axes (virtual
-// step()) always run scalar. The lane kernel is built once per width;
-// the host is probed once and runs the widest instance it can execute
-// (8 lanes on AVX-512 x86-64, 4 on AVX2), pre-AVX2 x86-64 hosts fall
-// back to scalar.
+// kernel (soa_scalar.cpp). Both instantiate the one interval body of
+// soa_internal.hpp, so the choice never changes a report byte
+// (tests/fleet/soa_lanes_test.cpp) and rests only on what the run can
+// observe: kPrototype axes (virtual step()) run scalar, and so does an
+// environment whose table has fewer than two slots; every other axis
+// runs the widest lane instance the host executes (8 lanes on AVX-512
+// x86-64, 4 on AVX2), or scalar on pre-AVX2 x86-64 hosts.
 
 #include "fleet/soa.hpp"
 
@@ -151,8 +150,6 @@ void run_env(const SoaPlan& plan, const EnvPlan& env, const FleetSpec& spec,
   cx.conv = &spec.base.converter;
   cx.t = env.time->data();
   cx.ivs = env.schedule.intervals.data();
-  cx.segments = env.schedule.segments.data();
-  cx.n_segments = env.schedule.segments.size();
   cx.n_intervals = env.schedule.intervals.size();
   cx.width = env.width.data();
   cx.span = env.span.data();
@@ -178,10 +175,8 @@ void run_env(const SoaPlan& plan, const EnvPlan& env, const FleetSpec& spec,
 
   // tables.slots >= 2 guards the degenerate always-dark env, where the
   // lane kernel's in-bounds gather invariant has no table to stand on
-  // (the scalar kernel's slot_of handles it per lookup). 0 = scalar.
-  const int lanes = spec.soa_kernel == SoaKernel::kLanes && env.tables.slots >= 2
-                        ? internal::lanes_width()
-                        : 0;
+  // (the scalar kernel reads every point dark). 0 = scalar.
+  const int lanes = env.tables.slots >= 2 ? internal::lanes_width() : 0;
 
   for (const AxisRun& run : runs) {
     const AxisPlan& ax = plan.axes[run.axis];
@@ -206,12 +201,9 @@ void run_env(const SoaPlan& plan, const EnvPlan& env, const FleetSpec& spec,
       case 4:
         totals = internal::run_axis_lanes<4>(cx, ax, ovs, draws, run_members, count, reports);
         break;
-      default: {
-        mppt::MpptController* proto =
-            clones[run.axis] != nullptr ? clones[run.axis].get() : nullptr;
-        totals =
-            internal::run_axis_scalar(cx, ax, ovs, draws, run_members, count, proto, reports);
-      }
+      default:
+        totals = internal::run_axis_scalar(cx, ax, ovs, draws, run_members, count,
+                                           clones[run.axis].get(), reports);
     }
 
     if (obs_on) {

@@ -23,6 +23,12 @@
 // memoryless controllers are evaluated through one cloned prototype per
 // chunk exactly as process_interval would.
 //
+// Kernels: one interval body (soa_internal.hpp), instantiated node-major
+// on doubles (soa_scalar.cpp) and interval-major on W-wide lanes
+// (soa_lanes.cpp). run_batch picks per axis run from what it can
+// observe — the axis' eval, the host ISA, the table size — and the
+// bytes do not depend on the pick.
+//
 // Determinism: the plan (schedules, tables, overlays) is immutable and
 // built before any chunk runs; chunks share nothing mutable, so jobs=1
 // and jobs=N produce byte-identical FleetReports.
@@ -66,9 +72,9 @@ struct DenseTables {
 };
 
 /// How a batched axis' controller output is evaluated per interval.
-/// kSampleHold and kAffineVoc are closed forms both kernels implement
-/// (the lane kernel runs them width-W); kPrototype needs a virtual
-/// step() on a cloned controller and always runs on the scalar kernel.
+/// kSampleHold and kAffineVoc are closed forms either kernel runs;
+/// kPrototype needs a virtual step() on a cloned controller and always
+/// runs on the scalar kernel.
 enum class AxisEval {
   kPrototype,   ///< generic memoryless controller via its cloned prototype
   kSampleHold,  ///< the paper's S&H FOCV closed form

@@ -87,20 +87,27 @@ class CurveCache {
   [[nodiscard]] double power_at_step(std::size_t i, double v);
 
   /// Surrogate lookup key of one illuminance: the dense slot of the grid
-  /// node below it and the log-illuminance interpolation weight, rounded
-  /// through float. Every tick-replayed step resolves one with
-  /// step_key() and queries at_key() / power_at_key(): that float weight
-  /// is part of the reference (kFixed) trajectory. Entries live at fixed
-  /// log-illuminance grid nodes whose values depend only on the cell and
-  /// the options, so one cache can serve many runs (the fleet engine
-  /// shares one across every node of a chunk) and only pays exact solves
-  /// for grid nodes no earlier run touched — without changing any run's
-  /// trajectory. A key is valid until the next call that may build
-  /// entries.
+  /// node below it and the log-illuminance interpolation weight. Entries
+  /// live at fixed log-illuminance grid nodes whose values depend only on
+  /// the cell and the options, so one cache can serve many runs (the
+  /// fleet engine shares one across every node of a chunk) and only pays
+  /// exact solves for grid nodes no earlier run touched — without
+  /// changing any run's trajectory. A key is valid until the next call
+  /// that may grow the table below its slot; growth above it (a key
+  /// resolved at a higher illuminance) never moves it.
   static constexpr std::uint32_t kDarkStep = 0xffffffffu;
+  struct LuxKey {
+    std::uint32_t slot = kDarkStep;  ///< dense entry index, or kDarkStep below kDarkLux
+    double frac = 0.0;               ///< weight towards entry slot + 1
+  };
+  /// A LuxKey whose weight is rounded through float. Every tick-replayed
+  /// step resolves one with step_key(): that float weight is part of the
+  /// reference (kFixed) trajectory. It widens exactly to a LuxKey, so
+  /// at() and power_at() read both.
   struct StepKey {
     std::uint32_t slot = kDarkStep;  ///< dense entry index, or kDarkStep below kDarkLux
     float frac = 0.0f;               ///< weight towards entry slot + 1
+    operator LuxKey() const { return LuxKey{slot, frac}; }
   };
   /// Key for `equivalent_lux`, building its two grid entries on first
   /// touch. Surrogate mode only.
@@ -109,29 +116,18 @@ class CurveCache {
             "CurveCache: step_key needs the surrogate model");
     return step_key_of(equivalent_lux);
   }
-  /// Curve summary at a key.
-  [[nodiscard]] StepCurve at_key(StepKey key) const;
-  /// Cell power at voltage v at a key [W].
-  [[nodiscard]] double power_at_key(StepKey key, double v) const;
 
   /// On-demand surrogate queries at an arbitrary equivalent illuminance
   /// with a double weight: the event stepper's quadrature points and
   /// isolated ticks. Entries are built lazily at the same fixed
-  /// log-illuminance grid nodes step_key() uses — values depend only on
-  /// the grid index, so a cache shared across fixed and event runs
-  /// answers both consistently. Surrogate mode only.
+  /// log-illuminance grid nodes step_key() uses, so a cache shared
+  /// across fixed and event runs answers both consistently. Surrogate
+  /// mode only.
   ///
   /// lux_key() resolves an illuminance once (one log, one floor, the two
   /// grid entries built on first touch); at() and power_at() then read
   /// through the key, so a caller asking for the curve summary and
   /// several P(V) points at one illuminance pays the resolution once.
-  /// Unlike StepKey the weight stays double. A key is valid until the
-  /// next call that may grow the table below its slot; growth above it
-  /// (a key resolved at a higher illuminance) never moves it.
-  struct LuxKey {
-    std::uint32_t slot = kDarkStep;  ///< dense entry index, or kDarkStep below kDarkLux
-    double frac = 0.0;               ///< weight towards entry slot + 1
-  };
   [[nodiscard]] LuxKey lux_key(double equivalent_lux) {
     require(options_.model == PowerModel::kSurrogate,
             "CurveCache: lux_key needs the surrogate model");
@@ -274,27 +270,6 @@ inline double CurveCache::table_power(const Entry& e, double v) const {
   const double t = pos - static_cast<double>(k);
   const std::size_t idx = static_cast<std::size_t>(k);
   return e.power[idx] + t * (e.power[idx + 1] - e.power[idx]);
-}
-
-inline CurveCache::StepCurve CurveCache::at_key(StepKey key) const {
-  ++queries_;
-  StepCurve out;
-  if (key.slot == kDarkStep) return out;
-  const Entry& e0 = entries_[key.slot];
-  const Entry& e1 = entries_[key.slot + 1];
-  const double f = static_cast<double>(key.frac);
-  out.voc = e0.voc + f * (e1.voc - e0.voc);
-  out.pmpp = e0.pmpp + f * (e1.pmpp - e0.pmpp);
-  out.vmpp = e0.vmpp + f * (e1.vmpp - e0.vmpp);
-  return out;
-}
-
-inline double CurveCache::power_at_key(StepKey key, double v) const {
-  ++queries_;
-  if (v <= 0.0 || key.slot == kDarkStep) return 0.0;
-  const double p0 = table_power(entries_[key.slot], v);
-  const double p1 = table_power(entries_[key.slot + 1], v);
-  return p0 + static_cast<double>(key.frac) * (p1 - p0);
 }
 
 inline CurveCache::StepCurve CurveCache::at(LuxKey key) const {

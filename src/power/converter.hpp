@@ -10,6 +10,7 @@
 #pragma once
 
 #include "common/require.hpp"
+#include "common/step_laws.hpp"
 
 namespace focv::power {
 
@@ -31,18 +32,11 @@ class BuckBoostConverter {
   }
   BuckBoostConverter() : BuckBoostConverter(Params{}) {}
 
-  /// Power delivered to the store for the given input power and voltage.
+  /// Power delivered to the store for the given input power and voltage
+  /// (zero below the input power or outside the voltage rating). The
+  /// fleet's lanes run the same template (common/step_laws.hpp).
   [[nodiscard]] double output_power(double input_power, double input_voltage) const {
-    if (input_power <= 0.0) return 0.0;
-    if (input_voltage < params_.min_input_voltage ||
-        input_voltage > params_.max_input_voltage) {
-      return 0.0;
-    }
-    // Efficiency rolls off at very light load (switching losses dominate)
-    // through a soft knee, then the fixed control loss comes off the top.
-    const double knee = input_power / (input_power + params_.input_power_knee);
-    const double converted = input_power * params_.efficiency_peak * knee;
-    return (converted > params_.fixed_loss) ? converted - params_.fixed_loss : 0.0;
+    return laws::buck_boost_output<laws::Scalar>(true, params_, input_power, input_voltage);
   }
 
   /// Converter efficiency at the given operating point.

@@ -487,17 +487,13 @@ inline void NodeRun::Impl::fallback_step(std::size_t i, bool advance_cs) {
   CurveCache& curves = *curves_;
   const double dt = t[i + 1] - t[i];
   const double lux = s_ * (*eq_)[i];
-  CurveCache::StepKey step_key;
-  CurveCache::LuxKey lux_key;
+  CurveCache::LuxKey key;  // a replayed step's float weight, widened
   CurveCache::StepCurve curve;
   if (!kLean && exact_) {
     curve = curves.at_step(i);
-  } else if (kLean || replay_steps_) {
-    step_key = curves.step_key(lux);
-    curve = curves.at_key(step_key);
   } else {
-    lux_key = curves.lux_key(lux);
-    curve = curves.at(lux_key);
+    key = kLean || replay_steps_ ? curves.step_key(lux) : curves.lux_key(lux);
+    curve = curves.at(key);
   }
   report_.ideal_mpp_energy += curve.pmpp * dt;
 
@@ -528,9 +524,8 @@ inline void NodeRun::Impl::fallback_step(std::size_t i, bool advance_cs) {
     sensed_.store_voltage = kLean ? supercap_.voltage() : store_voltage();
     const mppt::ControlOutput out = controller_->step(sensed_);
     pv_voltage = out.pv_voltage;
-    const double cell_power = !kLean && exact_          ? curves.power_at_step(i, pv_voltage)
-                              : kLean || replay_steps_ ? curves.power_at_key(step_key, pv_voltage)
-                                                       : curves.power_at(lux_key, pv_voltage);
+    const double cell_power =
+        !kLean && exact_ ? curves.power_at_step(i, pv_voltage) : curves.power_at(key, pv_voltage);
     pv_power = cell_power * (1.0 - std::min(1.0, out.disconnect_fraction));
     report_.overhead_energy += overhead_power_ * dt;
     if (!kLean && obs_on_ && curve.pmpp > 0.0) {
@@ -540,7 +535,7 @@ inline void NodeRun::Impl::fallback_step(std::size_t i, bool advance_cs) {
         const double exact_power = exact_shadow_->power_at_step(i, pv_voltage);
         obs::metrics().observe(
             deviation_id_,
-            std::abs(curves.power_at_key(step_key, pv_voltage) - exact_power) / curve.pmpp);
+            std::abs(curves.power_at(key, pv_voltage) - exact_power) / curve.pmpp);
       }
     }
   }

@@ -1,11 +1,10 @@
 // Byte-identity contract between the SoA engine's two kernels: the
-// interval-major lane-batched sweep (fleet/soa_lanes.cpp) must produce
-// EXACTLY the bytes of the node-major scalar sweep (soa_scalar.cpp) —
-// same IEEE op sequence per lane, selects in place of branches, shared
-// slow-path routine — at any worker count, and at
-// every lane-tail / fallback edge the blocking can hit. soa_lanes.cpp
-// is built once per lane width; every instance this host can run is
-// pinned in turn (soa_internal.hpp) and held to the scalar bytes.
+// interval-major lane sweep (fleet/soa_lanes.cpp) and the node-major
+// scalar sweep (soa_scalar.cpp) instantiate one interval body and must
+// produce EXACTLY the same bytes, at any worker count and at every
+// lane-tail / fallback edge the blocking can hit. soa_lanes.cpp is built
+// once per lane width; every instance this host can run is pinned in
+// turn (soa_internal.hpp) and held to the scalar bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,9 +21,10 @@
 namespace focv::fleet {
 namespace {
 
-/// All-batchable roster over the paper's two measured day shapes: every
-/// axis is a closed form the lane kernel runs (focv sample/hold, pilot
-/// and fixed affine laws).
+/// All-batchable roster over the paper's two measured day shapes: the
+/// closed forms the lane kernel runs (focv sample/hold, pilot and fixed
+/// affine laws) beside a `photo` axis, which runs on the scalar kernel
+/// (virtual step()) in every comparison.
 FleetSpec lanes_spec(std::size_t nodes) {
   FleetSpec spec;
   spec.node_count = nodes;
@@ -39,9 +39,10 @@ FleetSpec lanes_spec(std::size_t nodes) {
   office.duration = 6.0 * 3600.0;
   spec.add_environment("office", env::office_desk_mixed(office), 0.6);
   spec.add_environment("sunday", env::desk_sunday_blinds_closed(7), 0.4);
-  spec.add_policy("focv", 0.6);
+  spec.add_policy("focv", 0.5);
   spec.add_policy("pilot", 0.2);
-  spec.add_policy("fixed", 0.2);
+  spec.add_policy("fixed", 0.15);
+  spec.add_policy("photo", 0.15);
   return spec;
 }
 
@@ -54,8 +55,7 @@ std::string slurp(const std::string& path) {
 
 /// The fleet report JSON followed by the per-node JSONL export.
 /// `lanes` is the pinned lane width (0 = the scalar kernel).
-std::string run_kernel(FleetSpec spec, int lanes, int jobs) {
-  spec.soa_kernel = lanes != 0 ? SoaKernel::kLanes : SoaKernel::kScalar;
+std::string run_kernel(const FleetSpec& spec, int lanes, int jobs) {
   const soa::internal::ScopedLanesWidth pin(lanes);
   FleetOptions opt;
   opt.jobs = jobs;
@@ -140,11 +140,6 @@ TEST(FleetSoaLanes, SortedNeighboursStraddlingGridNodesByteIdentical) {
   spec.heterogeneity.attenuation_max = 1.0;
   spec.heterogeneity.cell_tolerance_sigma = 0.0;
   expect_kernels_identical(spec, "straddling neighbours");
-}
-
-TEST(FleetSoaLanes, LanesKernelIsTheDefault) {
-  FleetSpec spec;
-  EXPECT_EQ(spec.soa_kernel, SoaKernel::kLanes);
 }
 
 /// One case per lane width soa_lanes.cpp is built at: a width this host

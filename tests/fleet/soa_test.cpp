@@ -56,6 +56,9 @@ double rel_err(double a, double b) {
 
 TEST(FleetSoa, MatchesPerNodeEngineWithinEventContract) {
   FleetSpec per_node = day_spec(96);
+  // A memoryless law with no closed form: SoA runs it through the
+  // cloned prototype's step(), on the scalar kernel.
+  per_node.add_policy("photo", 0.2);
   FleetSpec soa = per_node;
   soa.engine = FleetEngine::kSoa;
 

@@ -1,7 +1,8 @@
 // Plain-data cases for tests/fleet/step_laws_test.cpp: one node's step
-// inputs and its state before and after each shared step law
-// (common/step_laws.hpp). step_laws_lanes.cpp, compiled once per lane
-// width with that width's ISA flags, runs them on lanes from columns.
+// inputs and its state before and after each shared step law and the
+// converter (common/step_laws.hpp). step_laws_lanes.cpp, compiled once
+// per lane width with that width's ISA flags, runs them on lanes from
+// columns.
 #pragma once
 
 #include <cstddef>
@@ -9,6 +10,7 @@
 #include "common/step_laws.hpp"
 #include "mppt/baselines.hpp"
 #include "mppt/gradient_descent.hpp"
+#include "power/converter.hpp"
 
 namespace focv::laws_test {
 
@@ -16,6 +18,7 @@ namespace focv::laws_test {
 struct LawParams {
   mppt::GradientDescentController::Params graddesc;
   mppt::HillClimbingController::Params pando;
+  power::BuckBoostConverter::Params converter;
   double capacitance;
   double max_energy;
   bool self_discharge;
@@ -33,6 +36,9 @@ struct LawCase {
   laws::GradDescState<double, bool> graddesc;
   laws::PandoState<double, bool> pando;
   double store_voltage;
+  double conv_in;    ///< converter input power [W]
+  double conv_v;     ///< converter input voltage [V]
+  double delivered;  ///< converter output [W], written by the step
 };
 
 /// The columns run_lanes reads and writes, one double per case (flags
@@ -60,10 +66,17 @@ __attribute__((always_inline)) inline void for_each_column(Case& c, F&& f) {
   g(c.store_voltage);
 }
 
+/// The converter's columns, after the laws': run_converter_lanes reads
+/// the case's on, conv_in and conv_v and writes delivered.
+enum ConverterColumn : int { kConvIn = kColumns, kConvV, kDelivered, kAllColumns };
+
 /// Runs every law on rows [0, n) of the columns (col[k][row]) in groups
 /// of W lanes (n a multiple of W); defined by step_laws_lanes.cpp for
 /// each width it is built at.
 template <int W>
 void run_lanes(const LawParams& p, double* const* col, std::size_t n);
+/// The converter on the same rows and groups, in a frame of its own.
+template <int W>
+void run_converter_lanes(const LawParams& p, double* const* col, std::size_t n);
 
 }  // namespace focv::laws_test

@@ -1,6 +1,6 @@
 // The lane side of tests/fleet/step_laws_test.cpp: runs the shared step
-// laws on W lanes (lanes::Lanes), built once per lane width with the
-// fleet lane kernel's flags (tests/CMakeLists.txt). It calls no inline
+// laws and the converter on W lanes (lanes::Lanes), built once per lane
+// width with the fleet lane kernel's flags (tests/CMakeLists.txt). It calls no inline
 // function another object defines, so no wide-ISA copy can leak.
 #include <memory>
 
@@ -57,6 +57,18 @@ void run_lanes<W>(const LawParams& p, double* const* col, std::size_t n) {
     for_each_column(x, [&](int k, auto& v) __attribute__((always_inline)) {
       put(col[k] + row, v);
     });
+  }
+}
+
+template <>
+void run_converter_lanes<W>(const LawParams& p, double* const* col, std::size_t n) {
+  using L = fleet::lanes::Lanes;
+  for (std::size_t row = 0; row < n; row += W) {
+    MVec on;
+    get(on, col[kOn] + row);
+    put(col[kDelivered] + row,
+        laws::buck_boost_output<L>(on, p.converter, simd::load(col[kConvIn] + row),
+                                   simd::load(col[kConvV] + row)));
   }
 }
 

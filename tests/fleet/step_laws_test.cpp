@@ -1,12 +1,14 @@
 // Law-level bit equality of the shared step laws (common/step_laws.hpp):
-// seeded random states run through graddesc_step, pando_step and
-// supercap_step as scalar (the instantiation the controllers' step()
-// and Supercapacitor::apply_power use) and on lanes (the one the
-// fleet's hill-climber lanes use), at every lane width this host runs;
-// each lane must end with the scalar's bits. The cases cover bootstrap,
+// seeded random states run through graddesc_step, pando_step,
+// supercap_step and buck_boost_output as scalar (the instantiation the
+// controllers' step(), Supercapacitor::apply_power and
+// BuckBoostConverter::output_power use) and on lanes (the one the
+// fleet's lane kernels use), at every lane width this host runs; each
+// lane must end with the scalar's bits. The cases cover bootstrap,
 // stalled, annealing and climbing decisions, clamps at 0 and at
-// max_voltage, off-cadence and masked-off lanes, and empty, full and
-// self-discharging stores.
+// max_voltage, off-cadence and masked-off lanes, empty, full and
+// self-discharging stores, and a converter that is off (no input power,
+// or a voltage outside its rating), at its loss floor or converting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,15 +21,23 @@
 
 #include "common/rng.hpp"
 #include "fleet/soa_internal.hpp"
+#include "power/converter.hpp"
 #include "step_laws_cases.hpp"
 
 namespace focv::laws_test {
 namespace {
 
+std::uint64_t bits(double x) {
+  std::uint64_t u;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
 /// What the scalar run saw, so the test can show every case kind occurs.
 struct Coverage {
   int bootstrap = 0, stall = 0, anneal = 0, climb = 0, clamp_zero = 0, clamp_max = 0;
   int off_cadence = 0, masked = 0, empty = 0, full = 0, discharging = 0;
+  int conv_off = 0, conv_floor = 0, conv_on = 0;
 };
 
 LawParams draw_params(Rng& rng, bool self_discharge) {
@@ -48,6 +58,12 @@ LawParams draw_params(Rng& rng, bool self_discharge) {
   const double v_max = rng.uniform(3.0, 5.5);
   p.max_energy = 0.5 * p.capacitance * v_max * v_max;
   p.self_discharge = self_discharge;
+  auto& cv = p.converter;
+  cv.efficiency_peak = rng.uniform(0.5, 1.0);
+  cv.fixed_loss = rng.uniform(0.0, 5e-6);
+  cv.input_power_knee = rng.uniform(1e-6, 5e-5);
+  cv.min_input_voltage = rng.uniform(0.3, 1.0);
+  cv.max_input_voltage = rng.uniform(2.0, 6.0);
   return p;
 }
 
@@ -99,6 +115,18 @@ LawCase draw_case(Rng& rng, const LawParams& p) {
   c.dt = rng.below(2) == 0 ? 1.0 : rng.uniform(0.1, 10.0);
   c.net = rng.uniform(-0.05, 0.05);
   c.decay = std::exp(-c.dt / rng.uniform(1e3, 1e7));
+  switch (rng.below(5)) {
+    case 0: c.conv_in = 0.0; break;
+    case 1: c.conv_in = -rng.uniform(0.0, 1e-4); break;
+    default: c.conv_in = rng.uniform(0.0, 1e-4); break;
+  }
+  // Below, inside and above the input rating, and on its edges.
+  switch (rng.below(6)) {
+    case 0: c.conv_v = p.converter.min_input_voltage; break;
+    case 1: c.conv_v = p.converter.max_input_voltage; break;
+    default: c.conv_v = rng.uniform(0.0, 1.2 * p.converter.max_input_voltage); break;
+  }
+  c.delivered = rng.uniform(0.0, 1.0);
   return c;
 }
 
@@ -110,6 +138,7 @@ void run_scalar(const LawParams& p, LawCase& c, Coverage& cov) {
   const double v0 = c.store_voltage;
   (void)laws::supercap_step<S>(c.on, c.store_voltage, c.net, c.dt, c.decay, p.self_discharge,
                                p.capacitance, p.max_energy);
+  c.delivered = laws::buck_boost_output<S>(c.on, p.converter, c.conv_in, c.conv_v);
   if (!c.on) {
     ++cov.masked;
     return;
@@ -127,12 +156,17 @@ void run_scalar(const LawParams& p, LawCase& c, Coverage& cov) {
     ++cov.full;
   }
   if (p.self_discharge && v0 > 0.0) ++cov.discharging;
-}
-
-std::uint64_t bits(double x) {
-  std::uint64_t u;
-  std::memcpy(&u, &x, sizeof u);
-  return u;
+  const bool rated =
+      c.conv_v >= p.converter.min_input_voltage && c.conv_v <= p.converter.max_input_voltage;
+  if (c.conv_in <= 0.0 || !rated) {
+    ++cov.conv_off;
+  } else if (c.delivered == 0.0) {
+    ++cov.conv_floor;
+  } else {
+    ++cov.conv_on;
+  }
+  EXPECT_EQ(bits(c.delivered),
+            bits(power::BuckBoostConverter(p.converter).output_power(c.conv_in, c.conv_v)));
 }
 
 /// Every state field of `lane` equals the scalar's, bit for bit.
@@ -143,10 +177,10 @@ void expect_same(const LawCase& scalar, const LawCase& lane, std::size_t index) 
   const auto& pb = lane.pando;
   const double da[] = {a.voltage,      a.lr,          a.prev_power,  a.prev_voltage,
                        a.prev_gradient, a.next_update, pa.voltage,    pa.direction,
-                       pa.last_power,   pa.next_update, scalar.store_voltage};
+                       pa.last_power,   pa.next_update, scalar.store_voltage, scalar.delivered};
   const double db[] = {b.voltage,      b.lr,          b.prev_power,  b.prev_voltage,
                        b.prev_gradient, b.next_update, pb.voltage,    pb.direction,
-                       pb.last_power,   pb.next_update, lane.store_voltage};
+                       pb.last_power,   pb.next_update, lane.store_voltage, lane.delivered};
   for (std::size_t k = 0; k < std::size(da); ++k) {
     EXPECT_EQ(bits(da[k]), bits(db[k]))
         << "case " << index << " field " << k << ": scalar " << std::hexfloat << da[k]
@@ -158,32 +192,41 @@ void expect_same(const LawCase& scalar, const LawCase& lane, std::size_t index) 
 }
 
 using LanesFn = void (*)(const LawParams&, double* const*, std::size_t);
+struct LanesFns {
+  LanesFn laws = nullptr;
+  LanesFn converter = nullptr;
+};
 
-/// Runs `run` on the cases through run_lanes' columns.
-void run_columns(LanesFn run, const LawParams& p, std::vector<LawCase>& cases) {
-  std::vector<std::vector<double>> cols(kColumns, std::vector<double>(cases.size()));
+/// Runs the lane functions on the cases through their columns.
+void run_columns(LanesFns run, const LawParams& p, std::vector<LawCase>& cases) {
+  std::vector<std::vector<double>> cols(kAllColumns, std::vector<double>(cases.size()));
   for (std::size_t r = 0; r < cases.size(); ++r) {
     for_each_column(cases[r], [&](int k, auto v) { cols[k][r] = static_cast<double>(v); });
+    cols[kConvIn][r] = cases[r].conv_in;
+    cols[kConvV][r] = cases[r].conv_v;
   }
   std::vector<double*> ptrs;
   for (std::vector<double>& c : cols) ptrs.push_back(c.data());
-  run(p, ptrs.data(), cases.size());
+  // The converter reads `on` before the laws overwrite any column.
+  run.converter(p, ptrs.data(), cases.size());
+  run.laws(p, ptrs.data(), cases.size());
   for (std::size_t r = 0; r < cases.size(); ++r) {
     for_each_column(cases[r], [&](int k, auto& v) {
       v = static_cast<std::remove_reference_t<decltype(v)>>(cols[k][r]);
     });
+    cases[r].delivered = cols[kDelivered][r];
   }
 }
 
-LanesFn lanes_fn(int width) {
+LanesFns lanes_fns(int width) {
   switch (width) {
 #if FOCV_TEST_LANES4
-    case 4: return &run_lanes<4>;
+    case 4: return {&run_lanes<4>, &run_converter_lanes<4>};
 #endif
 #if FOCV_TEST_LANES8
-    case 8: return &run_lanes<8>;
+    case 8: return {&run_lanes<8>, &run_converter_lanes<8>};
 #endif
-    default: return nullptr;
+    default: return {};
   }
 }
 
@@ -191,8 +234,8 @@ class StepLawLanes : public ::testing::TestWithParam<int> {};
 
 TEST_P(StepLawLanes, MatchScalarBitForBit) {
   const int width = GetParam();
-  const LanesFn run = lanes_fn(width);
-  if (run == nullptr) GTEST_SKIP() << "no " << width << "-lane build on this target";
+  const LanesFns run = lanes_fns(width);
+  if (run.laws == nullptr) GTEST_SKIP() << "no " << width << "-lane build on this target";
   if (!fleet::soa::internal::lanes_runnable(width)) {
     GTEST_SKIP() << "host lacks " << fleet::soa::internal::lanes_requirement(width);
   }
@@ -214,13 +257,15 @@ TEST_P(StepLawLanes, MatchScalarBitForBit) {
   // Every kind of case occurred.
   for (const int count : {cov.bootstrap, cov.stall, cov.anneal, cov.climb, cov.clamp_zero,
                           cov.clamp_max, cov.off_cadence, cov.masked, cov.empty, cov.full,
-                          cov.discharging}) {
+                          cov.discharging, cov.conv_off, cov.conv_floor, cov.conv_on}) {
     EXPECT_GT(count, 0);
   }
   std::printf("%zu cases: bootstrap %d, stall %d, anneal %d, climb %d, clamp 0 %d, clamp max %d, "
-              "off cadence %d, masked %d, empty %d, full %d, self-discharging %d\n",
+              "off cadence %d, masked %d, empty %d, full %d, self-discharging %d, converter "
+              "off %d, at floor %d, on %d\n",
               cases, cov.bootstrap, cov.stall, cov.anneal, cov.climb, cov.clamp_zero,
-              cov.clamp_max, cov.off_cadence, cov.masked, cov.empty, cov.full, cov.discharging);
+              cov.clamp_max, cov.off_cadence, cov.masked, cov.empty, cov.full, cov.discharging,
+              cov.conv_off, cov.conv_floor, cov.conv_on);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, StepLawLanes, ::testing::Values(4, 8),

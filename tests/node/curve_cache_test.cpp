@@ -41,7 +41,7 @@ TEST(CurveCache, SurrogatePowerWithinTenthOfPercentOfExact) {
     for (int k = 1; k < 60; ++k) {
       const double v = voc * k / 60.0;
       const double exact = cell.power_at(v, c);
-      const double fast = cache.power_at_key(key, v);
+      const double fast = cache.power_at(key, v);
       EXPECT_NEAR(fast, exact, 1e-3 * pmpp)
           << "lux=" << kLuxLadder[i] << " v=" << v;
     }
@@ -55,7 +55,7 @@ TEST(CurveCache, SurrogateCurveSummaryWithinTenthOfPercent) {
     const pv::Conditions c = cache.conditions_at(kLuxLadder[i]);
     const double voc = cell.open_circuit_voltage(c);
     const pv::MppResult mpp = cell.maximum_power_point(c, voc);
-    const CurveCache::StepCurve s = cache.at_key(cache.step_key(kLuxLadder[i]));
+    const CurveCache::StepCurve s = cache.at(cache.step_key(kLuxLadder[i]));
     EXPECT_NEAR(s.voc, voc, 1e-3 * voc);
     EXPECT_NEAR(s.pmpp, mpp.power, 1e-3 * mpp.power);
     // Vmpp tolerance is looser in absolute terms: P(V) is flat at the
@@ -71,10 +71,10 @@ TEST(CurveCache, SurrogateNeverExceedsItsOwnPmpp) {
   CurveCache cache(cell, kRoomTempK, options_for(PowerModel::kSurrogate));
   for (const double lux : kLuxLadder) {
     const CurveCache::StepKey key = cache.step_key(lux);
-    const CurveCache::StepCurve s = cache.at_key(key);
+    const CurveCache::StepCurve s = cache.at(key);
     for (int k = 0; k <= 100; ++k) {
       const double v = s.voc * 1.05 * k / 100.0;
-      EXPECT_LE(cache.power_at_key(key, v), s.pmpp * (1.0 + 1e-12));
+      EXPECT_LE(cache.power_at(key, v), s.pmpp * (1.0 + 1e-12));
     }
   }
 }
@@ -116,10 +116,10 @@ TEST(CurveCache, DarkStepsAreFreeAndZero) {
   const std::vector<double> lux = {0.0, 0.01, 500.0};
   {
     CurveCache cache(cell, kRoomTempK, options_for(PowerModel::kSurrogate));
-    EXPECT_EQ(cache.at_key(cache.step_key(lux[0])).pmpp, 0.0);
-    EXPECT_EQ(cache.at_key(cache.step_key(lux[1])).voc, 0.0);
-    EXPECT_EQ(cache.power_at_key(cache.step_key(lux[0]), 1.5), 0.0);
-    EXPECT_GT(cache.at_key(cache.step_key(lux[2])).pmpp, 0.0);
+    EXPECT_EQ(cache.at(cache.step_key(lux[0])).pmpp, 0.0);
+    EXPECT_EQ(cache.at(cache.step_key(lux[1])).voc, 0.0);
+    EXPECT_EQ(cache.power_at(cache.step_key(lux[0]), 1.5), 0.0);
+    EXPECT_GT(cache.at(cache.step_key(lux[2])).pmpp, 0.0);
   }
   {
     CurveCache cache(cell, kRoomTempK, options_for(PowerModel::kExact));
@@ -141,7 +141,7 @@ TEST(CurveCache, ConstantLightBuildsOnlyNeighbouringEntries) {
   EXPECT_LE(cache.model_evals(), 2u * (2u + 128u));
   // Per-step queries issue no further solves in surrogate mode.
   const std::uint64_t before = cache.model_evals();
-  (void)cache.power_at_key(cache.step_key(lux[123]), 1.0);
+  (void)cache.power_at(cache.step_key(lux[123]), 1.0);
   EXPECT_EQ(cache.model_evals(), before);
 }
 
@@ -194,13 +194,13 @@ TEST(CurveCache, SurrogateRePrepareMatchesFreshCache) {
     // Every entry is built, so these keys stay valid across the queries.
     const CurveCache::StepKey ka = reused.step_key(second[i]);
     const CurveCache::StepKey kb = fresh.step_key(second[i]);
-    const CurveCache::StepCurve a = reused.at_key(ka);
-    const CurveCache::StepCurve b = fresh.at_key(kb);
+    const CurveCache::StepCurve a = reused.at(ka);
+    const CurveCache::StepCurve b = fresh.at(kb);
     EXPECT_EQ(a.voc, b.voc) << i;
     EXPECT_EQ(a.pmpp, b.pmpp) << i;
     for (int k = 1; k < 20; ++k) {
       const double v = b.voc * k / 20.0;
-      EXPECT_EQ(reused.power_at_key(ka, v), fresh.power_at_key(kb, v)) << i << " " << v;
+      EXPECT_EQ(reused.power_at(ka, v), fresh.power_at(kb, v)) << i << " " << v;
     }
   }
   // Overlapping grid nodes were reused, not re-solved: the second
