@@ -1,7 +1,9 @@
 // The per-step decisions that both the scalar tick and the fleet's
 // lanes make, written once as templates over a lane type: the
-// hill-climber updates, the supercapacitor step and the buck-boost
-// converter here, the SoA interval body in fleet/soa_internal.hpp.
+// hill-climber updates, the supercapacitor step, the buck-boost
+// converter and the surrogate P(V) row read here, the certified curve
+// key in node/curve_cache.hpp, the SoA interval body in
+// fleet/soa_internal.hpp.
 //
 // A lane type L names a value type L::D, a choice type L::B, an index
 // type L::I and the few operations the templates use. `Scalar` below is
@@ -14,10 +16,10 @@
 // scalar IEEE op (simd.hpp), so one source gives every node the same
 // bits either way.
 //
-// The functions are always_inline with internal linkage, like
-// hill_internal.hpp's key_log: the per-ISA lane objects include this
-// header without leaving a weak out-of-line copy behind. The state
-// structs are plain aggregates, with no code to emit.
+// The functions are always_inline with internal linkage: the per-ISA
+// lane objects include this header without leaving a weak out-of-line
+// copy behind. The state structs are plain aggregates, with no code to
+// emit.
 #pragma once
 
 #include <algorithm>
@@ -69,6 +71,8 @@ struct Scalar {
   FOCV_LAW_INLINE static D abs(D x) { return std::fabs(x); }
   FOCV_LAW_INLINE static D sqrt(D x) { return std::sqrt(x); }
   FOCV_LAW_INLINE static D floor(D x) { return std::floor(x); }
+  /// x rounded to the nearest float, widened back.
+  FOCV_LAW_INLINE static D round_float(D x) { return static_cast<float>(x); }
   FOCV_LAW_INLINE static I to_index(D x) { return static_cast<I>(x); }
   FOCV_LAW_INLINE static D to_double(I x) { return static_cast<D>(x); }
   /// base[k], and field `f` of rows[k].
@@ -222,6 +226,26 @@ FOCV_LAW_INLINE typename L::D buck_boost_output(typename L::B on, const P& p, ty
     });
   });
   return out;
+}
+
+/// Linear read of a surrogate P(V) row (node::CurveCache): `power` +
+/// `row` is each lane's row of samples, evenly spaced in voltage on
+/// [0, Voc], `pos` = (v / Voc) * (samples - 1) in [0, samples - 1) the
+/// lane's position along it and `last` = samples - 2 the last row
+/// index. The row index is min(int(pos), last); pos >= 0, so truncating
+/// min(pos, last) gives it. Each caller forms `pos` its own way (the
+/// cache and the hill lanes divide by Voc, the SoA sweep multiplies by
+/// 1/Voc) and hoists `last`.
+template <class L>
+FOCV_LAW_INLINE typename L::D pv_row_read(const double* power, typename L::I row,
+                                          typename L::D pos, typename L::D last) {
+  using D = typename L::D;
+  const typename L::I m = L::to_index(L::pick(last < pos, last, pos));
+  const typename L::I at = row + m;
+  const D p0 = L::gather(power, at);
+  const D p1 = L::gather(power + 1, at);
+  const D t = pos - L::to_double(m);
+  return p0 + t * (p1 - p0);
 }
 
 #undef FOCV_LAW_INLINE

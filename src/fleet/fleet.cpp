@@ -120,9 +120,13 @@ void validate_draw_inputs(const FleetSpec& spec) {
   for (const PolicyAxis& p : spec.policies) {
     require(p.weight > 0.0, "fleet: policy weight must be > 0");
   }
+  // Non-finite scales would reach the curve grid as an infinite
+  // illuminance when run_fleet warms its cache.
+  require(std::isfinite(spec.base.lux_scale), "fleet: base lux_scale must be finite");
   const HeterogeneitySpec& h = spec.heterogeneity;
-  require(h.attenuation_min > 0.0 && h.attenuation_min <= h.attenuation_max,
-          "fleet: attenuation range must satisfy 0 < min <= max");
+  require(h.attenuation_min > 0.0 && h.attenuation_min <= h.attenuation_max &&
+              std::isfinite(h.attenuation_max),
+          "fleet: attenuation range must satisfy 0 < min <= max < inf");
   require(h.cell_tolerance_sigma >= 0.0 && h.divider_spread_sigma >= 0.0 &&
               h.load_period_jitter >= 0.0 && h.load_period_jitter < 1.0,
           "fleet: spread parameters must be >= 0 (period jitter < 1)");

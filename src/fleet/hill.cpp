@@ -61,9 +61,11 @@ EnvRange env_range(const sched::PreparedTrace& prepared) {
 /// the node's cache reads only entries the warm cache already built.
 /// Every query of a run lies in [s * min, s * max] of the segments it
 /// reads; below kDarkLux a query reads no entry. The lanes read the
-/// table even for dark lanes, so it must exist.
-bool covered(const EnvRange& r, const soa::DenseTables& tb, double s) {
-  constexpr double kDark = node::CurveCache::kDarkLux;
+/// table even for dark lanes, so it must exist. A node whose queries
+/// reach the grid's ceiling stays per-node, where its run fails.
+bool covered(const EnvRange& r, const node::CurveTable& tb, double s) {
+  using node::CurveCache;
+  constexpr double kDark = CurveCache::kDarkLux;
   double lo = s * r.lit_lo;
   double hi = r.lit_hi > 0.0 ? s * r.lit_hi : 0.0;
   if (s * r.dark_hi >= kDark) {
@@ -72,11 +74,10 @@ bool covered(const EnvRange& r, const soa::DenseTables& tb, double s) {
   }
   if (tb.slots < 2) return false;
   if (!(hi >= kDark)) return true;
+  if (std::isnan(CurveCache::key_term(hi))) return false;
   lo = std::max(lo, kDark);
-  constexpr double kGrid = node::CurveCache::kGridNodesPerLogLux;
-  const auto j_lo = static_cast<long>(std::floor(kGrid * std::log(lo)));
-  const auto j_hi = static_cast<long>(std::floor(kGrid * std::log(hi)));
-  return j_lo >= tb.grid_lo && j_hi + 1 <= tb.grid_lo + tb.slots - 1;
+  return CurveCache::grid_point(lo).j >= tb.grid_lo &&
+         CurveCache::grid_point(hi).j + 1 <= tb.grid_lo + tb.slots - 1;
 }
 
 /// One lane node's planner and where its outcome goes.
@@ -200,13 +201,13 @@ void Lanes::run_task(std::size_t task, std::size_t task_count) {
     const std::size_t e = nodes_[batch.first].draw.env_index;
     const sched::PreparedTrace& prep = *prepared_[e];
     const env::LightTrace& trace = *spec_.environments[e].trace;
-    const soa::DenseTables& tb = plan_.envs[e].tables;
+    const node::CurveTable& tb = plan_.envs[e].tables;
     const mppt::MpptController& proto = *policies_[batch.axis].prototype;
 
     GroupContext cx;
     cx.t = trace.time().data();
     cx.eq = prep.eq_lux().data();
-    cx.slot_f = &tb.slot_f.data()->voc;
+    cx.slot_f = tb.slot_f.data();
     cx.power = tb.power.data();
     cx.grid_lo = tb.grid_lo;
     cx.slots = tb.slots;
@@ -253,7 +254,7 @@ void Lanes::run_task(std::size_t task, std::size_t task_count) {
         continue;
       }
       lane.scale = r.config.lux_scale;
-      lane.xoff = key_log(lane.scale);
+      lane.xoff = node::CurveCache::key_term(lane.scale);
       lane.load_w = power::WsnLoad(r.config.load).average_power();
       mppt::MpptController& ctl = r.run->controller();
       if (cx.law == Law::kGradientDescent) {

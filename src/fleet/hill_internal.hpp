@@ -2,15 +2,16 @@
 // ISA) and the lane kernel (hill_lanes.cpp, one object per lane width,
 // built like soa_lanes.cpp). Plain data and one function pointer: the
 // kernel objects use the controller and store headers for their Params
-// and State types only and call none of their inline functions, so no
-// wide-ISA copy of one can be left behind, and the call crosses the ISA
-// boundary with scalar and pointer arguments only.
+// and State types only and call none of their inline functions; of the
+// curve cache they read the exported CurveTable and call only the
+// always-inlined key certificate (CurveCache::key_term, certified_key).
+// So no wide-ISA copy of a shared inline function can be left behind,
+// and the call crosses the ISA boundary with scalar and pointer
+// arguments only.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 #include "mppt/baselines.hpp"
 #include "mppt/gradient_descent.hpp"
@@ -27,20 +28,6 @@ enum class Law : std::uint8_t {
   kPerturbObserve,   ///< laws::pando_step, as HillClimbingController::step
 };
 
-/// Curve keys in the lanes are certified only below this bound on
-/// |32 ln y| (y < 8.9e6): there std::log's 1-ulp error stays within
-/// the budget hill_lanes.cpp's point 1 sets out.
-inline constexpr double kKeyLogBound = 512.0;
-
-/// 32 ln(y) on CurveCache's grid, or NaN outside the certified range
-/// (a NaN term fails the certificate, so such a lane takes the log of
-/// its own lux instead). Internal linkage: each object keeps its own
-/// copy, built for its own ISA.
-static inline double key_log(double y) {
-  const double x = node::CurveCache::kGridNodesPerLogLux * std::log(y);
-  return x > -kKeyLogBound && x < kKeyLogBound ? x : std::numeric_limits<double>::quiet_NaN();
-}
-
 /// A lane's span is done and no further span follows.
 inline constexpr std::size_t kDone = static_cast<std::size_t>(-1);
 
@@ -50,7 +37,7 @@ inline constexpr std::size_t kDone = static_cast<std::size_t>(-1);
 /// the planner never steps a per-step law outside a tick span.
 struct LaneNode {
   double scale = 0.0;   ///< NodeConfig::lux_scale
-  double xoff = 0.0;    ///< key_log(scale): the node's share of every curve key
+  double xoff = 0.0;    ///< CurveCache::key_term(scale): the node's share of every curve key
   double load_w = 0.0;  ///< period-average load [W]
   sched::TickState tick;
   double brownout_steps = 0.0;  ///< browned-out steps of the current span
@@ -66,9 +53,8 @@ struct LaneNode {
 struct GroupContext {
   const double* t = nullptr;   ///< trace step boundaries
   const double* eq = nullptr;  ///< unscaled equivalent lux per step
-  /// soa::DenseTables::slot_f as doubles: {voc, pmpp, 1/voc} per slot.
-  const double* slot_f = nullptr;
-  const double* power = nullptr;  ///< [slot * points + m]
+  const node::CurveTable::SlotF* slot_f = nullptr;  ///< [slots]
+  const double* power = nullptr;                    ///< [slot * points + m]
   long grid_lo = 0;
   int slots = 0;
   int points = 0;

@@ -19,35 +19,35 @@
 //  1. Same curve keys, without a log per lane. CurveCache::step_key
 //     takes x = 32 ln(lux) with lux = scale * eq, then j = floor(x) and
 //     the weight float(x - j). The lanes instead take one log per step
-//     for all lanes, xeq = 32 ln(eq), and one per node when it is set
-//     up, xoff = 32 ln(scale) (hill.cpp), and add them. With L the
-//     libm log, assumed within 1 ulp, and every |32 ln| below
-//     kKeyLogBound (lux, eq and scale in (e^-16, e^16)), the sum is
-//     within 2^-42 of the scalar x:
+//     for all lanes, xeq = key_term(eq), and one per node when it is
+//     set up, xoff = key_term(scale) (hill.cpp), and add them. With L
+//     the libm log, assumed within 1 ulp, and every |32 ln| below the
+//     grid's ceiling CurveCache::kGridHi = 512 (lux, eq and scale in
+//     (e^-16, e^16)), the sum is within 2^-42 of the scalar x:
 //       fl(scale * eq) moves ln by <= 2^-53         -> 2^-48 in x;
 //       each of the three L calls errs by <= 2^-49  -> 3 * 2^-44;
 //       the rounding of xoff + xeq (|x| < 512)      -> 2^-45.
-//     A lane keeps (floor(lo), float(lo - floor(lo))) only when both
-//     ends of [lo, hi] = [x - 2^-40, x + 2^-40] give the same pair
-//     (forming lo and hi rounds by <= 2^-45, so the interval still
-//     holds the scalar x). floor, subtraction of a fixed j and the
-//     float rounding are monotone, so every point between the ends,
-//     the scalar x among them, gives that pair too. A lit lane whose
-//     check fails (x within 2^-40 of a grid node or of a float
+//     CurveCache::certified_key keeps (floor(lo), float(lo - floor(lo)))
+//     only when both ends of [lo, hi] = [x - 2^-40, x + 2^-40] give
+//     the same pair (forming lo and hi rounds by <= 2^-45, so the
+//     interval still holds the scalar x). floor, subtraction of a fixed
+//     j and the float rounding are monotone, so every point between the
+//     ends, the scalar x among them, gives that pair too. A lit lane
+//     whose check fails (x within 2^-40 of a grid node or of a float
 //     rounding tie: ~2.6e-4 of lit keys, mostly small weights) sends
 //     its step to the scalar key, std::log(scale * eq) per lane. Dark
 //     and NaN lanes keep x = 0, as before. tests/fleet/
-//     hill_lanes_test.cpp checks a scalar copy of the certificate
-//     against step_key over four days and 128 scales.
+//     hill_lanes_test.cpp runs the same certificate on doubles against
+//     step_key over four days and 128 scales.
 //  2. The same source for the rest. The controller's update, the
-//     converter and the supercapacitor step are the templates the
-//     scalar step(), BuckBoostConverter::output_power and
-//     Supercapacitor::apply_power instantiate on double/bool
-//     (common/step_laws.hpp), here on lanes (lane_math.hpp). The curve
-//     reads (the P(V) row position by division, as table_power
-//     divides) keep CurveCache::at / power_at's expression trees. This
-//     TU is compiled with -ffp-contract=off like the scalar ones, and
-//     simd.hpp ops are per-lane IEEE ops.
+//     converter, the supercapacitor step and the P(V) row read are the
+//     templates the scalar step(), BuckBoostConverter::output_power,
+//     Supercapacitor::apply_power and CurveCache::table_power
+//     instantiate on double/bool (common/step_laws.hpp), here on lanes
+//     (lane_math.hpp); the row position divides by Voc, as table_power
+//     does. The Voc/Pmpp reads keep CurveCache::at's expression trees.
+//     This TU is compiled with -ffp-contract=off like the scalar ones,
+//     and simd.hpp ops are per-lane IEEE ops.
 //  3. Branches become selects that mirror std::clamp / std::max /
 //     std::min in scalar comparison order, and every state update is
 //     a select on the lane's mask (a choice of the shared templates
@@ -81,16 +81,15 @@ namespace {
 using simd::DVec;
 using simd::IVec;
 using simd::MVec;
+using L = lanes::Lanes;
+using SlotF = node::CurveTable::SlotF;
 
 constexpr int W = simd::kLanes;
 static_assert(W == 4 || W == 8, "hill_internal.hpp declares tick_lanes<4> and <8> only");
 
 constexpr double kGrid = node::CurveCache::kGridNodesPerLogLux;
 constexpr double kDarkLux = node::CurveCache::kDarkLux;
-/// Half-width of the interval around xoff + xeq whose every point must
-/// give the same key (point 1 above).
-constexpr double kKeyRadius = 0x1p-40;
-/// Steps whose key_log(eq) is taken ahead of their ticks, on the stack.
+/// Steps whose key_term(eq) is taken ahead of their ticks, on the stack.
 constexpr std::size_t kXeqBlock = 64;
 
 #define FOCV_HILL_INLINE __attribute__((always_inline)) inline
@@ -171,30 +170,21 @@ FOCV_HILL_INLINE void store_state(State& s, Columns& c) {
   for_each_field<kLaw>(s, [&](int k, auto& v) FOCV_HILL_LAMBDA { to_column(c.f[k], v); });
 }
 
-/// CurveCache::table_power on each lane's entry `slot` (k3 = 3 * slot
-/// in slot_f doubles), zero where the lane's v is at or past the
-/// entry's Voc. Positions of lanes outside `valid` are routed to row 0
-/// before the int cast so every gather stays in bounds.
-FOCV_HILL_INLINE DVec row_power(const GroupContext& cx, IVec slot, IVec k3, DVec v, MVec valid) {
+/// CurveCache::table_power on each lane's entry `slot`, zero where the
+/// lane's v is at or past the entry's Voc. Positions of lanes outside
+/// `valid` are routed to row 0 so every read stays in bounds.
+FOCV_HILL_INLINE DVec row_power(const GroupContext& cx, IVec slot, DVec v, MVec valid) {
   const DVec zero = simd::broadcast(0.0);
-  const DVec voc = simd::gather(cx.slot_f, k3);
+  const DVec voc = L::gather(cx.slot_f, slot, &SlotF::voc);
   const MVec ok = v < voc;
   const DVec pos = (v / voc) * simd::broadcast(static_cast<double>(cx.points - 1));
   const DVec pos_s = simd::select(ok & valid, pos, zero);
-  // min(static_cast<int>(pos), n - 2): pos_s is in [0, n - 1), so the
-  // int32 truncation and a double-domain min give the scalar row index
-  // and its (double) exactly.
-  const DVec n2 = simd::broadcast(static_cast<double>(cx.points - 2));
-  DVec md = simd::to_double(simd::to_int(pos_s));
-  md = simd::select(md > n2, n2, md);
-  const IVec idx = slot * simd::broadcast_i(cx.points) + simd::to_int(md);
-  const DVec p0 = simd::gather(cx.power, idx);
-  const DVec p1 = simd::gather(cx.power, idx + simd::broadcast_i(1));
-  const DVec t = pos_s - md;
-  return simd::select(ok, p0 + t * (p1 - p0), zero);
+  const DVec last = simd::broadcast(static_cast<double>(cx.points - 2));
+  const DVec p = laws::pv_row_read<L>(cx.power, slot * simd::broadcast_i(cx.points), pos_s, last);
+  return simd::select(ok, p, zero);
 }
 
-/// One lockstep step i on the lanes in `act`; xeq = key_log(eq[i]).
+/// One lockstep step i on the lanes in `act`; xeq = key_term(eq[i]).
 template <Law kLaw>
 FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i, double xeq,
                                 MVec act, double decay) {
@@ -211,17 +201,10 @@ FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i,
   // `lit`.
   const DVec lux = s.scale * simd::broadcast(cx.eq[i]);
   const MVec lit = lux >= simd::broadcast(kDarkLux);
-  const DVec xs = s.xoff + simd::broadcast(xeq);
-  const DVec lo = xs - simd::broadcast(kKeyRadius);
-  const DVec hi = xs + simd::broadcast(kKeyRadius);
-  const DVec j_lo = simd::floor(lo);
-  const DVec f_lo = simd::round_to_float(lo - j_lo);
-  const DVec f_hi = simd::round_to_float(hi - simd::floor(hi));
-  const MVec sure = (j_lo == simd::floor(hi)) & (f_lo == f_hi) &
-                    (hi < simd::broadcast(kKeyLogBound));
-  DVec jf = simd::select(lit, j_lo, zero);
-  DVec frac = simd::select(lit, f_lo, zero);
-  if (simd::any(lit & ~sure)) [[unlikely]] {
+  const auto key = node::CurveCache::certified_key<L>(s.xoff, simd::broadcast(xeq));
+  DVec jf = simd::select(lit, key.j, zero);
+  DVec frac = simd::select(lit, key.frac, zero);
+  if (simd::any(lit & ~key.sure)) [[unlikely]] {
     // Certificate fallback: the scalar key on every lane of this step.
     const DVec x = simd::from_lanes([&](int l) {
       const double v = lux[l];
@@ -234,11 +217,10 @@ FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i,
       simd::clamp(jf - simd::broadcast(static_cast<double>(cx.grid_lo)), zero,
                   simd::broadcast(static_cast<double>(cx.slots - 2)));
   const IVec slot = simd::to_int(slot_d);
-  const IVec k3 = slot * simd::broadcast_i(3);
 
   // at()'s Pmpp and the ideal-tracker energy.
-  const DVec pm0 = simd::gather(cx.slot_f + 1, k3);
-  const DVec pm1 = simd::gather(cx.slot_f + 4, k3);
+  const DVec pm0 = L::gather(cx.slot_f, slot, &SlotF::pmpp);
+  const DVec pm1 = L::gather(cx.slot_f + 1, slot, &SlotF::pmpp);
   const DVec pmpp = simd::select(lit, pm0 + frac * (pm1 - pm0), zero);
   tk.ideal_mpp_energy = simd::select(act, tk.ideal_mpp_energy + pmpp * dt_v, tk.ideal_mpp_energy);
 
@@ -251,11 +233,11 @@ FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i,
   // The controller's step(), sensing the previous tick's operating point.
   DVec command;
   if constexpr (kLaw == Law::kGradientDescent) {
-    laws::graddesc_step<lanes::Lanes>(run, s.graddesc, cx.graddesc, simd::broadcast(ti),
-                                      tk.prev_power, tk.prev_voltage);
+    laws::graddesc_step<L>(run, s.graddesc, cx.graddesc, simd::broadcast(ti), tk.prev_power,
+                           tk.prev_voltage);
     command = s.graddesc.voltage;
   } else {
-    laws::pando_step<lanes::Lanes>(run, s.pando, cx.pando, simd::broadcast(ti), tk.prev_power);
+    laws::pando_step<L>(run, s.pando, cx.pando, simd::broadcast(ti), tk.prev_power);
     command = s.pando.voltage;
   }
 
@@ -265,9 +247,8 @@ FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i,
   const MVec valid = lit & (pv_v > zero);
   DVec pv_p = zero;
   if (simd::any(valid)) {
-    const DVec r0 = row_power(cx, slot, k3, pv_v, valid);
-    const DVec r1 =
-        row_power(cx, slot + simd::broadcast_i(1), k3 + simd::broadcast_i(3), pv_v, valid);
+    const DVec r0 = row_power(cx, slot, pv_v, valid);
+    const DVec r1 = row_power(cx, slot + simd::broadcast_i(1), pv_v, valid);
     pv_p = simd::select(valid, r0 + frac * (r1 - r0), zero);
   }
   const DVec oh = simd::broadcast(cx.overhead);
@@ -275,8 +256,7 @@ FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i,
   tk.prev_power = simd::select(act, pv_p, tk.prev_power);
   tk.prev_voltage = simd::select(act, pv_v, tk.prev_voltage);
   tk.harvested_energy = simd::select(act, tk.harvested_energy + pv_p * dt_v, tk.harvested_energy);
-  const DVec delivered =
-      laws::buck_boost_output<lanes::Lanes>(lanes::Lanes::yes(), cx.converter, pv_p, pv_v);
+  const DVec delivered = laws::buck_boost_output<L>(L::yes(), cx.converter, pv_p, pv_v);
   tk.delivered_energy =
       simd::select(act, tk.delivered_energy + delivered * dt_v, tk.delivered_energy);
 
@@ -289,10 +269,9 @@ FOCV_HILL_INLINE void tick_step(const GroupContext& cx, State& s, std::size_t i,
   const MVec brown = act & ~usable;
   tk.brownout_time = simd::select(brown, tk.brownout_time + dt_v, tk.brownout_time);
   s.brownout_steps = simd::select(brown, s.brownout_steps + simd::broadcast(1.0), s.brownout_steps);
-  laws::supercap_step<lanes::Lanes>(act, tk.store_voltage, delivered - drain, dt_v,
-                                    simd::broadcast(decay),
-                                    cx.storage.self_discharge_resistance > 0.0,
-                                    cx.storage.capacitance, cx.max_energy);
+  laws::supercap_step<L>(act, tk.store_voltage, delivered - drain, dt_v, simd::broadcast(decay),
+                         cx.storage.self_discharge_resistance > 0.0, cx.storage.capacitance,
+                         cx.max_energy);
 }
 
 template <Law kLaw>
@@ -338,7 +317,7 @@ void run_group(const GroupContext& cx, LaneNode* const* nodes, std::size_t count
       // libm calls do not split the lane state's register chain.
       double xeq[kXeqBlock];
       const std::size_t n = stop - i < kXeqBlock ? stop - i : kXeqBlock;
-      for (std::size_t k = 0; k < n; ++k) xeq[k] = key_log(cx.eq[i + k]);
+      for (std::size_t k = 0; k < n; ++k) xeq[k] = node::CurveCache::key_term(cx.eq[i + k]);
       for (std::size_t k = 0; k < n; ++k, ++i) {
         const double dt = cx.t[i + 1] - cx.t[i];
         if (dt != decay_dt) {

@@ -32,6 +32,7 @@ struct Lanes {
   FOCV_LANES_INLINE D abs(D x) { return simd::abs(x); }
   FOCV_LANES_INLINE D sqrt(D x) { return simd::sqrt(x); }
   FOCV_LANES_INLINE D floor(D x) { return simd::floor(x); }
+  FOCV_LANES_INLINE D round_float(D x) { return simd::round_to_float(x); }
   FOCV_LANES_INLINE I to_index(D x) { return simd::to_int(x); }
   FOCV_LANES_INLINE D to_double(I x) { return simd::to_double(x); }
   FOCV_LANES_INLINE D gather(const double* base, I k) { return simd::gather(base, k); }

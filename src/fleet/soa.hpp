@@ -8,9 +8,11 @@
 // per-field arrays (store voltage, divider draw, log-lux grid offset,
 // energy accumulators) and one shared batched event schedule per
 // environment (sched/batch_schedule.hpp) advances the WHOLE chunk
-// interval by interval in tight loops over dense surrogate power tables
-// (CurveCache::export_range) — no per-node steppers, no per-node curve
-// caches, no virtual calls on the sample-and-hold path.
+// interval by interval in tight loops over the dense surrogate table
+// the run's CurveCache exports (CurveCache::export_range: the cache's
+// own grid entries, read with its own P(V) row read) — no per-node
+// steppers, no per-node curve caches, no virtual calls on the
+// sample-and-hold path.
 //
 // Semantics: each batched interval reproduces
 // MacroStepper::process_interval — the same 2-point illuminance
@@ -45,31 +47,6 @@
 #include "sched/batch_schedule.hpp"
 
 namespace focv::fleet::soa {
-
-/// Dense surrogate curve tables for one environment: flat copies of the
-/// CurveCache grid entries over the illuminance span any draw of this
-/// fleet can reach (a +-6 sigma margin on the heterogeneity bounds;
-/// lookups clamp at the edges). The entry doubles are stored verbatim,
-/// so lookups run the same interpolation arithmetic as
-/// CurveCache::at(LuxKey).
-struct DenseTables {
-  long grid_lo = 0;  ///< grid index of slot 0
-  int slots = 0;
-  int points = 0;
-  /// Slot-indexed entries stay interleaved: one quadrature point reads
-  /// Voc, Pmpp and 1/Voc for slots k and k+1, so packing them per slot
-  /// touches one or two cache lines instead of a line per array.
-  /// inv_voc (1 / the slot's Voc) turns the row-position
-  /// division in every P(V) lookup into a multiply.
-  struct SlotF {
-    double voc = 0.0, pmpp = 0.0, inv_voc = 0.0;
-  };
-  std::vector<SlotF> slot_f;  ///< [slots]
-  std::vector<double> power;  ///< [slot * points + m]
-  [[nodiscard]] std::size_t bytes() const {
-    return sizeof(SlotF) * slot_f.size() + sizeof(double) * power.size();
-  }
-};
 
 /// How a batched axis' controller output is evaluated per interval.
 /// kSampleHold and kAffineVoc are closed forms either kernel runs;
@@ -112,7 +89,7 @@ struct AxisPlan {
 };
 
 /// Per-environment shared state: the batched schedule, the dense curve
-/// tables, and one astable edge overlay per sample-and-hold axis.
+/// table, and one astable edge overlay per sample-and-hold axis.
 struct EnvPlan {
   sched::BatchSchedule schedule;
   AlignedBuffer<double> x_lo, x_hi;  ///< 32 ln(quadrature lux), per interval
@@ -127,7 +104,11 @@ struct EnvPlan {
   AlignedBuffer<double> t_start;     ///< iv.t0 (cold-start stamp)
   AlignedBuffer<std::uint32_t> nsteps;  ///< iv.b - iv.a
   std::vector<sched::EdgeOverlay> overlays;
-  DenseTables tables;
+  /// The run's warm CurveCache grid over the illuminance span any draw
+  /// of this fleet can reach (a +-6 sigma margin on the heterogeneity
+  /// bounds; lookups clamp at the edges), exported as it is
+  /// (CurveCache::export_range).
+  node::CurveTable tables;
   const std::vector<double>* time = nullptr;  ///< trace step boundaries
   double duration = 0.0;
 };

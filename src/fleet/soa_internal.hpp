@@ -9,7 +9,8 @@
 //
 // The interval body is written once, below, as always_inline templates
 // over a lane type (common/step_laws.hpp): table slot resolution,
-// dense-table reads, the interpolated P(V) lookup, the closed-form laws,
+// dense-table reads, the interpolated P(V) lookup (through the cache's
+// own laws::pv_row_read), the closed-form laws,
 // the converter, the accumulators and the guarded closed-form store
 // advance. run_axis_scalar instantiates it on double/bool, one node at a
 // time; run_axis_lanes<W> on simd::DVec/MVec, W nodes at a time. One
@@ -90,7 +91,7 @@ struct NodeState : SweepState<double> {
 /// shared storage model, resolved to plain pointers/doubles once per
 /// run_env call so the kernels touch no plan objects on the hot path.
 struct EnvContext {
-  const DenseTables* tb = nullptr;
+  const node::CurveTable* tb = nullptr;
   const power::BuckBoostConverter* conv = nullptr;
   const double* t = nullptr;  ///< trace step boundaries
   const sched::BatchInterval* ivs = nullptr;
@@ -178,7 +179,9 @@ void advance_slow(const EnvContext& cx, const sched::BatchInterval& iv, double l
 
 // --- The interval body, written once ----------------------------------
 
-/// A run's hoisted view of the dense tables, the converter, the storage
+using SlotF = node::CurveTable::SlotF;
+
+/// A run's hoisted view of the dense table, the converter, the storage
 /// model and the axis' supply gate, in the lane type's values.
 template <class L>
 struct Sweep {
@@ -204,7 +207,7 @@ struct Sweep {
         min_lux(L::splat(ax.min_lux)) {}
   const EnvContext& cx;
   const power::BuckBoostConverter::Params& conv;
-  const DenseTables::SlotF* slot_f;
+  const SlotF* slot_f;
   const double* power;
   int points;
   D grid_lo, grid_hi, dark_x;  ///< slot 0's grid index, the last slot's, the dark edge
@@ -242,8 +245,8 @@ struct Point {
 /// fleet_soa at 8 lanes.
 template <class L>
 FOCV_SWEEP_INLINE typename L::D slot_read(const Sweep<L>& sw, const Slot<L>& s, int row,
-                                          double DenseTables::SlotF::*f) {
-  const DenseTables::SlotF* rows = sw.slot_f + row;
+                                          double SlotF::*f) {
+  const SlotF* rows = sw.slot_f + row;
   return s.uniform ? L::splat(rows[L::first(s.k)].*f) : L::gather(rows, s.k, f);
 }
 
@@ -272,7 +275,6 @@ FOCV_SWEEP_INLINE Slot<L> slot_of(const Sweep<L>& sw, typename L::D x) {
   s.k = L::to_index(k);
   s.uniform = L::uniform(s.k);
   L::when(L::yes(), s.lit, [&](B on) FOCV_SWEEP_LAMBDA {
-    using SlotF = DenseTables::SlotF;
     const D voc0 = slot_read(sw, s, 0, &SlotF::voc);
     const D voc1 = slot_read(sw, s, 1, &SlotF::voc);
     const D pm0 = slot_read(sw, s, 0, &SlotF::pmpp);
@@ -295,22 +297,16 @@ FOCV_SWEEP_INLINE typename L::D row_power(const Sweep<L>& sw, const Slot<L>& s, 
   using B = typename L::B;
   const D zero = L::splat(0.0);
   D p = zero;
-  const D rel = v * slot_read(sw, s, row, &DenseTables::SlotF::inv_voc);
+  const D rel = v * slot_read(sw, s, row, &SlotF::inv_voc);
   L::when(on, rel < L::splat(1.0), [&](B below) FOCV_SWEEP_LAMBDA {
-    // Other lanes take row position 0, so every gather stays in bounds.
+    // Other lanes take row position 0, so every read stays in bounds.
     const D pos = L::pick(below, rel * sw.row_last, zero);
-    // The row index min(int(pos), points - 2): pos >= 0, so truncating
-    // min(pos, points - 2) gives it.
-    const typename L::I m = L::to_index(L::pick(sw.row_max < pos, sw.row_max, pos));
     // Power rows are contiguous (slot * points + m); a dense table big
     // enough to overflow int32 lane indices would be >16 GiB, far past
-    // what build_tables can produce.
-    const double* base = sw.power + row * sw.points;
-    const typename L::I at = s.k * L::splat_i(sw.points) + m;
-    const D p0 = L::gather(base, at);
-    const D p1 = L::gather(base + 1, at);
-    const D t = pos - L::to_double(m);
-    L::set(below, p, p0 + t * (p1 - p0));
+    // what export_range can produce.
+    L::set(below, p,
+           laws::pv_row_read<L>(sw.power + row * sw.points, s.k * L::splat_i(sw.points), pos,
+                                sw.row_max));
   });
   return p;
 }

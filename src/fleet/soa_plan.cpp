@@ -1,4 +1,4 @@
-// SoA plan construction: dense table export, batched schedules, and the
+// SoA plan construction: curve table export, batched schedules, and the
 // per-axis closed forms (sample/hold coefficients, affine-in-Voc laws).
 // Everything here runs once per FleetEngine::run; the kernels
 // (soa_scalar.cpp / soa_lanes.cpp) only ever read the finished plan.
@@ -29,22 +29,6 @@ namespace {
 
 using internal::kGrid;
 using internal::kInf;
-
-DenseTables export_tables(node::CurveCache& cache, double lux_min, double lux_max) {
-  node::CurveCache::DenseExport e = cache.export_range(lux_min, lux_max);
-  DenseTables tb;
-  tb.grid_lo = e.grid_lo;
-  tb.points = e.points;
-  tb.slots = static_cast<int>(e.voc.size());
-  tb.slot_f.resize(e.voc.size());
-  for (std::size_t i = 0; i < e.voc.size(); ++i) {
-    tb.slot_f[i].voc = e.voc[i];
-    tb.slot_f[i].pmpp = e.pmpp[i];
-    tb.slot_f[i].inv_voc = e.voc[i] > 0.0 ? 1.0 / e.voc[i] : kInf;
-  }
-  tb.power = std::move(e.power);
-  return tb;
-}
 
 /// Resolve a memoryless prototype to its closed form when its step() is
 /// affine in Voc. FixedVoltageController returns a constant; the pilot
@@ -195,7 +179,7 @@ std::unique_ptr<const SoaPlan> build_plan(
       hi_u = std::max(hi_u, seg.max_u);
     }
     if (hi_u > 0.0) {
-      ep.tables = export_tables(cache, lo_u * s_lo, hi_u * s_hi);
+      ep.tables = cache.export_range(lo_u * s_lo, hi_u * s_hi);
     }
   }
 

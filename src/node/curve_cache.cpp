@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "common/require.hpp"
@@ -13,6 +14,7 @@ CurveCache::CurveCache(const pv::SingleDiodeModel& cell, double temperature_k, O
   require(options_.surrogate_points >= 8, "CurveCache: surrogate_points must be >= 8");
   conditions_.spectrum = pv::Spectrum::kFluorescent;
   conditions_.temperature_k = temperature_k;
+  if (options_.model == PowerModel::kSurrogate) entries_.resize(kGridSlots);
 }
 
 pv::Conditions CurveCache::conditions_at(double equivalent_lux) const {
@@ -93,31 +95,10 @@ double CurveCache::power_at_step(std::size_t i, double v) {
   return cell_.power_at(v, conditions_at(lux));
 }
 
-void CurveCache::cover(long lo, long hi) {
-  const long old_lo = grid_base_;
-  const long old_hi = grid_base_ + static_cast<long>(entries_.size()) - 1;
-  if (lo >= old_lo && hi <= old_hi) return;
-  if (entries_.empty()) {
-    grid_base_ = lo;
-    entries_.resize(static_cast<std::size_t>(hi - lo + 1));
-    return;
+void CurveCache::build_slot(std::size_t s) {
+  for (const std::size_t k : {s, s + 1}) {
+    if (!entries_[k].built) build_surrogate_entry(entries_[k], static_cast<long>(k) + kGridLo);
   }
-  const long new_lo = std::min(old_lo, lo);
-  const long new_hi = std::max(old_hi, hi);
-  std::vector<Entry> grown(static_cast<std::size_t>(new_hi - new_lo + 1));
-  for (std::size_t s = 0; s < entries_.size(); ++s) {
-    grown[static_cast<std::size_t>(old_lo - new_lo) + s] = std::move(entries_[s]);
-  }
-  entries_ = std::move(grown);
-  grid_base_ = new_lo;
-}
-
-std::uint32_t CurveCache::build_slot(long j) {
-  if (j < grid_base_ || j + 1 >= grid_base_ + static_cast<long>(entries_.size())) cover(j, j + 1);
-  const std::size_t slot = static_cast<std::size_t>(j - grid_base_);
-  if (!entries_[slot].built) build_surrogate_entry(entries_[slot], j);
-  if (!entries_[slot + 1].built) build_surrogate_entry(entries_[slot + 1], j + 1);
-  return static_cast<std::uint32_t>(slot);
 }
 
 void CurveCache::warm_range(double lux_min, double lux_max) {
@@ -125,41 +106,32 @@ void CurveCache::warm_range(double lux_min, double lux_max) {
           "CurveCache::warm_range: surrogate mode only");
   lux_min = std::max(lux_min, kDarkLux);
   if (!(lux_max >= lux_min)) return;
-  const long jmin = static_cast<long>(std::floor(kGridNodesPerLogLux * std::log(lux_min)));
-  const long jmax = static_cast<long>(std::floor(kGridNodesPerLogLux * std::log(lux_max)));
-  for (long j = jmin; j <= jmax; ++j) {
-    // A lux at the node-interval midpoint makes lux_key build grid
-    // nodes j and j+1.
-    (void)lux_key(std::exp((static_cast<double>(j) + 0.5) / kGridNodesPerLogLux));
+  const long jmax = grid_point(lux_max).j;
+  for (long j = grid_point(lux_min).j; j <= jmax; ++j) {
+    ensure_slot(static_cast<std::size_t>(j - kGridLo));
   }
 }
 
-CurveCache::DenseExport CurveCache::export_range(double lux_min, double lux_max) {
+CurveTable CurveCache::export_range(double lux_min, double lux_max) {
   require(options_.model == PowerModel::kSurrogate,
           "CurveCache::export_range: surrogate mode only");
   lux_min = std::max(lux_min, kDarkLux);
   require(lux_max >= lux_min, "CurveCache::export_range: empty illuminance range");
   warm_range(lux_min, lux_max);
-  const long jmin = static_cast<long>(std::floor(kGridNodesPerLogLux * std::log(lux_min)));
-  const long jmax =
-      static_cast<long>(std::floor(kGridNodesPerLogLux * std::log(lux_max))) + 1;
-  DenseExport out;
-  out.grid_lo = jmin;
+  CurveTable out;
+  out.grid_lo = grid_point(lux_min).j;
+  out.slots = static_cast<int>(grid_point(lux_max).j + 2 - out.grid_lo);
   out.points = options_.surrogate_points;
-  const std::size_t slots = static_cast<std::size_t>(jmax - jmin + 1);
-  out.voc.resize(slots);
-  out.pmpp.resize(slots);
-  out.vmpp.resize(slots);
-  out.power.resize(slots * static_cast<std::size_t>(out.points));
+  const auto slots = static_cast<std::size_t>(out.slots);
+  const auto points = static_cast<std::size_t>(out.points);
+  out.slot_f.resize(slots);
+  out.power.resize(slots * points);
   for (std::size_t i = 0; i < slots; ++i) {
-    const std::size_t slot = static_cast<std::size_t>(jmin - grid_base_) + i;
-    const Entry& e = entries_[slot];
-    require(e.built, "CurveCache::export_range: entry missed by warm_range");
-    out.voc[i] = e.voc;
-    out.pmpp[i] = e.pmpp;
-    out.vmpp[i] = e.vmpp;
+    const Entry& e = entries_[static_cast<std::size_t>(out.grid_lo - kGridLo) + i];
+    out.slot_f[i] = {e.voc, e.pmpp,
+                     e.voc > 0.0 ? 1.0 / e.voc : std::numeric_limits<double>::infinity()};
     std::copy(e.power.begin(), e.power.end(),
-              out.power.begin() + static_cast<std::ptrdiff_t>(i * static_cast<std::size_t>(out.points)));
+              out.power.begin() + static_cast<std::ptrdiff_t>(i * points));
   }
   return out;
 }
@@ -172,14 +144,8 @@ void CurveCache::seed_entries(const CurveCache& other) {
               other.conditions_.temperature_k == conditions_.temperature_k &&
               other.options_.surrogate_points == options_.surrogate_points,
           "CurveCache::seed_entries: cache identity mismatch");
-  if (other.entries_.empty()) return;
-  const long src_lo = other.grid_base_;
-  cover(src_lo, src_lo + static_cast<long>(other.entries_.size()) - 1);
-  for (std::size_t s = 0; s < other.entries_.size(); ++s) {
-    const Entry& src = other.entries_[s];
-    if (!src.built) continue;
-    Entry& dst = entries_[static_cast<std::size_t>(src_lo - grid_base_) + s];
-    if (!dst.built) dst = src;
+  for (std::size_t s = 0; s < kGridSlots; ++s) {
+    if (other.entries_[s].built && !entries_[s].built) entries_[s] = other.entries_[s];
   }
 }
 

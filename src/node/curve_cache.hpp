@@ -25,22 +25,30 @@
 //    order) and P(V) is solved exactly per step at the step's own
 //    illuminance.
 //
+// The surrogate grid is fixed: slot s holds grid node j = s + kGridLo
+// (lux = exp(j / 32)) from floor(32 ln kDarkLux) = -96 up to the
+// ceiling kGridHi = 512 (8.9e6 lux). Its 609 slots are allocated
+// unbuilt with the cache (~34 KB) and built on first touch, so a key
+// reads the same entries for the cache's whole life.
+//
 // Surrogate queries resolve a key per illuminance on demand (step_key,
 // lux_key: one log, one floor) and read through it. A tick-mode run
 // makes these calls on every trace step, so the key resolution, the
 // built-entry fast path and the table reads are defined inline at the
-// end of this header; only table growth and entry builds (build_slot)
-// stay out of line. The exact model instead
+// end of this header; only entry builds (build_slot) stay out of line.
+// export_range hands the grid to the fleet's kernels as a CurveTable;
+// every P(V) row read is laws::pv_row_read. The exact model instead
 // prepares the whole run's series once (prepare), so its per-step
 // lookups are array indexations with no hashing or log().
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/require.hpp"
+#include "common/step_laws.hpp"
 #include "pv/conditions.hpp"
 #include "pv/diode_models.hpp"
 
@@ -50,6 +58,31 @@ namespace focv::node {
 enum class PowerModel {
   kSurrogate,  ///< interpolated curve tables (several times faster)
   kExact,      ///< per-step implicit solves (pre-surrogate trajectory)
+};
+
+/// The surrogate grid entries over an illuminance span, laid out densely
+/// for flat-array interpolation (CurveCache::export_range). The fleet's
+/// lane kernels answer every node's curve queries from it without
+/// touching a cache: the entry doubles are the ones at() and power_at()
+/// interpolate, and the P(V) rows are read with the same
+/// laws::pv_row_read.
+struct CurveTable {
+  long grid_lo = 0;  ///< grid index of slot 0 (lux = exp(grid_lo / 32))
+  int slots = 0;
+  int points = 0;  ///< P(V) samples per entry
+  /// Slot-indexed entries stay interleaved: one quadrature point reads
+  /// Voc, Pmpp and 1/Voc for slots k and k+1, so packing them per slot
+  /// touches one or two cache lines instead of a line per array.
+  /// inv_voc (1 / the slot's Voc, infinite at Voc = 0) turns the
+  /// row-position division in every P(V) lookup into a multiply.
+  struct SlotF {
+    double voc = 0.0, pmpp = 0.0, inv_voc = 0.0;
+  };
+  std::vector<SlotF> slot_f;  ///< [slots]
+  std::vector<double> power;  ///< [slot * points + m]
+  [[nodiscard]] std::size_t bytes() const {
+    return sizeof(SlotF) * slot_f.size() + sizeof(double) * power.size();
+  }
 };
 
 class CurveCache {
@@ -86,18 +119,16 @@ class CurveCache {
   /// Exact mode: cell power when held at voltage v during step i [W].
   [[nodiscard]] double power_at_step(std::size_t i, double v);
 
-  /// Surrogate lookup key of one illuminance: the dense slot of the grid
-  /// node below it and the log-illuminance interpolation weight. Entries
-  /// live at fixed log-illuminance grid nodes whose values depend only on
-  /// the cell and the options, so one cache can serve many runs (the
-  /// fleet engine shares one across every node of a chunk) and only pays
-  /// exact solves for grid nodes no earlier run touched — without
-  /// changing any run's trajectory. A key is valid until the next call
-  /// that may grow the table below its slot; growth above it (a key
-  /// resolved at a higher illuminance) never moves it.
+  /// Surrogate lookup key of one illuminance: the slot of the grid node
+  /// below it (j - kGridLo) and the log-illuminance interpolation
+  /// weight. Entries live at fixed log-illuminance grid nodes whose
+  /// values depend only on the cell and the options, so one cache can
+  /// serve many runs (the fleet engine shares one across every node of a
+  /// chunk) and only pays exact solves for grid nodes no earlier run
+  /// touched — without changing any run's trajectory.
   static constexpr std::uint32_t kDarkStep = 0xffffffffu;
   struct LuxKey {
-    std::uint32_t slot = kDarkStep;  ///< dense entry index, or kDarkStep below kDarkLux
+    std::uint32_t slot = kDarkStep;  ///< grid slot, or kDarkStep below kDarkLux
     double frac = 0.0;               ///< weight towards entry slot + 1
   };
   /// A LuxKey whose weight is rounded through float. Every tick-replayed
@@ -105,7 +136,7 @@ class CurveCache {
   /// reference (kFixed) trajectory. It widens exactly to a LuxKey, so
   /// at() and power_at() read both.
   struct StepKey {
-    std::uint32_t slot = kDarkStep;  ///< dense entry index, or kDarkStep below kDarkLux
+    std::uint32_t slot = kDarkStep;  ///< grid slot, or kDarkStep below kDarkLux
     float frac = 0.0f;               ///< weight towards entry slot + 1
     operator LuxKey() const { return LuxKey{slot, frac}; }
   };
@@ -114,7 +145,8 @@ class CurveCache {
   [[nodiscard]] StepKey step_key(double equivalent_lux) {
     require(options_.model == PowerModel::kSurrogate,
             "CurveCache: step_key needs the surrogate model");
-    return step_key_of(equivalent_lux);
+    const LuxKey key = key_of(equivalent_lux);
+    return StepKey{key.slot, static_cast<float>(key.frac)};
   }
 
   /// On-demand surrogate queries at an arbitrary equivalent illuminance
@@ -155,23 +187,14 @@ class CurveCache {
   /// cold. Surrogate mode only.
   void seed_entries(const CurveCache& other);
 
-  /// Self-contained copy of the surrogate grid entries covering
-  /// [lux_min, lux_max] (plus the interpolation neighbour above), laid
-  /// out densely for external flat-array interpolation. The fleet SoA
-  /// engine exports one table per environment and answers every node's
-  /// curve queries from it without touching the cache again — the values
-  /// are the exact entry values at() interpolates, so a flat-table
-  /// lookup reproduces at()/power_at() arithmetic bit for bit.
-  /// Warms the range first; surrogate mode only.
-  struct DenseExport {
-    long grid_lo = 0;  ///< grid index of slot 0 (lux = exp(grid_lo / kGridNodesPerLogLux))
-    int points = 0;    ///< P(V) samples per entry
-    std::vector<double> voc;    ///< [slots]
-    std::vector<double> pmpp;   ///< [slots]
-    std::vector<double> vmpp;   ///< [slots]
-    std::vector<double> power;  ///< [slot * points + m]
-  };
-  [[nodiscard]] DenseExport export_range(double lux_min, double lux_max);
+  /// The grid entries covering [lux_min, lux_max] (plus the
+  /// interpolation neighbour above) as a self-contained CurveTable.
+  /// The fleet SoA engine exports one table per environment and answers
+  /// every node's curve queries from it; reading it through
+  /// laws::pv_row_read reproduces at()/power_at() arithmetic bit for bit
+  /// (up to the lanes' v * inv_voc row position). Warms the range first;
+  /// surrogate mode only.
+  [[nodiscard]] CurveTable export_range(double lux_min, double lux_max);
 
   /// Conditions object at the given illuminance (for components that
   /// still need direct model access, e.g. the cold-start circuit).
@@ -199,6 +222,58 @@ class CurveCache {
   static constexpr double kGridNodesPerLogLux = 32.0;
   /// Below this equivalent illuminance the cell is treated as dark.
   static constexpr double kDarkLux = 0.05;
+  /// Grid index of slot 0: floor(32 ln kDarkLux), the node below the
+  /// dimmest lit illuminance.
+  static constexpr long kGridLo = -96;
+  /// Grid index of the top entry. Keys resolve below it: 32 ln lux <
+  /// kGridHi, lux < 8.9e6.
+  static constexpr long kGridHi = 512;
+  static constexpr std::size_t kGridSlots = kGridHi - kGridLo + 1;
+
+  /// A lit illuminance's place on the grid: the node j below it and the
+  /// weight towards j + 1 (x = 32 ln lux, j = floor(x), frac = x - j).
+  /// `equivalent_lux` must be >= kDarkLux; one at or above the ceiling
+  /// fails a require.
+  struct GridPoint {
+    long j = 0;
+    double frac = 0.0;
+  };
+  [[nodiscard]] static GridPoint grid_point(double equivalent_lux);
+
+  // --- certified keys (fleet/hill_lanes.cpp, point 1) -----------------
+  // step_key's (j, float weight) at lux = scale * eq from one log per
+  // factor, x ~ key_term(scale) + key_term(eq): kept only where both
+  // ends of [x - kKeyRadius, x + kKeyRadius] give the same pair.
+
+  /// 32 ln y, or NaN (failing the certificate) outside |32 ln y| <
+  /// kGridHi. Always inlined: the per-ISA lane objects keep no copy.
+  [[nodiscard]] __attribute__((always_inline)) static double key_term(double y) {
+    const double x = kGridNodesPerLogLux * std::log(y);
+    return x > -kGridHi && x < kGridHi ? x : std::numeric_limits<double>::quiet_NaN();
+  }
+  /// Half-width of the interval whose every point must give one key.
+  static constexpr double kKeyRadius = 0x1p-40;
+  /// A certified key on the lanes of lane type L (common/step_laws.hpp):
+  /// grid index j and float-rounded weight, valid where `sure`.
+  template <class L>
+  struct CertifiedKey {
+    typename L::D j, frac;
+    typename L::B sure;
+  };
+  template <class L>
+  [[nodiscard]] __attribute__((always_inline)) static CertifiedKey<L> certified_key(
+      typename L::D xoff, typename L::D xeq) {
+    using D = typename L::D;
+    const D x = xoff + xeq;
+    const D lo = x - L::splat(kKeyRadius);
+    const D hi = x + L::splat(kKeyRadius);
+    const D j = L::floor(lo);
+    const D f_lo = L::round_float(lo - j);
+    const D f_hi = L::round_float(hi - L::floor(hi));
+    const typename L::B sure =
+        (j == L::floor(hi)) & (f_lo == f_hi) & (hi < L::splat(static_cast<double>(kGridHi)));
+    return {j, f_lo, sure};
+  }
 
  private:
   struct Entry {
@@ -212,17 +287,13 @@ class CurveCache {
   void build_exact_entry(Entry& e, double lux);
   void build_surrogate_entry(Entry& e, long grid_index);
   [[nodiscard]] double table_power(const Entry& e, double v) const;
-  /// Grow the dense table (keeping built entries) to cover grid nodes
-  /// [lo, hi].
-  void cover(long lo, long hi);
-  /// Grow/build so entries for grid nodes j and j+1 exist; returns the
-  /// dense slot of j. The inline fast path returns when both are built;
-  /// build_slot() is the out-of-line rest.
-  std::uint32_t ensure_slot(long j);
-  std::uint32_t build_slot(long j);
-  /// lux_key() without the mode check, and its float-weight StepKey.
+  /// Build the entries of slots s and s+1 if they are not built yet.
+  /// The inline fast path returns when both are; build_slot() is the
+  /// out-of-line rest.
+  void ensure_slot(std::size_t s);
+  void build_slot(std::size_t s);
+  /// lux_key() without the mode check.
   LuxKey key_of(double equivalent_lux);
-  StepKey step_key_of(double equivalent_lux);
 
   const pv::SingleDiodeModel& cell_;
   pv::Conditions conditions_;
@@ -230,8 +301,9 @@ class CurveCache {
 
   // Exact mode: per-step entry slots, filled by prepare (frac unused).
   std::vector<StepKey> step_keys_;
+  /// Surrogate: the kGridSlots grid entries, slot s at grid node
+  /// s + kGridLo. Exact: one entry per prepared illuminance bucket.
   std::vector<Entry> entries_;
-  long grid_base_ = 0;                    ///< surrogate: grid index of entries_[0]
   const std::vector<double>* eq_lux_ = nullptr;  ///< exact mode: per-step lux
 
   std::uint64_t model_evals_ = 0;
@@ -241,35 +313,32 @@ class CurveCache {
 
 // --- per-step readers (inline: see the file comment) -------------------
 
-inline std::uint32_t CurveCache::ensure_slot(long j) {
-  const long slot = j - grid_base_;
-  if (slot >= 0 && slot + 1 < static_cast<long>(entries_.size())) {
-    const auto s = static_cast<std::size_t>(slot);
-    if (entries_[s].built && entries_[s + 1].built) return static_cast<std::uint32_t>(s);
-  }
-  return build_slot(j);
+inline CurveCache::GridPoint CurveCache::grid_point(double equivalent_lux) {
+  const double x = kGridNodesPerLogLux * std::log(equivalent_lux);
+  require(x < static_cast<double>(kGridHi),
+          "CurveCache: illuminance at or above the surrogate grid's ceiling (8.9e6 lux)");
+  const double j = std::floor(x);
+  return GridPoint{static_cast<long>(j), x - j};
+}
+
+inline void CurveCache::ensure_slot(std::size_t s) {
+  if (!(entries_[s].built && entries_[s + 1].built)) build_slot(s);
 }
 
 inline CurveCache::LuxKey CurveCache::key_of(double equivalent_lux) {
   if (!(equivalent_lux >= kDarkLux)) return LuxKey{};
-  const double x = kGridNodesPerLogLux * std::log(equivalent_lux);
-  const long j = static_cast<long>(std::floor(x));
-  return LuxKey{ensure_slot(j), x - static_cast<double>(j)};
-}
-
-inline CurveCache::StepKey CurveCache::step_key_of(double equivalent_lux) {
-  const LuxKey key = key_of(equivalent_lux);
-  return StepKey{key.slot, static_cast<float>(key.frac)};
+  const GridPoint g = grid_point(equivalent_lux);
+  const auto slot = static_cast<std::uint32_t>(g.j - kGridLo);
+  ensure_slot(slot);
+  return LuxKey{slot, g.frac};
 }
 
 inline double CurveCache::table_power(const Entry& e, double v) const {
   if (v >= e.voc) return 0.0;
   const int n = options_.surrogate_points;
-  const double pos = v / e.voc * static_cast<double>(n - 1);
-  const int k = std::min(static_cast<int>(pos), n - 2);
-  const double t = pos - static_cast<double>(k);
-  const std::size_t idx = static_cast<std::size_t>(k);
-  return e.power[idx] + t * (e.power[idx + 1] - e.power[idx]);
+  return laws::pv_row_read<laws::Scalar>(e.power.data(), 0,
+                                         v / e.voc * static_cast<double>(n - 1),
+                                         static_cast<double>(n - 2));
 }
 
 inline CurveCache::StepCurve CurveCache::at(LuxKey key) const {

@@ -196,7 +196,8 @@ NodeRun::Impl::Impl(const env::LightTrace& trace, const NodeConfig& config,
   require(config.controller_prototype != nullptr,
           "simulate_node: controller is required (use_controller)");
   require(trace.size() >= 2, "simulate_node: trace needs at least 2 samples");
-  require(config.lux_scale > 0.0, "simulate_node: lux_scale must be > 0");
+  require(config.lux_scale > 0.0 && std::isfinite(config.lux_scale),
+          "simulate_node: lux_scale must be finite and > 0");
 
   cell_ = config.cell_model.get();
   const pv::SingleDiodeModel& cell = *cell_;

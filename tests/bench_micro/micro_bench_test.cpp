@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -97,6 +98,29 @@ TEST(MicroBenchHarness, SmokeDefaultsTrimRepetitions) {
   EXPECT_EQ(full.effective_warmup(), 1);
   smoke.repetitions = 5;
   EXPECT_EQ(smoke.effective_repetitions(), 5);
+}
+
+TEST(MicroBenchHarness, CommittedBaselineDescribesItsRegisteredCases) {
+  // BENCH_micro.json is the CI regression baseline: each entry must
+  // still name a registered case and say what that case measures.
+  if (registry().empty()) register_default_cases();
+  const std::string json = slurp(FOCV_BENCH_MICRO_JSON);
+  Json doc;
+  std::string error;
+  ASSERT_TRUE(Json::parse(json, doc, &error)) << error;
+  const Json* cases = doc.find("cases");
+  ASSERT_TRUE(cases != nullptr && cases->is_array());
+  ASSERT_FALSE(cases->items().empty());
+  for (const Json& entry : cases->items()) {
+    const std::string name = entry.string_or("name", "");
+    const auto spec = std::find_if(registry().begin(), registry().end(),
+                                   [&](const CaseSpec& c) { return c.name == name; });
+    if (spec == registry().end()) {
+      ADD_FAILURE() << "BENCH_micro.json entry '" << name << "' has no registered case";
+      continue;
+    }
+    EXPECT_EQ(entry.string_or("description", ""), spec->description) << name;
+  }
 }
 
 TEST(MicroBenchHarness, UnknownFlagIsAnError) {

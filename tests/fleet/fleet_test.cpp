@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -442,6 +443,32 @@ TEST(Fleet, RejectsInvalidSpecs) {
   FleetSpec bad_att = small_spec(4);
   bad_att.heterogeneity.attenuation_min = 0.0;
   EXPECT_THROW((void)draw_node(bad_att, 0), PreconditionError);
+}
+
+TEST(Fleet, RejectsNonFiniteScales) {
+  // Either scale reached run_fleet's cache warm-up as an infinite
+  // illuminance; the fleet now names the field.
+  const auto expect_rejected = [](const FleetSpec& spec, const char* message) {
+    try {
+      (void)run_fleet(spec, serial_options());
+      ADD_FAILURE() << "no throw: " << message;
+    } catch (const PreconditionError& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+  };
+  for (const FleetEngine engine : {FleetEngine::kPerNode, FleetEngine::kSoa}) {
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      FleetSpec scale = small_spec(4);
+      scale.engine = engine;
+      scale.base.lux_scale = bad;
+      expect_rejected(scale, "fleet: base lux_scale must be finite");
+      FleetSpec att = small_spec(4);
+      att.engine = engine;
+      att.heterogeneity.attenuation_max = bad;
+      expect_rejected(att, "fleet: attenuation range must satisfy 0 < min <= max < inf");
+    }
+  }
 }
 
 TEST(FixedHistogram, ClampsOutOfRangeIntoEndBins) {

@@ -221,29 +221,17 @@ TEST(FleetHillLanes, LaneNodesMatchPerNodeReportsBitForBit) {
   EXPECT_GT(dark_tickers, 0u);
 }
 
-/// Scalar copy of hill_lanes.cpp's certified curve key: the grid index
-/// below x and the float-rounded weight, taken from x ~ xoff + xeq only
-/// when both ends of [x - 2^-40, x + 2^-40] give the same pair.
-std::optional<std::pair<double, double>> certified_key(double xoff, double xeq) {
-  const double x = xoff + xeq;
-  const double lo = x - 0x1p-40;
-  const double hi = x + 0x1p-40;
-  const double j = std::floor(lo);
-  const double f_lo = static_cast<float>(lo - j);
-  const double f_hi = static_cast<float>(hi - std::floor(hi));
-  if (!(j == std::floor(hi) && f_lo == f_hi && hi < hill::kKeyLogBound)) return std::nullopt;
-  return std::pair{j, f_lo};
-}
-
 /// Lit steps of `eq` at lux scale `scale`, at or above `floor_lux`, whose
-/// certified key fails (the lanes take the scalar log there).
+/// certified key (CurveCache::certified_key) fails: the lanes take the
+/// scalar log there.
 std::size_t fallback_steps(const std::vector<double>& eq, double scale, double floor_lux) {
-  const double xoff = hill::key_log(scale);
+  const double xoff = node::CurveCache::key_term(scale);
   std::size_t n = 0;
   for (const double e : eq) {
     const double lux = scale * e;
     if (lux >= node::CurveCache::kDarkLux && lux >= floor_lux &&
-        !certified_key(xoff, hill::key_log(e))) {
+        !node::CurveCache::certified_key<laws::Scalar>(xoff, node::CurveCache::key_term(e))
+             .sure) {
       ++n;
     }
   }
@@ -278,33 +266,27 @@ TEST(FleetHillLanes, CertifiedCurveKeysMatchStepKey) {
   for (const auto& [name, trace] : traces) {
     const sched::PreparedTrace prepared(trace, *spec.cell, env::SegmentationOptions{});
     const std::vector<double>& eq = prepared.eq_lux();
-    double eq_hi = 0.0;
-    for (const double e : eq) eq_hi = std::max(eq_hi, e);
     std::vector<double> xeq(eq.size());
-    for (std::size_t i = 0; i < eq.size(); ++i) xeq[i] = hill::key_log(eq[i]);
-    // Warm every slot first, so the cache's grid base never moves and
-    // slot - j is one constant for the whole day.
+    for (std::size_t i = 0; i < eq.size(); ++i) xeq[i] = node::CurveCache::key_term(eq[i]);
     node::CurveCache cache(*spec.cell, base.temperature_k,
                            node::CurveCache::Options{base.power_model, base.surrogate_points});
-    cache.warm_range(node::CurveCache::kDarkLux, eq_hi * scales.back());
-    std::optional<long> base_j;
     for (const double scale : scales) {
-      const double xoff = hill::key_log(scale);
+      const double xoff = node::CurveCache::key_term(scale);
       for (std::size_t i = 0; i < eq.size(); ++i) {
         const double lux = scale * eq[i];
         if (!(lux >= node::CurveCache::kDarkLux)) continue;
         ++keys;
-        const auto key = certified_key(xoff, xeq[i]);
-        if (!key) {
+        // The lanes' certificate, on doubles.
+        const auto key = node::CurveCache::certified_key<laws::Scalar>(xoff, xeq[i]);
+        if (!key.sure) {
           ++fallbacks;
           continue;
         }
         const node::CurveCache::StepKey want = cache.step_key(lux);
-        const auto j = static_cast<long>(key->first);
-        if (!base_j) base_j = j - static_cast<long>(want.slot);
-        ASSERT_EQ(static_cast<long>(want.slot), j - *base_j)
+        const auto j = static_cast<long>(key.j);
+        ASSERT_EQ(static_cast<long>(want.slot), j - node::CurveCache::kGridLo)
             << name << " step " << i << " scale " << scale;
-        ASSERT_EQ(static_cast<double>(want.frac), key->second)
+        ASSERT_EQ(static_cast<double>(want.frac), key.frac)
             << name << " step " << i << " scale " << scale;
       }
     }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/require.hpp"
@@ -303,6 +304,77 @@ TEST(CurveCache, LuxKeyStaysValidWhileTheTableGrowsAboveIt) {
   EXPECT_EQ(cache.at(lo).voc, fresh.at(ref).voc);
   EXPECT_EQ(cache.at(lo).pmpp, fresh.at(ref).pmpp);
   EXPECT_EQ(cache.power_at(lo, 0.4), fresh.power_at(ref, 0.4));
+}
+
+TEST(CurveCache, LuxKeyStaysValidWhileTheTableGrowsBelowIt) {
+  // A key resolved at a high illuminance must keep reading its own
+  // entries after a key far below it builds new ones.
+  const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
+  CurveCache cache(cell, kRoomTempK);
+  const CurveCache::LuxKey hi = cache.lux_key(1000.0);
+  (void)cache.lux_key(10.0);  // builds entries far below `hi`
+  CurveCache fresh(cell, kRoomTempK);
+  const CurveCache::LuxKey ref = fresh.lux_key(1000.0);
+  EXPECT_EQ(cache.at(hi).voc, fresh.at(ref).voc);
+  EXPECT_EQ(cache.at(hi).pmpp, fresh.at(ref).pmpp);
+  EXPECT_EQ(cache.power_at(hi, 0.4), fresh.power_at(ref, 0.4));
+}
+
+TEST(CurveCache, GridRunsFromTheDarkEdgeToItsCeiling) {
+  EXPECT_EQ(CurveCache::kGridLo,
+            static_cast<long>(std::floor(CurveCache::kGridNodesPerLogLux *
+                                         std::log(CurveCache::kDarkLux))));
+  EXPECT_EQ(CurveCache::kGridSlots, 609u);
+  CurveCache cache(pv::sanyo_am1815(), kRoomTempK);
+  EXPECT_EQ(cache.lux_key(CurveCache::kDarkLux).slot, 0u);
+  // The top key sits just below the ceiling, 32 ln lux < 512, and
+  // reads the last two slots (the cell model itself gives out long
+  // before 8.9e6 lux, so the entries are not built here).
+  const double top = std::exp(511.5 / CurveCache::kGridNodesPerLogLux);
+  EXPECT_EQ(CurveCache::grid_point(top).j - CurveCache::kGridLo,
+            static_cast<long>(CurveCache::kGridSlots) - 2);
+}
+
+TEST(CurveCache, LuxPastTheCeilingThrowsTheCacheMessage) {
+  CurveCache cache(pv::sanyo_am1815(), kRoomTempK);
+  const double ceiling = std::exp(512.0 / CurveCache::kGridNodesPerLogLux);
+  for (const double lux : {ceiling * 1.001, 1e12, std::numeric_limits<double>::infinity()}) {
+    try {
+      (void)cache.lux_key(lux);
+      ADD_FAILURE() << "no throw at " << lux;
+    } catch (const PreconditionError& e) {
+      EXPECT_STREQ(e.what(),
+                   "CurveCache: illuminance at or above the surrogate grid's ceiling (8.9e6 lux)")
+          << lux;
+    }
+    EXPECT_THROW(cache.warm_range(1.0, lux), PreconditionError) << lux;
+  }
+  EXPECT_EQ(cache.entries_built(), 0u);
+}
+
+TEST(CurveCache, SeedingDisjointRangesReadsLikeAFreshCache) {
+  // Two caches that built disjoint ranges; seeding one from the other
+  // gives it both, entry for entry what a fresh cache builds.
+  const pv::SingleDiodeModel& cell = pv::sanyo_am1815();
+  CurveCache dim(cell, kRoomTempK);
+  CurveCache bright(cell, kRoomTempK);
+  dim.warm_range(5.0, 50.0);
+  bright.warm_range(2000.0, 40000.0);
+  const std::uint64_t built = dim.entries_built();
+  dim.seed_entries(bright);
+  EXPECT_EQ(dim.entries_built(), built);  // seeded entries are not its work
+  const std::uint64_t evals = dim.model_evals();
+  CurveCache fresh(cell, kRoomTempK);
+  for (const double lux : {5.0, 7.3, 49.0, 2000.0, 3333.0, 39000.0}) {
+    const CurveCache::LuxKey key = dim.lux_key(lux);
+    const CurveCache::LuxKey ref = fresh.lux_key(lux);
+    EXPECT_EQ(key.slot, ref.slot) << lux;
+    EXPECT_EQ(dim.at(key).voc, fresh.at(ref).voc) << lux;
+    EXPECT_EQ(dim.at(key).pmpp, fresh.at(ref).pmpp) << lux;
+    EXPECT_EQ(dim.at(key).vmpp, fresh.at(ref).vmpp) << lux;
+    EXPECT_EQ(dim.power_at(key, 0.37), fresh.power_at(ref, 0.37)) << lux;
+  }
+  EXPECT_EQ(dim.model_evals(), evals);  // every read hit a built or seeded entry
 }
 
 TEST(CurveCache, LuxKeyMatchesStepKeySlot) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -136,6 +137,27 @@ TEST(HarvesterNode, RejectsMissingPieces) {
   NodeConfig cfg;
   const env::LightTrace trace = env::constant_light(100.0, 0.0, 10.0);
   EXPECT_THROW(simulate_node(trace, cfg), PreconditionError);
+}
+
+TEST(HarvesterNode, RejectsNonFiniteLuxScale) {
+  // An infinite scale used to pass the > 0 check and die in the cell
+  // model ("open_circuit_voltage: cell produces no current").
+  const env::LightTrace trace = env::office_desk_mixed();
+  for (const Stepper stepper : {Stepper::kFixed, Stepper::kEvent}) {
+    for (const double scale : {std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+      NodeConfig cfg = base_config(core::make_paper_controller());
+      cfg.use_controller("pilot");
+      cfg.stepper = stepper;
+      cfg.lux_scale = scale;
+      try {
+        (void)simulate_node(trace, cfg);
+        ADD_FAILURE() << "no throw at lux_scale " << scale;
+      } catch (const PreconditionError& e) {
+        EXPECT_STREQ(e.what(), "simulate_node: lux_scale must be finite and > 0") << scale;
+      }
+    }
+  }
 }
 
 TEST(HarvesterNode, EventRunRejectsPreparedTraceOfAnotherBand) {
